@@ -102,7 +102,8 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
 def _add_standardize_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stray_i", choices=STRAY_I_MODES, default=STRAY_I_OPEN,
                    help="how to decode a stray I tag")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (output is identical)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored: scoring runs in one thread")
 
 
 def _load_variant(args) -> VariantConfig:

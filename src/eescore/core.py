@@ -92,6 +92,14 @@ class Document:
     def entities_by_id(self) -> dict[str, EntityMention]:
         return {m.id: m for m in self.entities}
 
+    @cached_property
+    def token_positions(self) -> dict[str, list[int]]:
+        """Maps each token to the positions it occurs at, ascending."""
+        table: dict[str, list[int]] = {}
+        for i, token in enumerate(self.tokens):
+            table.setdefault(token, []).append(i)
+        return table
+
 
 @dataclass(frozen=True)
 class Corpus:
@@ -153,6 +161,15 @@ class CandidateSet:
         for c in self.candidates:
             table.setdefault((c.span.start, c.span.end), c.id)
         return table
+
+    def span_of(self, candidate_id: str) -> Span | None:
+        """The span of a candidate id, or None when the id is not in the set."""
+        candidate = self.ids.get(candidate_id)
+        return None if candidate is None else candidate.span
+
+    def id_of(self, span: Span) -> str | None:
+        """The first candidate id in canonical order with exactly this span."""
+        return self.by_span.get((span.start, span.end))
 
 
 @dataclass(frozen=True)

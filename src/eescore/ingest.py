@@ -95,6 +95,12 @@ class ParadigmPredictions:
 
 
 def _iter_lines(stream: Stream) -> Iterator[tuple[int, str]]:
+    """Yields (line number, line) for every non-blank line.
+
+    Lines end at "\n" only (a "\r" before it is dropped): JSON strings may
+    hold U+2028, U+0085, "\f" and the other characters `str.splitlines`
+    also breaks on, and the canonical writer emits them raw.
+    """
     if hasattr(stream, "read"):
         data = stream.read()
     else:
@@ -106,7 +112,8 @@ def _iter_lines(stream: Stream) -> Iterator[tuple[int, str]]:
             raise ParseError(f"input is not valid UTF-8: {exc}") from None
     else:
         text = data
-    for i, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         if raw.strip():
             yield i, raw
 
@@ -116,6 +123,8 @@ def _load_object(raw: str, line: int) -> dict:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON ({exc.msg})", line) from None
+    except RecursionError:
+        raise ParseError("invalid JSON (nested too deeply)", line) from None
     if not isinstance(obj, dict):
         raise ParseError("record must be a JSON object", line)
     return obj

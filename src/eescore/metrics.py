@@ -127,22 +127,24 @@ def _match(
     gold_keys: Sequence[Hashable],
     label_of: Callable[[Hashable], str],
 ) -> tuple[ConfusionCounts, dict]:
-    """Multiset matching: each gold consumed at most once, no double credit."""
+    """Multiset matching: each gold consumed at most once, no double credit.
+
+    One pass over the distinct keys: a key seen p times predicted and g
+    times in gold contributes min(p, g) true positives to its label.
+    """
     pred = Counter(pred_keys)
     gold = Counter(gold_keys)
-    tp = pred & gold
-    total = ConfusionCounts(
-        tp=sum(tp.values()),
-        fp=sum(pred.values()) - sum(tp.values()),
-        fn=sum(gold.values()) - sum(tp.values()),
-    )
-    per_label: dict = {}
-    labels = {label_of(k) for k in pred} | {label_of(k) for k in gold}
-    for label in sorted(labels):
-        ltp = sum(c for k, c in tp.items() if label_of(k) == label)
-        lfp = sum(c for k, c in pred.items() if label_of(k) == label) - ltp
-        lfn = sum(c for k, c in gold.items() if label_of(k) == label) - ltp
-        per_label[label] = ConfusionCounts(ltp, lfp, lfn)
+    rows: dict[str, list[int]] = {}  # label -> [tp, fp, fn]
+    for key, p in pred.items():
+        tp = min(p, gold.get(key, 0))
+        row = rows.setdefault(label_of(key), [0, 0, 0])
+        row[0] += tp
+        row[1] += p - tp
+    for key, g in gold.items():
+        row = rows.setdefault(label_of(key), [0, 0, 0])
+        row[2] += g - min(g, pred.get(key, 0))
+    per_label = {label: ConfusionCounts(*rows[label]) for label in sorted(rows)}
+    total = ConfusionCounts(*(sum(row[i] for row in rows.values()) for i in range(3)))
     return total, per_label
 
 
@@ -194,10 +196,7 @@ def score_trigger_items(
 
 
 def _in_scope(doc_id: str, event, trigger_context) -> bool:
-    triggers = trigger_context.triggers.get(doc_id, ())
-    return any(
-        t.span == event.trigger and t.event_type == event.event_type for t in triggers
-    )
+    return (doc_id, event.trigger, event.event_type) in trigger_context.keys
 
 
 def score_argument_items(

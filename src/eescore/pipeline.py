@@ -16,6 +16,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .core import NIL_LABEL, TASK_ARGUMENT, TASK_TRIGGER, Anchor, Corpus, Span
@@ -52,7 +53,7 @@ from .standardize import (
     CandidatePolicy,
     StandardizedPredictionSet,
     StandardizeOptions,
-    build_candidates,
+    TriggerCandidates,
     decode_bio,
     standardize_predictions,
 )
@@ -106,11 +107,15 @@ class TriggerContext:
                 table.setdefault(record.doc_id, []).extend(preds)
         return TriggerContext(source=source, triggers={k: tuple(v) for k, v in table.items()})
 
-    def contains(self, doc_id: str, anchor: Anchor) -> bool:
-        return any(
-            t.span == anchor.trigger and t.event_type == anchor.event_type
-            for t in self.triggers.get(doc_id, ())
+    @cached_property
+    def keys(self) -> frozenset:
+        """Every (doc_id, trigger span, event_type) in the context."""
+        return frozenset(
+            (doc_id, t.span, t.event_type) for doc_id, triggers in self.triggers.items() for t in triggers
         )
+
+    def contains(self, doc_id: str, anchor: Anchor) -> bool:
+        return (doc_id, anchor.trigger, anchor.event_type) in self.keys
 
 
 def parse_trigger_file(stream: Stream, corpus: Corpus, source: str) -> TriggerContext:
@@ -220,11 +225,11 @@ def raw_trigger_items(
                 if sp.label != NIL_LABEL:
                     items.append(TriggerItem(record.doc_id, sp.span, sp.label))
         elif record.assignments is not None:
-            candidates = build_candidates(corpus.get(record.doc_id), policy=policy)
+            candidates = TriggerCandidates(corpus.get(record.doc_id), policy)
             for a in record.assignments:
-                cand = candidates.ids.get(a.candidate_id)
-                if cand is not None and a.label != NIL_LABEL:
-                    items.append(TriggerItem(record.doc_id, cand.span, a.label))
+                span = candidates.span_of(a.candidate_id)
+                if span is not None and a.label != NIL_LABEL:
+                    items.append(TriggerItem(record.doc_id, span, a.label))
     return items
 
 
@@ -390,6 +395,30 @@ class TriggerStoreEntry:
         }
 
 
+# manifest row key -> accepted JSON value types
+_MANIFEST_FIELDS = {
+    "corpus_id": str,
+    "fingerprint": str,
+    "producer": str,
+    "file": str,
+    "ed_f1": (int, float),
+}
+
+
+def _manifest_entry(row, where: str) -> TriggerStoreEntry:
+    if not isinstance(row, dict):
+        raise StoreError(f"{where} is not an object")
+    for key, types in _MANIFEST_FIELDS.items():
+        if key not in row:
+            raise StoreError(f"{where} lacks {key!r}")
+        if not isinstance(row[key], types) or isinstance(row[key], bool):
+            raise StoreError(f"{where} has a {type(row[key]).__name__} {key!r}")
+    name = row["file"]
+    if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
+        raise StoreError(f"{where} names {name!r}, which is not a file name inside the store")
+    return TriggerStoreEntry(**{key: row[key] for key in _MANIFEST_FIELDS})
+
+
 def _write_atomic(path: Path, data: bytes) -> None:
     tmp = path.parent / (path.name + ".tmp")
     tmp.write_bytes(data)
@@ -413,6 +442,9 @@ class TriggerStore:
         return self.root / self.MANIFEST
 
     def entries(self) -> list[TriggerStoreEntry]:
+        """The manifest's entries in the order they were put. A manifest
+        that is not a list of complete rows, or that names a file outside
+        the store directory, raises StoreError."""
         path = self._manifest_path()
         if not path.exists():
             return []
@@ -420,16 +452,13 @@ class TriggerStore:
             rows = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise StoreError(f"corrupt manifest {path}: {exc.msg}") from None
-        return [
-            TriggerStoreEntry(
-                corpus_id=r["corpus_id"],
-                fingerprint=r["fingerprint"],
-                producer=r["producer"],
-                file=r["file"],
-                ed_f1=r["ed_f1"],
-            )
-            for r in rows
-        ]
+        except UnicodeDecodeError:
+            raise StoreError(f"corrupt manifest {path}: not valid UTF-8") from None
+        except RecursionError:
+            raise StoreError(f"corrupt manifest {path}: nested too deeply") from None
+        if not isinstance(rows, list):
+            raise StoreError(f"corrupt manifest {path}: not a list of entries")
+        return [_manifest_entry(row, f"corrupt manifest {path}: entry {i}") for i, row in enumerate(rows)]
 
     def put(
         self,

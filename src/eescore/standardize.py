@@ -12,7 +12,7 @@ auditable.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -144,6 +144,47 @@ def build_candidates(
     return CandidateSet.make(TASK_ARGUMENT, doc.id, cands, anchor=anchor)
 
 
+class TriggerCandidates:
+    """The trigger candidate set of one document, derived instead of enumerated.
+
+    Admits exactly the spans `build_candidates(doc, policy=policy)` lists,
+    under the same ids, without building them: a span is a candidate iff
+    it lies inside one sentence and is at most k tokens long, where
+    `every_token` is k = 1 over one sentence spanning the whole document.
+    Trigger ids are unique per span, so canonical order is span order.
+    """
+
+    def __init__(self, doc: Document, policy: CandidatePolicy):
+        if policy.trigger_policy == TRIGGER_POLICY_EVERY_TOKEN:
+            self._k, self._starts, self._ends = 1, (0,), (len(doc.tokens),)
+        else:
+            self._k = policy.k
+            self._starts = tuple(s.start for s in doc.sentences)
+            self._ends = tuple(s.end for s in doc.sentences)
+
+    def id_of(self, span: Span) -> str | None:
+        """The candidate id of a span, or None when the policy admits no such span."""
+        i = bisect_right(self._starts, span.start) - 1
+        if i < 0 or not span.start < span.end <= min(span.start + self._k, self._ends[i]):
+            return None
+        return trigger_candidate_id(span)
+
+    def span_of(self, candidate_id: str) -> Span | None:
+        """The span of a candidate id, or None when the id is not a candidate.
+
+        Only the exact spelling `id_of` produces is known: `int` also reads
+        "01", "+1", "1_0" and non-ASCII digits, which no candidate id has.
+        """
+        parts = candidate_id.split(":")
+        if len(parts) != 3 or parts[0] != "t":
+            return None
+        try:
+            span = Span(int(parts[1]), int(parts[2]))
+        except ValueError:
+            return None
+        return span if self.id_of(span) == candidate_id else None
+
+
 def decode_bio(tags: Sequence[str], stray_i: str = STRAY_I_OPEN) -> list[tuple[Span, str]]:
     """Decodes a BIO tag sequence into labeled spans.
 
@@ -188,9 +229,10 @@ def position_cg(
 ) -> tuple[list[tuple[Span, CgItem, int]], list[tuple[CgItem, int]]]:
     """Assigns positions to generated items by appearance order.
 
-    Occurrences of each mention are found by exact, case-sensitive token
-    sequence matching, left to right; the k-th generated item carrying a
-    given mention is placed on its k-th occurrence. Returns (placed,
+    Occurrences of each (non-empty) mention are found by exact,
+    case-sensitive token sequence matching, left to right, starting only
+    at the positions of its first token; the k-th generated item carrying
+    a given mention is placed on its k-th occurrence. Returns (placed,
     unplaceable), both carrying the item's arrival index.
     """
     occurrences: dict[tuple[str, ...], list[Span]] = {}
@@ -204,7 +246,7 @@ def position_cg(
             width = len(mention)
             occurrences[mention] = [
                 Span(s, s + width)
-                for s in range(len(tokens) - width + 1)
+                for s in doc.token_positions.get(mention[0], ())
                 if tokens[s : s + width] == mention
             ]
             used[mention] = 0
@@ -287,27 +329,41 @@ def project(
         raise ValidationError(
             f"record anchor does not match candidate set anchor for doc {record.doc_id!r}"
         )
+    return _project(record, candidates, options, doc)
 
+
+def _project(
+    record: PredictionRecord,
+    candidates: CandidateSet | TriggerCandidates,
+    options: StandardizeOptions,
+    doc: Document | None,
+) -> StandardizedRecord:
+    """`project` without the check that `candidates` belong to the record,
+    for callers that build the candidates from the record itself."""
     discards: list[Discard] = []
     matched: list[MatchedPrediction] = []
     originals: dict[int, dict] = {}  # arrival_index -> JSON description
+    spans: dict[str, Span] = {}  # candidate_id -> span, for every matched candidate
     provenance_base = PROV_NATIVE
 
     if record.assignments is not None:
         for idx, a in enumerate(record.assignments):
-            if a.candidate_id not in candidates.ids:
+            span = candidates.span_of(a.candidate_id)
+            if span is None:
                 discards.append(Discard(DISCARD_UNKNOWN_CANDIDATE, _cls_original(a)))
                 continue
+            spans[a.candidate_id] = span
             originals[idx] = _cls_original(a)
             matched.append(MatchedPrediction(a.candidate_id, a.label, a.confidence, idx))
     elif record.tags is not None:
         provenance_base = PROV_PROJECTED
         for idx, (span, label) in enumerate(decode_bio(record.tags, options.stray_i)):
             original = {"span": span.as_pair(), "label": label}
-            cid = candidates.by_span.get((span.start, span.end))
+            cid = candidates.id_of(span)
             if cid is None:
                 discards.append(Discard(DISCARD_OVERLAP, original))
                 continue
+            spans[cid] = span
             originals[idx] = original
             matched.append(MatchedPrediction(cid, label, None, idx))
     elif record.spans is not None:
@@ -316,10 +372,11 @@ def project(
             original = {"span": sp.span.as_pair(), "label": sp.label}
             if sp.confidence is not None:
                 original["confidence"] = sp.confidence
-            cid = candidates.by_span.get((sp.span.start, sp.span.end))
+            cid = candidates.id_of(sp.span)
             if cid is None:
                 discards.append(Discard(DISCARD_OVERLAP, original))
                 continue
+            spans[cid] = sp.span
             originals[idx] = original
             matched.append(MatchedPrediction(cid, sp.label, sp.confidence, idx))
     else:
@@ -333,10 +390,11 @@ def project(
             discards.append(Discard(DISCARD_UNPLACEABLE, _cg_original(item)))
         for span, item, idx in placed:
             original = _cg_original(item, span)
-            cid = candidates.by_span.get((span.start, span.end))
+            cid = candidates.id_of(span)
             if cid is None:
                 discards.append(Discard(DISCARD_OVERLAP, original))
                 continue
+            spans[cid] = span
             originals[idx] = original
             matched.append(MatchedPrediction(cid, item.label, item.confidence, idx))
 
@@ -345,16 +403,16 @@ def project(
     for m, reason in dup_discards:
         discards.append(Discard(reason, originals[m.arrival_index]))
 
-    order = {c.id: i for i, c in enumerate(candidates.candidates)}
+    # canonical candidate order: (start, end), ties broken by id
     assignments = tuple(
         Assignment(
-            candidate_id=m.candidate_id,
-            span=candidates.ids[m.candidate_id].span,
-            label=m.label,
-            provenance=PROV_RESOLVED_DUPLICATE if m.candidate_id in had_duplicates else provenance_base,
-            confidence=m.confidence,
+            candidate_id=cid,
+            span=spans[cid],
+            label=winners[cid].label,
+            provenance=PROV_RESOLVED_DUPLICATE if cid in had_duplicates else provenance_base,
+            confidence=winners[cid].confidence,
         )
-        for m in sorted(winners.values(), key=lambda m: order[m.candidate_id])
+        for cid in sorted(winners, key=lambda cid: (spans[cid].start, spans[cid].end, cid))
     )
     return StandardizedRecord(
         doc_id=record.doc_id,
@@ -384,21 +442,26 @@ def standardize_predictions(
 ) -> StandardizedPredictionSet:
     """Standardizes every record against its document's candidate set.
 
-    Records are independent; with jobs > 1 they are projected in a thread
-    pool, but output order always equals input order.
+    Each document's candidates are set up once per task and shared by its
+    records: argument candidates differ between anchors only in the
+    anchor, and trigger candidates are derived (`TriggerCandidates`).
+    Output order equals input order. `jobs` is accepted and ignored:
+    projection is pure-Python work, which threads cannot run in parallel
+    and which measured slower in a thread pool.
     """
-
-    def one(record: PredictionRecord) -> StandardizedRecord:
+    shared: dict[tuple[str, str], CandidateSet | TriggerCandidates] = {}
+    records = []
+    for record in predictions.records:
         doc = corpus.get(record.doc_id)
-        candidates = build_candidates(doc, anchor=record.anchor, policy=policy)
-        return project(record, candidates, options, doc=doc)
-
-    if jobs > 1 and len(predictions.records) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = tuple(pool.map(one, predictions.records))
-    else:
-        records = tuple(one(r) for r in predictions.records)
-    return StandardizedPredictionSet(records=records)
+        candidates = shared.get((record.doc_id, record.task))
+        if candidates is None:
+            if record.task == TASK_TRIGGER:
+                candidates = TriggerCandidates(doc, policy)
+            else:
+                candidates = build_candidates(doc, anchor=record.anchor, policy=policy)
+            shared[(record.doc_id, record.task)] = candidates
+        records.append(_project(record, candidates, options, doc))
+    return StandardizedPredictionSet(records=tuple(records))
 
 
 def _record_to_obj(record: StandardizedRecord) -> dict:

@@ -7,6 +7,8 @@ grouping runs in a second. They must never import the implementations
 they check beyond the shared data types.
 """
 
+from collections import Counter
+
 from eescore.core import Span
 
 
@@ -83,3 +85,32 @@ def reference_bio_decode(tags) -> list[tuple[Span, str]]:
         spans.append((Span(i, j), label))
         i = j
     return spans
+
+
+def per_label_by_rescan(pred_keys, gold_keys, label_of) -> tuple[tuple[int, int, int], dict]:
+    """Multiset matching counted label by label, rescanning every key for
+    each label: (tp, fp, fn) overall and {label: (tp, fp, fn)}."""
+    pred = Counter(pred_keys)
+    gold = Counter(gold_keys)
+    tp = pred & gold
+    total = (
+        sum(tp.values()),
+        sum(pred.values()) - sum(tp.values()),
+        sum(gold.values()) - sum(tp.values()),
+    )
+    per_label = {}
+    for label in sorted({label_of(k) for k in pred} | {label_of(k) for k in gold}):
+        ltp = sum(c for k, c in tp.items() if label_of(k) == label)
+        lfp = sum(c for k, c in pred.items() if label_of(k) == label) - ltp
+        lfn = sum(c for k, c in gold.items() if label_of(k) == label) - ltp
+        per_label[label] = (ltp, lfp, lfn)
+    return total, per_label
+
+
+def occurrences_by_window_scan(tokens, mention) -> list[Span]:
+    """Every span whose tokens equal the mention, by sliding a window of
+    its width over the whole document, left to right."""
+    width = len(mention)
+    return [
+        Span(s, s + width) for s in range(len(tokens) - width + 1) if tuple(tokens[s : s + width]) == mention
+    ]

@@ -295,6 +295,27 @@ def test_trigger_store_cli_flow(tmp_path, corpus_path, capsys):
     assert report["eae"]["counts"]["tp"] == 1
 
 
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"entries": []},
+        [{"corpus_id": "corpus.jsonl", "fingerprint": "f" * 64, "producer": "p", "file": "t.jsonl"}],
+        [{"corpus_id": "corpus.jsonl", "fingerprint": "f" * 64, "producer": "p", "file": "../t.jsonl",
+          "ed_f1": 0.5}],
+    ],
+    ids=["not-a-list", "missing-key", "file-outside-store"],
+)
+def test_trigger_store_list_corrupt_manifest_exits_1(tmp_path, capsys, manifest):
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "manifest.json").write_text(json.dumps(manifest))
+    assert run(["trigger-store", "list", "--store", store]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("eescore: error: corrupt manifest")
+
+
 def test_trigger_store_get_stale_variant_exits_1(tmp_path, corpus_path):
     preds = cls_ed_file(tmp_path, corpus_path)
     store = tmp_path / "store"

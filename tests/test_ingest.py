@@ -92,6 +92,38 @@ def test_corpus_roundtrip_is_byte_identical():
     assert serialize_corpus(parse_corpus(data)) == data
 
 
+# characters `str.splitlines` breaks on besides "\n" and "\r"
+LINE_BREAKS_INSIDE_JSON_STRINGS = "\u2028\u2029\u0085\v\f\x1c\x1d\x1e"
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS_INSIDE_JSON_STRINGS)
+def test_corpus_roundtrip_with_line_break_character_in_token(char):
+    obj = {"id": "d", "tokens": [f"a{char}b", "c"], "sentences": [[0, 2]], "entities": [], "events": []}
+    second = dict(obj, id="d2")
+    data = dump_jsonl([obj, second])
+    # JSON escapes control characters; the canonical writer leaves the rest raw
+    assert (char.encode("utf-8") in data) == (char >= "\x20")
+    corpus = parse_corpus(data)
+    assert [d.tokens[0] for d in corpus] == [f"a{char}b"] * 2
+    assert serialize_corpus(corpus) == data
+
+
+def test_crlf_lines_keep_their_numbers():
+    first = dump_jsonl([{"id": "d1", "tokens": ["a"], "sentences": [[0, 1]], "entities": [], "events": []}])
+    data = first.replace(b"\n", b"\r\n") + b"\r\n{nope}\r\n"
+    with pytest.raises(ParseError, match="line 3"):
+        parse_corpus(data)
+    assert len(parse_corpus(first.replace(b"\n", b"\r\n"))) == 1
+
+
+@pytest.mark.parametrize("nested", [b"[" * 100000, b'{"a":' * 100000], ids=["arrays", "objects"])
+def test_deep_nesting_is_a_parse_error(nested):
+    with pytest.raises(ParseError, match="line 2.*nested too deeply"):
+        parse_corpus(b"\n" + nested + b"\n")
+    with pytest.raises(ParseError, match="line 1.*nested too deeply"):
+        parse_predictions(nested, "SL", resignation_corpus())
+
+
 def test_generated_corpus_roundtrip():
     rng = random.Random(7)
     for _ in range(25):

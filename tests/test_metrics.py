@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eescore.core import Argument, Corpus, EntityMention, EventAnnotation, Span
 from eescore.errors import ValidationError
@@ -8,6 +10,7 @@ from eescore.metrics import (
     ArgumentItem,
     ConfusionCounts,
     TriggerItem,
+    _match,
     prf,
     score_argument_items,
     score_eae,
@@ -26,7 +29,7 @@ from gen import (
     random_corpus,
     random_trigger_predictions,
 )
-from oracles import brute_force_by_doc
+from oracles import brute_force_by_doc, per_label_by_rescan
 
 
 def test_prf_direct_arithmetic():
@@ -260,3 +263,16 @@ def test_report_serialization_shape():
     }
     assert d["counts"] == {"tp": 4, "fp": 0, "fn": 0}
     assert set(d["per_label"]) == {"Person", "Position", "Entity", "Place"}
+
+
+keys = st.lists(st.tuples(st.sampled_from("de"), st.integers(0, 3), st.sampled_from(["A", "B", "NA"])), max_size=30)
+
+
+@given(keys, keys)
+@settings(max_examples=300, deadline=None)
+def test_match_equals_per_label_rescan(pred_keys, gold_keys):
+    total, per_label = _match(pred_keys, gold_keys, lambda k: k[-1])
+    expected_total, expected_per_label = per_label_by_rescan(pred_keys, gold_keys, lambda k: k[-1])
+    assert (total.tp, total.fp, total.fn) == expected_total
+    assert {label: (c.tp, c.fp, c.fn) for label, c in per_label.items()} == expected_per_label
+    assert list(per_label) == sorted(per_label)

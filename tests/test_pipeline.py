@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from eescore.core import Argument, Corpus, EntityMention, EventAnnotation, Span
@@ -273,3 +276,45 @@ def test_store_multiple_producers(tmp_path):
     assert got is not None and got[0].producer == "model-y"
     # without a producer filter the first manifest entry wins
     assert store.get("corpus.jsonl", fp)[0].producer == "model-x"
+
+
+GOOD_ROW = {"corpus_id": "c.jsonl", "fingerprint": "f" * 64, "producer": "p", "file": "t.jsonl", "ed_f1": 0.5}
+
+
+@pytest.mark.parametrize(
+    "manifest, problem",
+    [
+        ({"rows": []}, "not a list"),
+        ([GOOD_ROW, 3], "entry 1 is not an object"),
+        ([{k: v for k, v in GOOD_ROW.items() if k != "producer"}], "lacks 'producer'"),
+        ([dict(GOOD_ROW, ed_f1="0.5")], "str 'ed_f1'"),
+        ([dict(GOOD_ROW, ed_f1=True)], "bool 'ed_f1'"),
+        ([dict(GOOD_ROW, fingerprint=None)], "NoneType 'fingerprint'"),
+        ([dict(GOOD_ROW, file="../t.jsonl")], "not a file name inside the store"),
+        ([dict(GOOD_ROW, file="/tmp/t.jsonl")], "not a file name inside the store"),
+        ([dict(GOOD_ROW, file="sub/t.jsonl")], "not a file name inside the store"),
+        ([dict(GOOD_ROW, file="..")], "not a file name inside the store"),
+        ([dict(GOOD_ROW, file="")], "not a file name inside the store"),
+        ([dict(GOOD_ROW, file="t\0.jsonl")], "not a file name inside the store"),
+    ],
+)
+def test_corrupt_manifest_is_a_store_error(tmp_path, manifest, problem):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    store = TriggerStore(tmp_path)
+    with pytest.raises(StoreError, match=f"corrupt manifest .*{re.escape(problem)}"):
+        store.entries()
+    with pytest.raises(StoreError):
+        store.get("c.jsonl", "f" * 64)
+
+
+@pytest.mark.parametrize("raw", [b"[" * 100000, b"\xff\xfe[]", b"[{]"], ids=["deep", "not-utf8", "bad-json"])
+def test_unreadable_manifest_is_a_store_error(tmp_path, raw):
+    (tmp_path / "manifest.json").write_bytes(raw)
+    with pytest.raises(StoreError, match="corrupt manifest"):
+        TriggerStore(tmp_path).entries()
+
+
+def test_good_manifest_row_loads(tmp_path):
+    (tmp_path / "manifest.json").write_text(json.dumps([GOOD_ROW, dict(GOOD_ROW, ed_f1=1)]))
+    entries = TriggerStore(tmp_path).entries()
+    assert [e.manifest_row() for e in entries] == [GOOD_ROW, dict(GOOD_ROW, ed_f1=1)]

@@ -1,9 +1,12 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from eescore.core import Anchor, Span
+from eescore.core import Anchor, Document, Span
 from eescore.errors import ValidationError
 from eescore.ingest import CgItem
 from eescore.standardize import (
@@ -14,6 +17,7 @@ from eescore.standardize import (
     DISCARD_UNPLACEABLE,
     CandidatePolicy,
     MatchedPrediction,
+    TriggerCandidates,
     build_candidates,
     decode_bio,
     position_cg,
@@ -24,7 +28,8 @@ from eescore.standardize import (
 )
 
 from corpora import predictions_from, resignation_corpus, resignation_document, simple_doc
-from oracles import reference_bio_decode
+from gen import gold_anchor_table, random_argument_predictions, random_corpus, random_trigger_predictions
+from oracles import occurrences_by_window_scan, reference_bio_decode
 
 ANCHOR = {"trigger": [8, 9], "event_type": "End-Position"}
 
@@ -59,6 +64,88 @@ def test_spans_up_to_k_respects_sentence_boundaries():
     spans = {(c.span.start, c.span.end) for c in cands.candidates}
     assert (1, 3) not in spans
     assert spans == {(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)}
+
+
+# near misses of candidate ids, several of which `int` reads as numbers
+MALFORMED_TRIGGER_IDS = (
+    "t:01:2", "t:+1:2", "t:1_0:11", "t:\u0663:4", "t:-0:1", "t: 1:2", "t:1:2 ", "t:1:2:",
+    "t:1:2:3", "T:1:2", "t:1", "t::", "", "t:1:\u0662", "t:0x1:2", "t:1.0:2",
+)
+
+
+@st.composite
+def unannotated_documents(draw):
+    n = draw(st.integers(0, 14))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    return Document(
+        id="d",
+        tokens=("w",) * n,
+        sentences=tuple(Span(a, b) for a, b in zip(bounds, bounds[1:]) if a < b),
+        entities=(),
+        events=(),
+    )
+
+
+policies = st.one_of(
+    st.just(CandidatePolicy()),
+    st.builds(CandidatePolicy, st.just("every_span_up_to_k"), st.integers(1, 4)),
+)
+
+
+@given(
+    unannotated_documents(),
+    policies,
+    st.lists(st.text(alphabet="t:0123456789+-_ \u0663", max_size=8), max_size=10),
+)
+@settings(max_examples=300, deadline=None)
+def test_derived_trigger_candidates_agree_with_enumeration(doc, policy, noise_ids):
+    reference = build_candidates(doc, policy=policy)
+    derived = TriggerCandidates(doc, policy)
+    n = len(doc.tokens)
+    for start in range(-2, n + 2):
+        for end in range(start - 1, n + 3):
+            assert derived.id_of(Span(start, end)) == reference.by_span.get((start, end))
+    for cid in (*reference.ids, *MALFORMED_TRIGGER_IDS, *noise_ids):
+        known = reference.ids.get(cid)
+        assert derived.span_of(cid) == (known.span if known else None), cid
+    spans = {cid: derived.span_of(cid) for cid in reference.ids}
+    by_span_order = sorted(spans, key=lambda cid: (spans[cid].start, spans[cid].end, cid))
+    assert by_span_order == [c.id for c in reference.candidates]
+
+
+def test_malformed_trigger_ids_are_unknown_candidates():
+    corpus = resignation_corpus()
+    objs = [
+        {
+            "doc_id": "doc-resignation",
+            "task": "trigger",
+            "assignments": [
+                {"candidate_id": cid, "label": "A"} for cid in (*MALFORMED_TRIGGER_IDS, "t:10:11")
+            ],
+        }
+    ]
+    for policy in (CandidatePolicy(), CandidatePolicy("every_span_up_to_k", k=2)):
+        record = standardize_predictions(predictions_from(objs, "CLS", corpus), corpus, policy).records[0]
+        assert [a.candidate_id for a in record.assignments] == ["t:10:11"]
+        assert [d.reason for d in record.discarded] == [DISCARD_UNKNOWN_CANDIDATE] * len(MALFORMED_TRIGGER_IDS)
+
+
+@pytest.mark.parametrize("paradigm", ["CLS", "SL", "SP", "CG"])
+def test_shared_candidates_equal_per_record_projection(paradigm):
+    rng = random.Random(41)
+    for policy in (CandidatePolicy(), CandidatePolicy("every_span_up_to_k", k=2)):
+        for _ in range(40):
+            corpus = random_corpus(rng, max_tokens=10)
+            for preds in (
+                random_trigger_predictions(rng, corpus, paradigm),
+                random_argument_predictions(rng, corpus, paradigm, gold_anchor_table(corpus)),
+            ):
+                expected = tuple(
+                    project(r, build_candidates(corpus.get(r.doc_id), r.anchor, policy), doc=corpus.get(r.doc_id))
+                    for r in preds.records
+                )
+                assert standardize_predictions(preds, corpus, policy).records == expected
 
 
 def test_argument_candidates_are_mentions():
@@ -185,6 +272,27 @@ def test_position_exhausts_occurrences():
     placed, unplaceable = position_cg(items, doc)
     assert len(placed) == 2 and len(unplaceable) == 1
     assert len({(p[0].start, p[0].end) for p in placed}) == 2  # never the same occurrence twice
+
+
+@given(
+    st.lists(st.sampled_from("abc"), max_size=8),
+    st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=10), max_size=8),
+)
+@example(["a", "b"], [["b"], ["a", "b"], ["b"], ["a", "b", "c"]])  # at the end; longer than the doc
+@settings(max_examples=300, deadline=None)
+def test_position_cg_matches_window_scan(tokens, mentions):
+    doc = Document("d", tuple(tokens), (Span(0, len(tokens)),) if tokens else (), (), ())
+    items = [CgItem(tuple(m), "X") for m in mentions]
+    used: Counter = Counter()
+    expected_placed, expected_unplaceable = [], []
+    for idx, item in enumerate(items):
+        occurrences = occurrences_by_window_scan(doc.tokens, item.mention)
+        if used[item.mention] < len(occurrences):
+            expected_placed.append((occurrences[used[item.mention]], item, idx))
+            used[item.mention] += 1
+        else:
+            expected_unplaceable.append((item, idx))
+    assert position_cg(items, doc) == (expected_placed, expected_unplaceable)
 
 
 def test_position_is_case_sensitive():
