@@ -16,11 +16,9 @@ from .core import (
     Document,
     EntityMention,
     EventAnnotation,
-    LabelSchema,
     Span,
+    TriggerContext,
     span_contains,
-    span_equal,
-    span_overlaps,
     validate_corpus,
     validate_document,
 )
@@ -46,11 +44,8 @@ from .metrics import (
     ConfusionCounts,
     EvalReport,
     prf,
-    score_eae,
-    score_ed,
 )
 from .pipeline import (
-    TriggerContext,
     TriggerStore,
     corpus_fingerprint,
     evaluate,
@@ -61,6 +56,7 @@ from .standardize import (
     StandardizeOptions,
     build_candidates,
     decode_bio,
+    native_predictions,
     position_cg,
     project,
     resolve_duplicates,

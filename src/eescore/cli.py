@@ -11,15 +11,13 @@ outputs regardless of --jobs.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, ParseError, ToolkitError, ValidationError
-from .ingest import PARADIGMS, load_corpus, load_predictions
-from .jsonio import dump_jsonl, format_report
+from .ingest import PARADIGMS, load_corpus, load_predictions, load_trigger_file, parse_trigger_file
+from .jsonio import dump_jsonl, format_report, read_json, write_atomic
 from .metrics import (
     CONVENTION_MODERN,
     CONVENTIONS,
@@ -35,8 +33,6 @@ from .pipeline import (
     TriggerStore,
     corpus_fingerprint,
     evaluate,
-    load_trigger_file,
-    parse_trigger_file,
     serialize_trigger_context,
 )
 from .standardize import (
@@ -61,13 +57,6 @@ from .variants import (
 
 def _err(message) -> None:
     print(f"eescore: error: {message}", file=sys.stderr)
-
-
-def _write_atomic(path, data: bytes) -> None:
-    path = Path(path)
-    tmp = path.parent / (path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
 
 
 def _require_file(path, what: str) -> None:
@@ -153,7 +142,7 @@ def cmd_stats(args) -> int:
     payload["reduced_triggers"] = report.reduced_triggers
     text = format_report(payload)
     if args.output:
-        _write_atomic(args.output, text.encode("utf-8"))
+        write_atomic(args.output, text.encode("utf-8"))
     else:
         print(text, end="")
     return 0
@@ -271,7 +260,6 @@ def cmd_score(args) -> int:
         options=options,
         eae_match=args.eae_match,
         standardize=args.standardize,
-        jobs=args.jobs,
     )
 
     payload = {
@@ -281,12 +269,12 @@ def cmd_score(args) -> int:
         "eae": result.eae_report.as_dict() if result.eae_report else None,
     }
     report_text = format_report(payload)
-    _write_atomic(args.output, report_text.encode("utf-8"))
+    write_atomic(args.output, report_text.encode("utf-8"))
 
     table = _format_table(result.ed_report, result.eae_report)
     print(table, end="")
     if args.table:
-        _write_atomic(args.table, table.encode("utf-8"))
+        write_atomic(args.table, table.encode("utf-8"))
 
     if args.dump_discards:
         lines = []
@@ -297,14 +285,11 @@ def cmd_score(args) -> int:
                 for d in record.discarded:
                     row = {"doc_id": record.doc_id, "task": record.task}
                     if record.anchor is not None:
-                        row["anchor"] = {
-                            "trigger": record.anchor.trigger.as_pair(),
-                            "event_type": record.anchor.event_type,
-                        }
+                        row["anchor"] = record.anchor.as_dict()
                     row["reason"] = d.reason
                     row["original"] = d.original
                     lines.append(row)
-        _write_atomic(args.dump_discards, dump_jsonl(lines))
+        write_atomic(args.dump_discards, dump_jsonl(lines))
     return 0
 
 
@@ -322,7 +307,7 @@ def cmd_standardize(args) -> int:
     standardized = standardize_predictions(
         predictions, corpus, policy, StandardizeOptions(stray_i=args.stray_i), jobs=args.jobs
     )
-    _write_atomic(args.output, serialize_standardized(standardized))
+    write_atomic(args.output, serialize_standardized(standardized))
     return 0
 
 
@@ -330,14 +315,25 @@ def cmd_standardize(args) -> int:
 # compare
 
 
+_SCORES = ("precision", "recall", "f1")
+
+
 def _load_report(path) -> dict:
+    """A score report whose fingerprint is a string and whose "ed" and
+    "eae" are each null or carry numeric precision, recall and f1."""
     _require_file(path, "report file")
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"report {path}: invalid JSON ({exc.msg})") from None
-    if not isinstance(obj, dict) or "fingerprint" not in obj:
+        obj = read_json(path)
+    except ValueError as exc:
+        raise ConfigError(f"report {path}: {exc}") from None
+    if not isinstance(obj, dict) or not isinstance(obj.get("fingerprint"), str):
         raise ConfigError(f"report {path}: not a score report (missing fingerprint)")
+    for task in ("ed", "eae"):
+        scores = obj.get(task)
+        if scores is not None and not (
+            isinstance(scores, dict) and all(type(scores.get(m)) in (int, float) for m in _SCORES)
+        ):
+            raise ConfigError(f"report {path}: {task!r} lacks numeric {', '.join(_SCORES)}")
     return obj
 
 
@@ -354,9 +350,7 @@ def cmd_compare(args) -> int:
         ra, rb = a.get(task_key), b.get(task_key)
         if ra is None or rb is None:
             continue
-        deltas = [
-            (rb[metric] - ra[metric]) * 100 for metric in ("precision", "recall", "f1")
-        ]
+        deltas = [(rb[metric] - ra[metric]) * 100 for metric in _SCORES]
         rows.append((task_name, deltas))
     if not rows:
         raise ConfigError("the two reports share no task to compare")
@@ -366,7 +360,7 @@ def cmd_compare(args) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.output:
-        _write_atomic(args.output, text.encode("utf-8"))
+        write_atomic(args.output, text.encode("utf-8"))
     return 0
 
 
@@ -389,7 +383,6 @@ def cmd_store_put(args) -> int:
         ed_pred=predictions,
         policy=policy,
         options=StandardizeOptions(stray_i=args.stray_i),
-        jobs=args.jobs,
     )
     trigger_bytes = serialize_trigger_context(result.trigger_context)
     entry = TriggerStore(args.store).put(
@@ -415,7 +408,7 @@ def cmd_store_get(args) -> int:
         )
         return 1
     entry, payload = found
-    _write_atomic(args.output, payload)
+    write_atomic(args.output, payload)
     print(f"{entry.producer}\t{entry.file}\tED F1 {entry.ed_f1 * 100:.1f}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Shared data model: spans, documents, events, candidates, labels.
+"""Shared data model: spans, documents, events, candidates, trigger contexts.
 
 All types are immutable after construction; they can be shared freely
 across threads. Invariant checking is data, not control flow: invalid
@@ -20,6 +20,8 @@ TASK_TRIGGER = "trigger"
 TASK_ARGUMENT = "argument"
 TASKS = (TASK_TRIGGER, TASK_ARGUMENT)
 
+SOURCE_GOLD = "gold"  # trigger-context source of the corpus's own triggers
+
 
 @dataclass(frozen=True, order=True)
 class Span:
@@ -36,16 +38,8 @@ class Span:
         return [self.start, self.end]
 
 
-def span_equal(a: Span, b: Span) -> bool:
-    return a.start == b.start and a.end == b.end
-
-
 def span_contains(outer: Span, inner: Span) -> bool:
     return outer.start <= inner.start and inner.end <= outer.end
-
-
-def span_overlaps(a: Span, b: Span) -> bool:
-    return max(a.start, b.start) < min(a.end, b.end)
 
 
 @dataclass(frozen=True)
@@ -78,6 +72,9 @@ class Anchor:
 
     trigger: Span
     event_type: str
+
+    def as_dict(self) -> dict:
+        return {"trigger": self.trigger.as_pair(), "event_type": self.event_type}
 
 
 @dataclass(frozen=True)
@@ -173,20 +170,45 @@ class CandidateSet:
 
 
 @dataclass(frozen=True)
-class LabelSchema:
-    event_types: frozenset[str]
-    roles: frozenset[str]
-    nil_label: str = NIL_LABEL
+class PredictedTrigger:
+    span: Span
+    event_type: str
+    confidence: float | None = None
 
-    def __post_init__(self):
-        if self.nil_label in self.event_types or self.nil_label in self.roles:
-            raise ValueError(f"nil label {self.nil_label!r} must not appear in the label sets")
+
+@dataclass(frozen=True)
+class TriggerContext:
+    """The triggers an EAE stage is allowed to answer for."""
+
+    source: str  # SOURCE_GOLD or an identifier of the predicted-trigger source
+    triggers: dict  # doc_id -> tuple[PredictedTrigger, ...]
 
     @staticmethod
-    def from_corpus(corpus: Corpus) -> "LabelSchema":
-        types = {e.event_type for d in corpus for e in d.events}
-        roles = {a.role for d in corpus for e in d.events for a in e.arguments}
-        return LabelSchema(event_types=frozenset(types), roles=frozenset(roles))
+    def from_gold(corpus: Corpus) -> "TriggerContext":
+        table = {
+            d.id: tuple(PredictedTrigger(e.trigger, e.event_type) for e in d.events)
+            for d in corpus
+            if d.events
+        }
+        return TriggerContext(source=SOURCE_GOLD, triggers=table)
+
+    @staticmethod
+    def from_items(items, source: str) -> "TriggerContext":
+        """The context of scoreable trigger items (doc_id, span, label)."""
+        table: dict = {}
+        for it in items:
+            table.setdefault(it.doc_id, []).append(PredictedTrigger(it.span, it.label))
+        return TriggerContext(source=source, triggers={k: tuple(v) for k, v in table.items()})
+
+    @cached_property
+    def keys(self) -> frozenset:
+        """Every (doc_id, trigger span, event_type) in the context."""
+        return frozenset(
+            (doc_id, t.span, t.event_type) for doc_id, triggers in self.triggers.items() for t in triggers
+        )
+
+    def contains(self, doc_id: str, anchor: Anchor) -> bool:
+        return (doc_id, anchor.trigger, anchor.event_type) in self.keys
 
 
 def _check_span(span: Span, n_tokens: int, where: str, out: list[str]) -> bool:

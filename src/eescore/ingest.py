@@ -1,6 +1,6 @@
-"""Parsing and validation of the corpus file and the four paradigm
+"""Parsing and validation of the corpus file, the four paradigm
 prediction file formats (classification, sequence labeling, span
-prediction, conditional generation).
+prediction, conditional generation) and the predicted-trigger file.
 
 All formats are JSONL: one record per line, UTF-8. Parsing is total over
 the error channel: malformed input raises ParseError/ValidationError with
@@ -25,7 +25,9 @@ from .core import (
     Document,
     EntityMention,
     EventAnnotation,
+    PredictedTrigger,
     Span,
+    TriggerContext,
     validate_document,
 )
 from .errors import ParseError, ValidationError
@@ -50,11 +52,20 @@ _TAG_RE = re.compile(r"^(O|[BI]-.+)$")
 Stream = Union[bytes, str, IO]
 
 
+def _with_confidence(obj: dict, confidence: float | None) -> dict:
+    if confidence is not None:
+        obj["confidence"] = confidence
+    return obj
+
+
 @dataclass(frozen=True)
 class ClsAssignment:
     candidate_id: str
     label: str
     confidence: float | None = None
+
+    def as_dict(self) -> dict:
+        return _with_confidence({"candidate_id": self.candidate_id, "label": self.label}, self.confidence)
 
 
 @dataclass(frozen=True)
@@ -63,12 +74,18 @@ class SpanPrediction:
     label: str
     confidence: float | None = None
 
+    def as_dict(self) -> dict:
+        return _with_confidence({"span": self.span.as_pair(), "label": self.label}, self.confidence)
+
 
 @dataclass(frozen=True)
 class CgItem:
     mention: tuple[str, ...]
     label: str
     confidence: float | None = None
+
+    def as_dict(self) -> dict:
+        return _with_confidence({"mention": list(self.mention), "label": self.label}, self.confidence)
 
 
 @dataclass(frozen=True)
@@ -469,35 +486,59 @@ def parse_predictions(stream: Stream, paradigm: str, corpus: Corpus) -> Paradigm
 def _record_to_obj(record: PredictionRecord) -> dict:
     obj: dict = {"doc_id": record.doc_id, "task": record.task}
     if record.anchor is not None:
-        obj["anchor"] = {
-            "trigger": record.anchor.trigger.as_pair(),
-            "event_type": record.anchor.event_type,
-        }
-    if record.assignments is not None:
-        obj["assignments"] = [
-            {"candidate_id": a.candidate_id, "label": a.label}
-            | ({"confidence": a.confidence} if a.confidence is not None else {})
-            for a in record.assignments
-        ]
-    elif record.tags is not None:
-        obj["tags"] = list(record.tags)
-    elif record.spans is not None:
-        obj["spans"] = [
-            {"span": s.span.as_pair(), "label": s.label}
-            | ({"confidence": s.confidence} if s.confidence is not None else {})
-            for s in record.spans
-        ]
-    elif record.items is not None:
-        obj["items"] = [
-            {"mention": list(it.mention), "label": it.label}
-            | ({"confidence": it.confidence} if it.confidence is not None else {})
-            for it in record.items
-        ]
+        obj["anchor"] = record.anchor.as_dict()
+    for field in PAYLOAD_FIELD.values():
+        payload = getattr(record, field)
+        if payload is not None:
+            obj[field] = [p if isinstance(p, str) else p.as_dict() for p in payload]
     return obj
 
 
 def serialize_predictions(predictions: ParadigmPredictions) -> bytes:
     return dump_jsonl(_record_to_obj(r) for r in predictions.records)
+
+
+# ---------------------------------------------------------------------------
+# predicted triggers
+
+
+def parse_trigger_file(stream: Stream, corpus: Corpus, source: str) -> TriggerContext:
+    """Parses a predicted-trigger file (one line per document) into a trigger context."""
+    table: dict = {}
+    seen: dict[str, int] = {}
+    for line, raw in _iter_lines(stream):
+        obj = _load_object(raw, line)
+        _reject_extras(obj, ("doc_id", "triggers"), line)
+        doc_id = _string(_require(obj, "doc_id", line), "doc_id", line)
+        if doc_id not in corpus:
+            raise ParseError(f"unknown doc_id {doc_id!r}", line)
+        if doc_id in seen:
+            raise ParseError(f"duplicate doc_id {doc_id!r} (first seen at line {seen[doc_id]})", line)
+        seen[doc_id] = line
+        n = len(corpus.get(doc_id).tokens)
+        raw_triggers = _require(obj, "triggers", line)
+        if not isinstance(raw_triggers, list):
+            raise ParseError("triggers must be an array", line)
+        preds = []
+        for i, t in enumerate(raw_triggers):
+            if not isinstance(t, dict):
+                raise ParseError(f"triggers[{i}] must be an object", line)
+            _reject_extras(t, ("span", "event_type", "confidence"), line)
+            span = _check_bounds(
+                _decode_span(_require(t, "span", line), f"triggers[{i}].span", line),
+                n,
+                f"triggers[{i}].span",
+                line,
+            )
+            preds.append(
+                PredictedTrigger(
+                    span=span,
+                    event_type=_string(_require(t, "event_type", line), "event_type", line),
+                    confidence=_confidence(t, line),
+                )
+            )
+        table[doc_id] = tuple(preds)
+    return TriggerContext(source=source, triggers=table)
 
 
 # ---------------------------------------------------------------------------
@@ -512,3 +553,8 @@ def load_corpus(path) -> Corpus:
 def load_predictions(path, paradigm: str, corpus: Corpus) -> ParadigmPredictions:
     with open(path, "rb") as f:
         return parse_predictions(f, paradigm, corpus)
+
+
+def load_trigger_file(path, corpus: Corpus) -> TriggerContext:
+    with open(path, "rb") as f:
+        return parse_trigger_file(f, corpus, source=str(path))

@@ -1,4 +1,4 @@
-"""Deterministic JSON writers.
+"""Deterministic JSON writers, and the file reads and writes around them.
 
 Canonical JSONL lines (sorted keys, no extra whitespace) make
 serialize(parse(x)) byte-identical for canonical input, and give the
@@ -10,6 +10,9 @@ places so that repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import os
+import threading
+from pathlib import Path
 from typing import Any
 
 
@@ -47,3 +50,27 @@ def _format_value(value: Any, indent: int) -> str:
 def format_report(obj: Any) -> str:
     """Indented JSON with sorted keys and 6-decimal reals; ends with newline."""
     return _format_value(obj, 0) + "\n"
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Writes `data` to `path` through a temporary file in the same directory
+    that is renamed into place, so a reader sees the old or the new bytes,
+    never a torn file. The temporary name is unique per process and thread:
+    two concurrent writers never share one."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
+def read_json(path) -> Any:
+    """The JSON value in a file. Raises ValueError saying what is wrong when
+    the file is not UTF-8, not JSON, or nested too deeply to parse."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError:
+        raise ValueError("not valid UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ValueError("nested too deeply") from None

@@ -44,9 +44,6 @@ class ConfusionCounts:
     fp: int = 0
     fn: int = 0
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
-
     def as_dict(self) -> dict:
         return {"tp": self.tp, "fp": self.fp, "fn": self.fn}
 
@@ -276,26 +273,3 @@ def argument_items_from(standardized: StandardizedPredictionSet) -> list[Argumen
                 )
     return items
 
-
-def score_ed(
-    corpus: Corpus,
-    predictions: StandardizedPredictionSet,
-    mode: str = MODE_GOLD_TRIGGER,
-    convention: str = CONVENTION_MODERN,
-) -> EvalReport:
-    """ED scoring over a standardized prediction set."""
-    return score_trigger_items(corpus, trigger_items_from(predictions), mode, convention)
-
-
-def score_eae(
-    corpus: Corpus,
-    predictions: StandardizedPredictionSet,
-    trigger_context,
-    convention: str = CONVENTION_MODERN,
-    mode: str = MODE_GOLD_TRIGGER,
-    eae_match: str = EAE_MATCH_BY_TYPE,
-) -> EvalReport:
-    """EAE scoring over a standardized prediction set."""
-    return score_argument_items(
-        corpus, argument_items_from(predictions), trigger_context, convention, mode, eae_match
-    )

@@ -11,39 +11,24 @@ against the same predicted triggers.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
-import json
 import os
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
-from .core import NIL_LABEL, TASK_ARGUMENT, TASK_TRIGGER, Anchor, Corpus, Span
-from .errors import ConfigError, ContextError, ParseError, StoreError, ValidationError
-from .ingest import (
-    ParadigmPredictions,
-    Stream,
-    _check_bounds,
-    _confidence,
-    _decode_span,
-    _iter_lines,
-    _load_object,
-    _reject_extras,
-    _require,
-    _string,
-    serialize_corpus,
-)
-from .jsonio import canonical_line, dump_jsonl, format_report
+from .core import TASK_ARGUMENT, TASK_TRIGGER, Corpus, TriggerContext
+from .errors import ConfigError, ContextError, StoreError, ValidationError
+from .ingest import ParadigmPredictions, parse_trigger_file, serialize_corpus  # noqa: F401 (re-exported)
+from .jsonio import canonical_line, dump_jsonl, format_report, read_json, write_atomic
 from .metrics import (
     CONVENTION_MODERN,
     CONVENTIONS,
     EAE_MATCH_BY_TYPE,
     MODE_GOLD_TRIGGER,
     MODES,
-    ArgumentItem,
     EvalReport,
-    TriggerItem,
     argument_items_from,
     score_argument_items,
     score_trigger_items,
@@ -53,107 +38,10 @@ from .standardize import (
     CandidatePolicy,
     StandardizedPredictionSet,
     StandardizeOptions,
-    TriggerCandidates,
-    decode_bio,
+    native_predictions,
     standardize_predictions,
 )
 from .variants import VariantConfig
-
-SOURCE_GOLD = "gold"
-
-
-@dataclass(frozen=True)
-class PredictedTrigger:
-    span: Span
-    event_type: str
-    confidence: float | None = None
-
-
-@dataclass(frozen=True)
-class TriggerContext:
-    """The triggers an EAE stage is allowed to answer for."""
-
-    source: str  # SOURCE_GOLD or an identifier of the predicted-trigger source
-    triggers: dict  # doc_id -> tuple[PredictedTrigger, ...]
-
-    @staticmethod
-    def from_gold(corpus: Corpus) -> "TriggerContext":
-        table = {
-            d.id: tuple(PredictedTrigger(e.trigger, e.event_type) for e in d.events)
-            for d in corpus
-            if d.events
-        }
-        return TriggerContext(source=SOURCE_GOLD, triggers=table)
-
-    @staticmethod
-    def from_items(items, source: str) -> "TriggerContext":
-        table: dict = {}
-        for it in items:
-            table.setdefault(it.doc_id, []).append(
-                PredictedTrigger(it.span, it.label, getattr(it, "confidence", None))
-            )
-        return TriggerContext(source=source, triggers={k: tuple(v) for k, v in table.items()})
-
-    @staticmethod
-    def from_standardized(standardized: StandardizedPredictionSet, source: str = "ed_predictions") -> "TriggerContext":
-        table: dict = {}
-        for record in standardized.task_records(TASK_TRIGGER):
-            preds = [
-                PredictedTrigger(a.span, a.label, a.confidence)
-                for a in record.assignments
-                if a.label != NIL_LABEL
-            ]
-            if preds:
-                table.setdefault(record.doc_id, []).extend(preds)
-        return TriggerContext(source=source, triggers={k: tuple(v) for k, v in table.items()})
-
-    @cached_property
-    def keys(self) -> frozenset:
-        """Every (doc_id, trigger span, event_type) in the context."""
-        return frozenset(
-            (doc_id, t.span, t.event_type) for doc_id, triggers in self.triggers.items() for t in triggers
-        )
-
-    def contains(self, doc_id: str, anchor: Anchor) -> bool:
-        return (doc_id, anchor.trigger, anchor.event_type) in self.keys
-
-
-def parse_trigger_file(stream: Stream, corpus: Corpus, source: str) -> TriggerContext:
-    table: dict = {}
-    seen: dict[str, int] = {}
-    for line, raw in _iter_lines(stream):
-        obj = _load_object(raw, line)
-        _reject_extras(obj, ("doc_id", "triggers"), line)
-        doc_id = _string(_require(obj, "doc_id", line), "doc_id", line)
-        if doc_id not in corpus:
-            raise ParseError(f"unknown doc_id {doc_id!r}", line)
-        if doc_id in seen:
-            raise ParseError(f"duplicate doc_id {doc_id!r} (first seen at line {seen[doc_id]})", line)
-        seen[doc_id] = line
-        n = len(corpus.get(doc_id).tokens)
-        raw_triggers = _require(obj, "triggers", line)
-        if not isinstance(raw_triggers, list):
-            raise ParseError("triggers must be an array", line)
-        preds = []
-        for i, t in enumerate(raw_triggers):
-            if not isinstance(t, dict):
-                raise ParseError(f"triggers[{i}] must be an object", line)
-            _reject_extras(t, ("span", "event_type", "confidence"), line)
-            span = _check_bounds(
-                _decode_span(_require(t, "span", line), f"triggers[{i}].span", line),
-                n,
-                f"triggers[{i}].span",
-                line,
-            )
-            preds.append(
-                PredictedTrigger(
-                    span=span,
-                    event_type=_string(_require(t, "event_type", line), "event_type", line),
-                    confidence=_confidence(t, line),
-                )
-            )
-        table[doc_id] = tuple(preds)
-    return TriggerContext(source=source, triggers=table)
 
 
 def serialize_trigger_context(context: TriggerContext) -> bytes:
@@ -173,11 +61,6 @@ def serialize_trigger_context(context: TriggerContext) -> bytes:
             }
         )
     return dump_jsonl(objs)
-
-
-def load_trigger_file(path, corpus: Corpus) -> TriggerContext:
-    with open(path, "rb") as f:
-        return parse_trigger_file(f, corpus, source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -202,73 +85,6 @@ def _require_task(predictions: ParadigmPredictions, task: str, what: str) -> Non
             )
 
 
-def raw_trigger_items(
-    predictions: ParadigmPredictions,
-    corpus: Corpus,
-    policy: CandidatePolicy,
-    options: StandardizeOptions,
-) -> list[TriggerItem]:
-    """Trigger predictions scored in their native output space (no candidate
-    filtering, no duplicate resolution). Not defined for generation output,
-    which has no positions without standardization."""
-    items: list[TriggerItem] = []
-    for record in predictions.records:
-        if record.items is not None:
-            raise ConfigError("generation predictions cannot be scored without standardization")
-        if record.tags is not None:
-            decoded = decode_bio(record.tags, options.stray_i)
-            for span, label in decoded:
-                if label != NIL_LABEL:
-                    items.append(TriggerItem(record.doc_id, span, label))
-        elif record.spans is not None:
-            for sp in record.spans:
-                if sp.label != NIL_LABEL:
-                    items.append(TriggerItem(record.doc_id, sp.span, sp.label))
-        elif record.assignments is not None:
-            candidates = TriggerCandidates(corpus.get(record.doc_id), policy)
-            for a in record.assignments:
-                span = candidates.span_of(a.candidate_id)
-                if span is not None and a.label != NIL_LABEL:
-                    items.append(TriggerItem(record.doc_id, span, a.label))
-    return items
-
-
-def raw_argument_items(
-    predictions: ParadigmPredictions,
-    corpus: Corpus,
-    options: StandardizeOptions,
-) -> list[ArgumentItem]:
-    """Argument predictions scored in their native output space."""
-    items: list[ArgumentItem] = []
-    for record in predictions.records:
-        anchor = record.anchor
-        if record.items is not None:
-            raise ConfigError("generation predictions cannot be scored without standardization")
-        if record.tags is not None:
-            for span, label in decode_bio(record.tags, options.stray_i):
-                if label != NIL_LABEL:
-                    items.append(
-                        ArgumentItem(record.doc_id, anchor.trigger, anchor.event_type, span, label)
-                    )
-        elif record.spans is not None:
-            for sp in record.spans:
-                if sp.label != NIL_LABEL:
-                    items.append(
-                        ArgumentItem(record.doc_id, anchor.trigger, anchor.event_type, sp.span, sp.label)
-                    )
-        elif record.assignments is not None:
-            doc = corpus.get(record.doc_id)
-            for a in record.assignments:
-                mention = doc.entities_by_id.get(a.candidate_id)
-                if mention is not None and a.label != NIL_LABEL:
-                    items.append(
-                        ArgumentItem(
-                            record.doc_id, anchor.trigger, anchor.event_type, mention.span, a.label
-                        )
-                    )
-    return items
-
-
 def _check_anchors(predictions: ParadigmPredictions, context: TriggerContext) -> None:
     for record in predictions.records:
         if record.anchor is None:
@@ -288,13 +104,12 @@ def evaluate(
     *,
     mode: str = MODE_GOLD_TRIGGER,
     convention: str = CONVENTION_MODERN,
-    ed_pred=None,  # ParadigmPredictions | StandardizedPredictionSet | None
+    ed_pred: ParadigmPredictions | None = None,
     trigger_context: TriggerContext | None = None,
     policy: CandidatePolicy = CandidatePolicy(),
     options: StandardizeOptions = StandardizeOptions(),
     eae_match: str = EAE_MATCH_BY_TYPE,
     standardize: bool = True,
-    jobs: int = 1,
 ) -> EvaluationResult:
     """Runs ED and/or EAE scoring under one trigger context.
 
@@ -302,29 +117,21 @@ def evaluate(
     pipeline mode requires predicted triggers (from ed_pred or an explicit
     trigger_context). EAE records anchored outside the context are
     rejected: they indicate the experiment answered triggers it was never
-    given.
+    given. standardize=False scores the predictions in their native output
+    space (`native_predictions`), which has no discard ledger.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     if convention not in CONVENTIONS:
         raise ConfigError(f"unknown convention {convention!r}")
+    output_space = standardize_predictions if standardize else native_predictions
 
-    ed_report = None
-    ed_std = None
-    ed_items = None
-    if isinstance(ed_pred, StandardizedPredictionSet):
-        ed_std = ed_pred
-        ed_items = trigger_items_from(ed_std)
-    elif isinstance(ed_pred, ParadigmPredictions):
+    ed_report = ed_std = ed_items = None
+    if ed_pred is not None:
         _require_task(ed_pred, TASK_TRIGGER, "ED prediction file")
-        if standardize:
-            ed_std = standardize_predictions(ed_pred, corpus, policy, options, jobs=jobs)
-            ed_items = trigger_items_from(ed_std)
-        else:
-            ed_items = raw_trigger_items(ed_pred, corpus, policy, options)
-    elif ed_pred is not None:
-        raise TypeError(f"unsupported ED prediction type {type(ed_pred).__name__}")
-    if ed_items is not None:
+        ed_space = output_space(ed_pred, corpus, policy, options)
+        ed_std = ed_space if standardize else None
+        ed_items = trigger_items_from(ed_space)
         ed_report = score_trigger_items(corpus, ed_items, mode=mode, convention=convention)
 
     if mode == MODE_GOLD_TRIGGER:
@@ -344,13 +151,10 @@ def evaluate(
     if eae_pred is not None:
         _require_task(eae_pred, TASK_ARGUMENT, "EAE prediction file")
         _check_anchors(eae_pred, context)
-        if standardize:
-            eae_std = standardize_predictions(eae_pred, corpus, policy, options, jobs=jobs)
-            eae_items = argument_items_from(eae_std)
-        else:
-            eae_items = raw_argument_items(eae_pred, corpus, options)
+        eae_space = output_space(eae_pred, corpus, policy, options)
+        eae_std = eae_space if standardize else None
         eae_report = score_argument_items(
-            corpus, eae_items, context, convention=convention, mode=mode, eae_match=eae_match
+            corpus, argument_items_from(eae_space), context, convention=convention, mode=mode, eae_match=eae_match
         )
 
     return EvaluationResult(
@@ -419,21 +223,17 @@ def _manifest_entry(row, where: str) -> TriggerStoreEntry:
     return TriggerStoreEntry(**{key: row[key] for key in _MANIFEST_FIELDS})
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    tmp = path.parent / (path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 class TriggerStore:
     """A directory of immutable predicted-trigger files plus a manifest.
 
     Writes go to a temporary file and are renamed into place, so a
     concurrent reader sees either the old or the new manifest, never a
-    torn one.
+    torn one. Concurrent `put`s are serialized by an exclusive lock on
+    `LOCK`, so none of them loses another's manifest row.
     """
 
     MANIFEST = "manifest.json"
+    LOCK = "manifest.lock"
 
     def __init__(self, root):
         self.root = Path(root)
@@ -449,13 +249,9 @@ class TriggerStore:
         if not path.exists():
             return []
         try:
-            rows = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"corrupt manifest {path}: {exc.msg}") from None
-        except UnicodeDecodeError:
-            raise StoreError(f"corrupt manifest {path}: not valid UTF-8") from None
-        except RecursionError:
-            raise StoreError(f"corrupt manifest {path}: nested too deeply") from None
+            rows = read_json(path)
+        except ValueError as exc:
+            raise StoreError(f"corrupt manifest {path}: {exc}") from None
         if not isinstance(rows, list):
             raise StoreError(f"corrupt manifest {path}: not a list of entries")
         return [_manifest_entry(row, f"corrupt manifest {path}: entry {i}") for i, row in enumerate(rows)]
@@ -475,41 +271,43 @@ class TriggerStore:
                 f"producer {producer!r} must match {_PRODUCER_RE.pattern} (it names files)"
             )
         self.root.mkdir(parents=True, exist_ok=True)
-        rows = self.entries()
-        for row in rows:
-            if row.fingerprint == fingerprint and row.corpus_id != corpus_id:
-                raise StoreError(
-                    f"fingerprint {fingerprint[:12]}... already stored for corpus "
-                    f"{row.corpus_id!r}, refusing to attach it to {corpus_id!r}"
-                )
-            if row.fingerprint == fingerprint and row.producer == producer:
-                existing = (self.root / row.file).read_bytes()
-                if existing == trigger_bytes:
-                    return row
-                raise StoreError(
-                    f"store already holds different triggers for producer {producer!r} "
-                    f"and fingerprint {fingerprint[:12]}...; entries are immutable"
-                )
-        filename = f"{fingerprint[:16]}__{producer}.jsonl"
-        entry = TriggerStoreEntry(
-            corpus_id=corpus_id,
-            fingerprint=fingerprint,
-            producer=producer,
-            file=filename,
-            # manifest precision, so the entry round-trips through the file
-            ed_f1=round(ed_report.f1, 6),
-        )
-        _write_atomic(self.root / filename, trigger_bytes)
-        _write_atomic(
-            self.root / (filename + ".report.json"),
-            format_report(ed_report.as_dict()).encode("utf-8"),
-        )
-        rows.append(entry)
-        _write_atomic(
-            self._manifest_path(),
-            format_report([r.manifest_row() for r in rows]).encode("utf-8"),
-        )
-        return entry
+        with open(self.root / self.LOCK, "wb") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+            rows = self.entries()
+            for row in rows:
+                if row.fingerprint == fingerprint and row.corpus_id != corpus_id:
+                    raise StoreError(
+                        f"fingerprint {fingerprint[:12]}... already stored for corpus "
+                        f"{row.corpus_id!r}, refusing to attach it to {corpus_id!r}"
+                    )
+                if row.fingerprint == fingerprint and row.producer == producer:
+                    existing = (self.root / row.file).read_bytes()
+                    if existing == trigger_bytes:
+                        return row
+                    raise StoreError(
+                        f"store already holds different triggers for producer {producer!r} "
+                        f"and fingerprint {fingerprint[:12]}...; entries are immutable"
+                    )
+            filename = f"{fingerprint[:16]}__{producer}.jsonl"
+            entry = TriggerStoreEntry(
+                corpus_id=corpus_id,
+                fingerprint=fingerprint,
+                producer=producer,
+                file=filename,
+                # manifest precision, so the entry round-trips through the file
+                ed_f1=round(ed_report.f1, 6),
+            )
+            write_atomic(self.root / filename, trigger_bytes)
+            write_atomic(
+                self.root / (filename + ".report.json"),
+                format_report(ed_report.as_dict()).encode("utf-8"),
+            )
+            rows.append(entry)
+            write_atomic(
+                self._manifest_path(),
+                format_report([r.manifest_row() for r in rows]).encode("utf-8"),
+            )
+            return entry
 
     def get(
         self, corpus_id: str, fingerprint: str, producer: str | None = None

@@ -7,13 +7,15 @@ Duplicate predictions for one candidate are resolved deterministically
 (highest confidence, then first appearance), and position-free generated
 mentions are placed by generation order against occurrence order. Every
 discard carries a machine-readable reason so the whole projection is
-auditable.
+auditable. The same decoding without matching and duplicate resolution
+gives the predictions in their native output space.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .core import (
@@ -26,13 +28,15 @@ from .core import (
     Document,
     Span,
 )
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .ingest import (
+    PARADIGM_CG,
     PARADIGM_CLS,
     CgItem,
     ClsAssignment,
     ParadigmPredictions,
     PredictionRecord,
+    SpanPrediction,
 )
 from .jsonio import dump_jsonl
 
@@ -84,7 +88,7 @@ class StandardizeOptions:
 
 @dataclass(frozen=True)
 class Assignment:
-    candidate_id: str
+    candidate_id: str | None  # None only in native output, for a span that is no candidate
     span: Span
     label: str
     provenance: str
@@ -102,7 +106,7 @@ class StandardizedRecord:
     doc_id: str
     task: str
     anchor: Anchor | None
-    assignments: tuple[Assignment, ...]  # canonical candidate order, one per candidate
+    assignments: tuple[Assignment, ...]  # canonical candidate order, one per candidate (native: arrival order)
     discarded: tuple[Discard, ...]
     line: int = 0
 
@@ -299,13 +303,6 @@ def resolve_duplicates(
     return winners, discards
 
 
-def _cls_original(a: ClsAssignment) -> dict:
-    obj = {"candidate_id": a.candidate_id, "label": a.label}
-    if a.confidence is not None:
-        obj["confidence"] = a.confidence
-    return obj
-
-
 def project(
     record: PredictionRecord,
     candidates: CandidateSet,
@@ -332,6 +329,52 @@ def project(
     return _project(record, candidates, options, doc)
 
 
+def _decode(
+    record: PredictionRecord,
+    candidates: CandidateSet | TriggerCandidates,
+    options: StandardizeOptions,
+    doc: Document | None,
+) -> tuple[str, Iterator[tuple]]:
+    """The one place that reads a record's paradigm payload.
+
+    Returns the provenance of the record's matches and its predictions as
+    (arrival index, span, candidate id, label, confidence, original)
+    tuples, where `original` is the JSON description of the prediction.
+    The span is None when the prediction has no position: a classification
+    id that names no candidate (its own id is kept) or a generated mention
+    with no occurrence left (candidate id None). Otherwise the candidate
+    id is None when no candidate has exactly that span. Unplaceable
+    generated items come before placed ones.
+    """
+    if record.assignments is not None:
+        return PROV_NATIVE, (
+            (i, candidates.span_of(a.candidate_id), a.candidate_id, a.label, a.confidence, a.as_dict())
+            for i, a in enumerate(record.assignments)
+        )
+    if record.tags is not None:
+        return PROV_PROJECTED, (
+            (i, span, candidates.id_of(span), label, None, SpanPrediction(span, label).as_dict())
+            for i, (span, label) in enumerate(decode_bio(record.tags, options.stray_i))
+        )
+    if record.spans is not None:
+        return PROV_PROJECTED, (
+            (i, sp.span, candidates.id_of(sp.span), sp.label, sp.confidence, sp.as_dict())
+            for i, sp in enumerate(record.spans)
+        )
+    if doc is None:
+        raise ValidationError(
+            f"projecting a generation record for doc {record.doc_id!r} requires the document"
+        )
+    placed, unplaceable = position_cg(record.items or (), doc)
+    return PROV_POSITIONED, chain(
+        ((i, None, None, it.label, it.confidence, it.as_dict()) for it, i in unplaceable),
+        (
+            (i, span, candidates.id_of(span), it.label, it.confidence, {**it.as_dict(), "span": span.as_pair()})
+            for span, it, i in placed
+        ),
+    )
+
+
 def _project(
     record: PredictionRecord,
     candidates: CandidateSet | TriggerCandidates,
@@ -344,59 +387,17 @@ def _project(
     matched: list[MatchedPrediction] = []
     originals: dict[int, dict] = {}  # arrival_index -> JSON description
     spans: dict[str, Span] = {}  # candidate_id -> span, for every matched candidate
-    provenance_base = PROV_NATIVE
-
-    if record.assignments is not None:
-        for idx, a in enumerate(record.assignments):
-            span = candidates.span_of(a.candidate_id)
-            if span is None:
-                discards.append(Discard(DISCARD_UNKNOWN_CANDIDATE, _cls_original(a)))
-                continue
-            spans[a.candidate_id] = span
-            originals[idx] = _cls_original(a)
-            matched.append(MatchedPrediction(a.candidate_id, a.label, a.confidence, idx))
-    elif record.tags is not None:
-        provenance_base = PROV_PROJECTED
-        for idx, (span, label) in enumerate(decode_bio(record.tags, options.stray_i)):
-            original = {"span": span.as_pair(), "label": label}
-            cid = candidates.id_of(span)
-            if cid is None:
-                discards.append(Discard(DISCARD_OVERLAP, original))
-                continue
+    provenance_base, decoded = _decode(record, candidates, options, doc)
+    for idx, span, cid, label, confidence, original in decoded:
+        if span is None:
+            reason = DISCARD_UNPLACEABLE if cid is None else DISCARD_UNKNOWN_CANDIDATE
+            discards.append(Discard(reason, original))
+        elif cid is None:
+            discards.append(Discard(DISCARD_OVERLAP, original))
+        else:
             spans[cid] = span
             originals[idx] = original
-            matched.append(MatchedPrediction(cid, label, None, idx))
-    elif record.spans is not None:
-        provenance_base = PROV_PROJECTED
-        for idx, sp in enumerate(record.spans):
-            original = {"span": sp.span.as_pair(), "label": sp.label}
-            if sp.confidence is not None:
-                original["confidence"] = sp.confidence
-            cid = candidates.id_of(sp.span)
-            if cid is None:
-                discards.append(Discard(DISCARD_OVERLAP, original))
-                continue
-            spans[cid] = sp.span
-            originals[idx] = original
-            matched.append(MatchedPrediction(cid, sp.label, sp.confidence, idx))
-    else:
-        provenance_base = PROV_POSITIONED
-        if doc is None:
-            raise ValidationError(
-                f"projecting a generation record for doc {record.doc_id!r} requires the document"
-            )
-        placed, unplaceable = position_cg(record.items or (), doc)
-        for item, _idx in unplaceable:
-            discards.append(Discard(DISCARD_UNPLACEABLE, _cg_original(item)))
-        for span, item, idx in placed:
-            original = _cg_original(item, span)
-            cid = candidates.id_of(span)
-            if cid is None:
-                discards.append(Discard(DISCARD_OVERLAP, original))
-                continue
-            spans[cid] = span
-            originals[idx] = original
-            matched.append(MatchedPrediction(cid, item.label, item.confidence, idx))
+            matched.append(MatchedPrediction(cid, label, confidence, idx))
 
     winners, dup_discards = resolve_duplicates(matched)
     had_duplicates = {m.candidate_id for m, _ in dup_discards}
@@ -424,13 +425,24 @@ def _project(
     )
 
 
-def _cg_original(item: CgItem, span: Span | None = None) -> dict:
-    obj: dict = {"mention": list(item.mention), "label": item.label}
-    if item.confidence is not None:
-        obj["confidence"] = item.confidence
-    if span is not None:
-        obj["span"] = span.as_pair()
-    return obj
+def _with_candidates(
+    predictions: ParadigmPredictions, corpus: Corpus, policy: CandidatePolicy
+) -> Iterator[tuple[PredictionRecord, CandidateSet | TriggerCandidates, Document]]:
+    """Each record with its candidates and document. Candidates are set up
+    once per document and task and shared by its records: argument
+    candidates differ between anchors only in the anchor, and trigger
+    candidates are derived (`TriggerCandidates`)."""
+    shared: dict[tuple[str, str], CandidateSet | TriggerCandidates] = {}
+    for record in predictions.records:
+        doc = corpus.get(record.doc_id)
+        candidates = shared.get((record.doc_id, record.task))
+        if candidates is None:
+            if record.task == TASK_TRIGGER:
+                candidates = TriggerCandidates(doc, policy)
+            else:
+                candidates = build_candidates(doc, anchor=record.anchor, policy=policy)
+            shared[(record.doc_id, record.task)] = candidates
+        yield record, candidates, doc
 
 
 def standardize_predictions(
@@ -442,35 +454,49 @@ def standardize_predictions(
 ) -> StandardizedPredictionSet:
     """Standardizes every record against its document's candidate set.
 
-    Each document's candidates are set up once per task and shared by its
-    records: argument candidates differ between anchors only in the
-    anchor, and trigger candidates are derived (`TriggerCandidates`).
     Output order equals input order. `jobs` is accepted and ignored:
     projection is pure-Python work, which threads cannot run in parallel
     and which measured slower in a thread pool.
     """
-    shared: dict[tuple[str, str], CandidateSet | TriggerCandidates] = {}
+    return StandardizedPredictionSet(
+        records=tuple(
+            _project(record, candidates, options, doc)
+            for record, candidates, doc in _with_candidates(predictions, corpus, policy)
+        )
+    )
+
+
+def native_predictions(
+    predictions: ParadigmPredictions,
+    corpus: Corpus,
+    policy: CandidatePolicy = CandidatePolicy(),
+    options: StandardizeOptions = StandardizeOptions(),
+) -> StandardizedPredictionSet:
+    """The predictions in their native output space, decoded as
+    `standardize_predictions` decodes them but neither matched nor
+    resolved: every prediction with a span is kept, in arrival order,
+    whether or not a candidate has that span and however often the span
+    repeats. Nothing is discarded. Not defined for generation output,
+    whose mentions have no positions without standardization.
+    """
+    if predictions.paradigm == PARADIGM_CG:
+        raise ConfigError("generation predictions cannot be scored without standardization")
     records = []
-    for record in predictions.records:
-        doc = corpus.get(record.doc_id)
-        candidates = shared.get((record.doc_id, record.task))
-        if candidates is None:
-            if record.task == TASK_TRIGGER:
-                candidates = TriggerCandidates(doc, policy)
-            else:
-                candidates = build_candidates(doc, anchor=record.anchor, policy=policy)
-            shared[(record.doc_id, record.task)] = candidates
-        records.append(_project(record, candidates, options, doc))
+    for record, candidates, doc in _with_candidates(predictions, corpus, policy):
+        provenance, decoded = _decode(record, candidates, options, doc)
+        assignments = tuple(
+            Assignment(cid, span, label, provenance, confidence)
+            for _, span, cid, label, confidence, _ in decoded
+            if span is not None
+        )
+        records.append(StandardizedRecord(record.doc_id, record.task, record.anchor, assignments, (), record.line))
     return StandardizedPredictionSet(records=tuple(records))
 
 
 def _record_to_obj(record: StandardizedRecord) -> dict:
     obj: dict = {"doc_id": record.doc_id}
     if record.anchor is not None:
-        obj["anchor"] = {
-            "trigger": record.anchor.trigger.as_pair(),
-            "event_type": record.anchor.event_type,
-        }
+        obj["anchor"] = record.anchor.as_dict()
     obj["assignments"] = [
         {"candidate_id": a.candidate_id, "label": a.label, "provenance": a.provenance}
         for a in record.assignments

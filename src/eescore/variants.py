@@ -54,9 +54,6 @@ class VariantConfig:
         }
 
 
-IDENTITY_CONFIG = VariantConfig()
-
-
 @dataclass(frozen=True)
 class VariantReport:
     """What the transformation removed or rewrote."""

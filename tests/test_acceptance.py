@@ -8,16 +8,16 @@ import time
 import pytest
 
 from eescore import cli
-from eescore.core import Span
+from eescore.core import PredictedTrigger, Span, TriggerContext
 from eescore.ingest import PARADIGMS, serialize_corpus
 from eescore.jsonio import dump_jsonl
 from eescore.metrics import (
     argument_items_from,
-    score_eae,
-    score_ed,
+    score_argument_items,
+    score_trigger_items,
     trigger_items_from,
 )
-from eescore.pipeline import PredictedTrigger, TriggerContext, evaluate
+from eescore.pipeline import evaluate
 from eescore.standardize import (
     CandidatePolicy,
     build_candidates,
@@ -125,7 +125,7 @@ def oracle_population():
             for src, std in zip(ed_pred.records, ed_std.records):
                 _check_record(corpus, src, std, failures)
                 n_records += 1
-            report = score_ed(corpus, ed_std)
+            report = score_trigger_items(corpus, trigger_items_from(ed_std))
             keys = _trigger_keys(trigger_items_from(ed_std))
             expect = brute_force_by_doc(keys, gold_tri)
             got = (report.counts.tp, report.counts.fp, report.counts.fn)
@@ -137,7 +137,7 @@ def oracle_population():
             for src, std in zip(eae_pred.records, eae_std.records):
                 _check_record(corpus, src, std, failures)
                 n_records += 1
-            report = score_eae(corpus, eae_std, gold_context)
+            report = score_argument_items(corpus, argument_items_from(eae_std), gold_context)
             keys = _argument_keys(argument_items_from(eae_std))
             expect = brute_force_by_doc(keys, gold_arg)
             got = (report.counts.tp, report.counts.fp, report.counts.fn)
@@ -167,8 +167,8 @@ def oracle_population():
             eae_std = standardize_predictions(eae_pred, corpus)
             keys = _argument_keys(argument_items_from(eae_std))
             for convention, scoped in (("modern", None), ("legacy", context)):
-                report = score_eae(
-                    corpus, eae_std, context, convention=convention, mode="pipeline"
+                report = score_argument_items(
+                    corpus, argument_items_from(eae_std), context, convention=convention, mode="pipeline"
                 )
                 expect = brute_force_by_doc(keys, _gold_argument_keys(corpus, scoped))
                 got = (report.counts.tp, report.counts.fp, report.counts.fn)
@@ -207,11 +207,13 @@ def test_criterion_02_self_scoring():
         ed_std = standardize_predictions(ed_pred, corpus, policy)
         eae_std = standardize_predictions(eae_pred, corpus, policy)
         for mode, context in (("gold_trigger", gold_context), ("pipeline", None)):
-            ed_report = score_ed(corpus, ed_std, mode=mode)
+            ed_report = score_trigger_items(corpus, trigger_items_from(ed_std), mode=mode)
             assert ed_report.f1 == 1.0
-            ctx = context or TriggerContext.from_standardized(ed_std)
+            ctx = context or TriggerContext.from_items(trigger_items_from(ed_std), source="ed_predictions")
             for convention in ("modern", "legacy"):
-                report = score_eae(corpus, eae_std, ctx, convention=convention, mode=mode)
+                report = score_argument_items(
+                    corpus, argument_items_from(eae_std), ctx, convention=convention, mode=mode
+                )
                 assert report.f1 == 1.0, (mode, convention)
         checked += 1
     _ok(f"criterion 2: gold-as-prediction scores F1=1.000000 on {checked} corpora")

@@ -348,3 +348,104 @@ def test_console_entry_point_subprocess(tmp_path, corpus_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["token_count"] == 21
+
+
+def _tags(**at):
+    tags = ["O"] * 21
+    for i, tag in at.items():
+        tags[int(i[1:])] = tag
+    return tags
+
+
+EP_ANCHOR = {"trigger": [8, 9], "event_type": "End-Position"}
+
+
+# Hand-computed (tp, fp, fn) on the two-event resignation corpus, scored in
+# the native span space (--no-standardize) and after standardization. Gold
+# ED: End-Position (8,9), Meet (17,18). Gold EAE (by event type, six
+# arguments): End-Position e1 Person (0,2), e2 Position (10,12), e3 Entity
+# (14,15), e4 Place (18,19); Meet e1 Entity, e4 Place.
+@pytest.mark.parametrize(
+    "paradigm, record, native, standardized",
+    [
+        # SL ED: two hits, a two-token span that is no every_token
+        # candidate (native FP, standardized discard), an NA tag
+        (
+            "SL",
+            {"task": "trigger",
+             "tags": _tags(t8="B-End-Position", t17="B-Meet", t3="B-Attack", t4="I-Attack", t6="B-NA")},
+            (2, 1, 0),
+            (2, 0, 0),
+        ),
+        # SP ED: the same span twice (native counts both), an NA label
+        # (Meet missed either way) and a span that is no candidate
+        (
+            "SP",
+            {"task": "trigger",
+             "spans": [{"span": [8, 9], "label": "End-Position"}, {"span": [8, 9], "label": "End-Position"},
+                       {"span": [17, 18], "label": "NA"}, {"span": [3, 5], "label": "Attack"}]},
+            (1, 2, 1),
+            (1, 0, 1),
+        ),
+        # SP EAE: Person twice, an NA label, (14,16) which is no mention's
+        # span, and a correct Place
+        (
+            "SP",
+            {"task": "argument", "anchor": EP_ANCHOR,
+             "spans": [{"span": [0, 2], "label": "Person"}, {"span": [0, 2], "label": "Person"},
+                       {"span": [10, 12], "label": "NA"}, {"span": [14, 16], "label": "Entity"},
+                       {"span": [18, 19], "label": "Place"}]},
+            (2, 2, 4),
+            (2, 0, 4),
+        ),
+        # CLS EAE: an unknown mention id is dropped in both spaces; e3 gets
+        # a wrong role and e2 an NA label
+        (
+            "CLS",
+            {"task": "argument", "anchor": EP_ANCHOR,
+             "assignments": [{"candidate_id": "e1", "label": "Person"}, {"candidate_id": "e9", "label": "Place"},
+                             {"candidate_id": "e3", "label": "Place"}, {"candidate_id": "e2", "label": "NA"}]},
+            (1, 1, 5),
+            (1, 1, 5),
+        ),
+    ],
+    ids=["sl-ed", "sp-ed", "sp-eae", "cls-eae"],
+)
+def test_score_native_and_standardized_counts(tmp_path, corpus_path, paradigm, record, native, standardized):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_bytes(dump_jsonl([{"doc_id": "doc-resignation", **record}]))
+    flag = "--ed" if record["task"] == "trigger" else "--eae"
+    task = "ed" if record["task"] == "trigger" else "eae"
+    base = ["score", "--corpus", corpus_path, f"{flag}-predictions", preds, f"{flag}-paradigm", paradigm]
+    for extra, expected in ((["--no-standardize"], native), ([], standardized)):
+        out = tmp_path / "r.json"
+        assert run(base + extra + ["--output", out]) == 0
+        counts = json.loads(out.read_text())[task]["counts"]
+        assert (counts["tp"], counts["fp"], counts["fn"]) == expected, extra
+
+
+@pytest.mark.parametrize(
+    "make_bad",
+    [
+        lambda good: b"[" * 100000 + b"]" * 100000,
+        lambda good: b"\xff\xfe{}",
+        lambda good: json.dumps(dict(good, fingerprint=7)).encode(),
+        lambda good: json.dumps(dict(good, ed=5)).encode(),
+        lambda good: json.dumps(dict(good, ed={k: v for k, v in good["ed"].items() if k != "recall"})).encode(),
+        lambda good: json.dumps(dict(good, ed=dict(good["ed"], precision="1.0"))).encode(),
+    ],
+    ids=["deep", "not-utf8", "fingerprint-not-str", "ed-not-object", "ed-without-recall", "precision-not-number"],
+)
+def test_compare_malformed_report_exits_2(tmp_path, corpus_path, capsys, make_bad):
+    preds = cls_ed_file(tmp_path, corpus_path)
+    good = tmp_path / "good.json"
+    assert run(["score", "--corpus", corpus_path, "--ed-predictions", preds,
+                "--ed-paradigm", "CLS", "--output", good]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(make_bad(json.loads(good.read_text())))
+    capsys.readouterr()
+    assert run(["compare", good, bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("eescore: error: report ")

@@ -1,18 +1,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pytest
-
 from eescore.core import (
     Argument,
     Document,
     EntityMention,
     EventAnnotation,
-    LabelSchema,
     Span,
     span_contains,
-    span_equal,
-    span_overlaps,
     validate_document,
 )
 
@@ -31,28 +26,16 @@ def test_span_contains_basic():
     assert not span_contains(Span(2, 6), Span(1, 5))
 
 
-def test_span_equal_basic():
-    assert span_equal(Span(3, 5), Span(3, 5))
-    assert not span_equal(Span(3, 5), Span(3, 6))
-
-
-def test_span_overlap_half_open_boundary():
-    # adjacent half-open intervals share no token
-    assert not span_overlaps(Span(0, 2), Span(2, 4))
-    assert span_overlaps(Span(0, 3), Span(2, 4))
-
-
 @given(spans, spans)
 @settings(max_examples=200)
 def test_equal_implies_contains_and_overlaps(a, b):
-    if span_equal(a, b):
-        assert span_contains(a, b) and span_contains(b, a) and span_overlaps(a, b)
+    if a == b:
+        assert span_contains(a, b) and span_contains(b, a)
 
 
 @given(spans, spans)
 @settings(max_examples=200)
 def test_overlap_symmetric_contains_reflexive(a, b):
-    assert span_overlaps(a, b) == span_overlaps(b, a)
     assert span_contains(a, a)
 
 
@@ -156,18 +139,3 @@ def test_resignation_fixture_is_valid():
     assert validate_document(resignation_document()) == []
     assert validate_document(resignation_document(second_event=True)) == []
 
-
-def test_label_schema_rejects_nil_in_label_sets():
-    with pytest.raises(ValueError, match="nil"):
-        LabelSchema(event_types=frozenset({"NA", "A"}), roles=frozenset())
-    with pytest.raises(ValueError, match="nil"):
-        LabelSchema(event_types=frozenset(), roles=frozenset({"NA"}))
-
-
-def test_label_schema_from_corpus():
-    from corpora import resignation_corpus
-
-    schema = LabelSchema.from_corpus(resignation_corpus(second_event=True))
-    assert schema.event_types == frozenset({"End-Position", "Meet"})
-    assert schema.roles == frozenset({"Person", "Position", "Entity", "Place"})
-    assert schema.nil_label == "NA"

@@ -4,21 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eescore.core import Argument, Corpus, EntityMention, EventAnnotation, Span
+from eescore.core import (
+    Argument,
+    Corpus,
+    EntityMention,
+    EventAnnotation,
+    PredictedTrigger,
+    Span,
+    TriggerContext,
+)
 from eescore.errors import ValidationError
 from eescore.metrics import (
     ArgumentItem,
     ConfusionCounts,
     TriggerItem,
     _match,
+    argument_items_from,
     prf,
     score_argument_items,
-    score_eae,
-    score_ed,
     score_trigger_items,
     trigger_items_from,
 )
-from eescore.pipeline import PredictedTrigger, TriggerContext
 from eescore.standardize import CandidatePolicy, standardize_predictions
 
 from corpora import resignation_corpus, simple_doc
@@ -192,11 +198,9 @@ def test_micro_consistency_per_label_sums_to_aggregate():
         corpus = random_corpus(rng)
         preds = random_trigger_predictions(rng, corpus, "SP")
         std = standardize_predictions(preds, corpus)
-        report = score_ed(corpus, std)
-        summed = ConfusionCounts()
-        for counts in report.per_label.values():
-            summed = summed + counts
-        assert summed == report.counts
+        report = score_trigger_items(corpus, trigger_items_from(std))
+        rows = report.per_label.values()
+        assert ConfusionCounts(*(sum(getattr(c, f) for c in rows) for f in ("tp", "fp", "fn"))) == report.counts
 
 
 def test_self_scoring_is_perfect():
@@ -207,10 +211,10 @@ def test_self_scoring_is_perfect():
         ed_pred, eae_pred = gold_as_cls_predictions(corpus, policy)
         ed_std = standardize_predictions(ed_pred, corpus, policy)
         eae_std = standardize_predictions(eae_pred, corpus, policy)
-        assert score_ed(corpus, ed_std).f1 == 1.0
+        assert score_trigger_items(corpus, trigger_items_from(ed_std)).f1 == 1.0
         context = TriggerContext.from_gold(corpus)
         for convention in ("modern", "legacy"):
-            report = score_eae(corpus, eae_std, context, convention=convention)
+            report = score_argument_items(corpus, argument_items_from(eae_std), context, convention=convention)
             assert report.f1 == 1.0
 
 
@@ -234,8 +238,9 @@ def test_legacy_recall_dominates_modern():
         }
         preds = random_argument_predictions(rng, corpus, "SP", kept_anchors)
         std = standardize_predictions(preds, corpus)
-        modern = score_eae(corpus, std, context, convention="modern", mode="pipeline")
-        legacy = score_eae(corpus, std, context, convention="legacy", mode="pipeline")
+        items = argument_items_from(std)
+        modern = score_argument_items(corpus, items, context, convention="modern", mode="pipeline")
+        legacy = score_argument_items(corpus, items, context, convention="legacy", mode="pipeline")
         assert legacy.recall >= modern.recall
 
 
@@ -246,7 +251,7 @@ def test_count_conservation():
         preds = random_trigger_predictions(rng, corpus, "SL")
         std = standardize_predictions(preds, corpus)
         items = trigger_items_from(std)
-        report = score_ed(corpus, std)
+        report = score_trigger_items(corpus, items)
         n_gold = sum(len(d.events) for d in corpus)
         assert report.counts.tp + report.counts.fn == n_gold
         assert report.counts.tp + report.counts.fp == len(items)

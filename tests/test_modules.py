@@ -1,0 +1,20 @@
+"""Module boundaries of the package, checked on its source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "eescore"
+
+
+def test_no_module_imports_a_private_name_from_another():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("eescore"):
+                continue
+            offenders += [
+                f"{path.name}: {node.module}.{alias.name}" for alias in node.names if alias.name.startswith("_")
+            ]
+    assert offenders == []

@@ -1,13 +1,14 @@
 import json
 import re
+import sys
+import threading
 
 import pytest
 
-from eescore.core import Argument, Corpus, EntityMention, EventAnnotation, Span
+from eescore.core import Argument, Corpus, EntityMention, EventAnnotation, PredictedTrigger, Span
 from eescore.errors import ConfigError, ContextError, StoreError
 from eescore.metrics import MODE_GOLD_TRIGGER, MODE_PIPELINE
 from eescore.pipeline import (
-    PredictedTrigger,
     TriggerContext,
     TriggerStore,
     corpus_fingerprint,
@@ -318,3 +319,72 @@ def test_good_manifest_row_loads(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps([GOOD_ROW, dict(GOOD_ROW, ed_f1=1)]))
     entries = TriggerStore(tmp_path).entries()
     assert [e.manifest_row() for e in entries] == [GOOD_ROW, dict(GOOD_ROW, ed_f1=1)]
+
+
+def test_concurrent_puts_keep_every_entry(tmp_path, monkeypatch):
+    # Both puts read the manifest before either writes it. Without
+    # serialization each writes back only its own row (or they trip over a
+    # shared temp file); with it the second put waits for the first, the
+    # barrier times out and both rows stay.
+    corpus = two_event_corpus()
+    result = ed_report_for(corpus)
+    fp = corpus_fingerprint(corpus, VariantConfig())
+    data = serialize_trigger_context(result.trigger_context)
+    barrier = threading.Barrier(2, timeout=1.0)
+    read_manifest = TriggerStore.entries
+
+    def entries_then_wait(self):
+        rows = read_manifest(self)
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        return rows
+
+    monkeypatch.setattr(TriggerStore, "entries", entries_then_wait)
+    errors = []
+
+    def put(producer):
+        try:
+            TriggerStore(tmp_path / "store").put("corpus.jsonl", fp, producer, data, result.ed_report)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=put, args=(p,)) for p in ("model-x", "model-y")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    monkeypatch.setattr(TriggerStore, "entries", read_manifest)
+    assert sorted(e.producer for e in TriggerStore(tmp_path / "store").entries()) == ["model-x", "model-y"]
+
+
+def test_many_concurrent_puts_keep_every_entry(tmp_path):
+    corpus = two_event_corpus()
+    result = ed_report_for(corpus)
+    fp = corpus_fingerprint(corpus, VariantConfig())
+    data = serialize_trigger_context(result.trigger_context)
+    producers = [f"model-{i}" for i in range(8)]
+    errors = []
+
+    def put(producer):
+        try:
+            TriggerStore(tmp_path / "store").put("corpus.jsonl", fp, producer, data, result.ed_report)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=put, args=(p,)) for p in producers]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(e.producer for e in TriggerStore(tmp_path / "store").entries()) == producers
