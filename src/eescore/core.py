@@ -1,14 +1,18 @@
 """Shared data model: spans, documents, events, candidates, trigger contexts.
 
 All types are immutable after construction; they can be shared freely
-across threads. Invariant checking is data, not control flow: invalid
-structures can be built, and `validate_document` reports what is wrong.
+across threads. The per-item records are `typing.NamedTuple`s: they
+compare equal to plain tuples, `len()` is their field count (use
+`Span.length`), and `._replace` copies one with a field changed.
+Invariant checking is data, not control flow: invalid structures can
+be built, and `validate_document` reports what is wrong.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 # Reserved label meaning "no event / no role". Compared byte-exactly,
 # like every other label.
@@ -23,8 +27,7 @@ TASKS = (TASK_TRIGGER, TASK_ARGUMENT)
 SOURCE_GOLD = "gold"  # trigger-context source of the corpus's own triggers
 
 
-@dataclass(frozen=True, order=True)
-class Span:
+class Span(NamedTuple):
     """Half-open token-index interval [start, end), 0-based."""
 
     start: int
@@ -42,8 +45,7 @@ def span_contains(outer: Span, inner: Span) -> bool:
     return outer.start <= inner.start and inner.end <= outer.end
 
 
-@dataclass(frozen=True)
-class EntityMention:
+class EntityMention(NamedTuple):
     """A candidate-bearing mention: entity, value, time expression or pronoun."""
 
     id: str
@@ -52,22 +54,19 @@ class EntityMention:
     kind: str  # one of ENTITY_KINDS
 
 
-@dataclass(frozen=True)
-class Argument:
+class Argument(NamedTuple):
     entity_id: str
     role: str
 
 
-@dataclass(frozen=True)
-class EventAnnotation:
+class EventAnnotation(NamedTuple):
     id: str
     event_type: str
     trigger: Span
     arguments: tuple[Argument, ...]
 
 
-@dataclass(frozen=True)
-class Anchor:
+class Anchor(NamedTuple):
     """Identifies the event an argument prediction record answers for."""
 
     trigger: Span
@@ -119,8 +118,7 @@ class Corpus:
         return self._by_id[doc_id]
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     id: str
     span: Span
 
@@ -169,8 +167,7 @@ class CandidateSet:
         return self.by_span.get((span.start, span.end))
 
 
-@dataclass(frozen=True)
-class PredictedTrigger:
+class PredictedTrigger(NamedTuple):
     span: Span
     event_type: str
     confidence: float | None = None

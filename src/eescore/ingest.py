@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 from .core import (
     TASK_ARGUMENT,
@@ -58,8 +58,7 @@ def _with_confidence(obj: dict, confidence: float | None) -> dict:
     return obj
 
 
-@dataclass(frozen=True)
-class ClsAssignment:
+class ClsAssignment(NamedTuple):
     candidate_id: str
     label: str
     confidence: float | None = None
@@ -68,8 +67,7 @@ class ClsAssignment:
         return _with_confidence({"candidate_id": self.candidate_id, "label": self.label}, self.confidence)
 
 
-@dataclass(frozen=True)
-class SpanPrediction:
+class SpanPrediction(NamedTuple):
     span: Span
     label: str
     confidence: float | None = None
@@ -78,8 +76,7 @@ class SpanPrediction:
         return _with_confidence({"span": self.span.as_pair(), "label": self.label}, self.confidence)
 
 
-@dataclass(frozen=True)
-class CgItem:
+class CgItem(NamedTuple):
     mention: tuple[str, ...]
     label: str
     confidence: float | None = None
@@ -88,8 +85,7 @@ class CgItem:
         return _with_confidence({"mention": list(self.mention), "label": self.label}, self.confidence)
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     """One prediction record for one (document, anchor) pair."""
 
     doc_id: str

@@ -39,7 +39,7 @@ def _format_value(value: Any, indent: int) -> str:
             for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # not a record: records are tuple subclasses
         if not value:
             return "[]"
         parts = [f"{inner}{_format_value(v, indent + 2)}" for v in value]

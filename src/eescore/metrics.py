@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .core import NIL_LABEL, TASK_ARGUMENT, TASK_TRIGGER, Corpus, Span
 from .errors import ValidationError
@@ -103,15 +103,13 @@ class EvalReport:
         }
 
 
-@dataclass(frozen=True)
-class TriggerItem:
+class TriggerItem(NamedTuple):
     doc_id: str
     span: Span
     label: str
 
 
-@dataclass(frozen=True)
-class ArgumentItem:
+class ArgumentItem(NamedTuple):
     doc_id: str
     trigger: Span  # anchoring trigger span
     event_type: str  # anchoring event type

@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     TASK_ARGUMENT,
@@ -86,8 +86,7 @@ class StandardizeOptions:
             raise ValueError(f"unknown stray-I mode {self.stray_i!r}")
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     candidate_id: str | None  # None only in native output, for a span that is no candidate
     span: Span
     label: str
@@ -95,14 +94,12 @@ class Assignment:
     confidence: float | None = None
 
 
-@dataclass(frozen=True)
-class Discard:
+class Discard(NamedTuple):
     reason: str
     original: dict  # JSON-ready description of the discarded prediction
 
 
-@dataclass(frozen=True)
-class StandardizedRecord:
+class StandardizedRecord(NamedTuple):
     doc_id: str
     task: str
     anchor: Anchor | None
@@ -263,8 +260,7 @@ def position_cg(
     return placed, unplaceable
 
 
-@dataclass(frozen=True)
-class MatchedPrediction:
+class MatchedPrediction(NamedTuple):
     """A prediction that strictly matched a candidate, before duplicate
     resolution. arrival_index is its position in the source record."""
 

@@ -10,7 +10,7 @@ and reports what was silently dropped so runs stay comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import Corpus, Document, EntityMention, EventAnnotation, Span
 from .errors import ConfigError
@@ -96,7 +96,7 @@ def _apply_document(doc: Document, cfg: VariantConfig) -> tuple[Document, int, i
         if m.id in removed_ids:
             continue
         if cfg.entity_mention_mode == MENTION_MODE_HEAD:
-            m = replace(m, span=m.head_span)
+            m = m._replace(span=m.head_span)
         entities.append(m)
 
     events: list[EventAnnotation] = []
@@ -112,7 +112,7 @@ def _apply_document(doc: Document, cfg: VariantConfig) -> tuple[Document, int, i
             trigger = Span(trigger.start, trigger.start + 1)
         kept_args = tuple(a for a in ev.arguments if a.entity_id not in removed_ids)
         removed_arguments += len(ev.arguments) - len(kept_args)
-        events.append(replace(ev, trigger=trigger, arguments=kept_args))
+        events.append(ev._replace(trigger=trigger, arguments=kept_args))
 
     new_doc = Document(
         id=doc.id,

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from eescore import cli
+from eescore.core import Corpus
 from eescore.ingest import serialize_corpus
 from eescore.jsonio import dump_jsonl
 
@@ -449,3 +451,48 @@ def test_compare_malformed_report_exits_2(tmp_path, corpus_path, capsys, make_ba
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("eescore: error: report ")
+
+
+def _cyclic_garbage(tmp_path, documents) -> list:
+    """What the collector finds after one `trigger-store put` and one
+    `score` over `documents`, with the collector off as in the console
+    script and every unreachable object kept in gc.garbage."""
+    tmp_path.mkdir()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(serialize_corpus(Corpus(documents=tuple(documents))))
+    ids = [d.id for d in documents]
+    ed = tmp_path / "ed.jsonl"
+    ed.write_bytes(dump_jsonl(
+        {"doc_id": i, "task": "trigger", "tags": ["B-A"] + ["O"] * 7} for i in ids
+    ))
+    eae = tmp_path / "eae.jsonl"
+    eae.write_bytes(dump_jsonl(o for o in delta_sl_eae_objs() if o["doc_id"] in ids))
+    store = tmp_path / "store"
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        assert run(["trigger-store", "put", "--store", store, "--corpus", corpus,
+                    "--predictions", ed, "--paradigm", "SL", "--producer", "p"]) == 0
+        assert run(["score", "--corpus", corpus, "--ed-predictions", ed, "--ed-paradigm", "SL",
+                    "--eae-predictions", eae, "--eae-paradigm", "SL", "--mode", "pipeline",
+                    "--store", store, "--dump-discards", tmp_path / "discards.jsonl",
+                    "--output", tmp_path / "report.json"]) == 0
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def test_data_path_leaves_no_cyclic_garbage(tmp_path):
+    documents = delta_corpus().documents
+    _cyclic_garbage(tmp_path / "warm-up", documents[:1])  # first-call caches
+    one = _cyclic_garbage(tmp_path / "one", documents[:1])
+    many = _cyclic_garbage(tmp_path / "many", documents)
+    assert [o for o in one + many if type(o).__module__.startswith("eescore")] == []
+    # what is left is the argument parser's, the same at any corpus size
+    assert len(one) == len(many)
