@@ -208,19 +208,21 @@ class TriggerContext:
         return (doc_id, anchor.trigger, anchor.event_type) in self.keys
 
 
-def _check_span(span: Span, n_tokens: int, where: str, out: list[str]) -> bool:
-    """Appends violations for one span; returns True when the span is usable."""
-    ok = True
-    if span.start >= span.end:
+def _check_span(span: Span, n_tokens: int, where: str, index: int, out: list[str]) -> bool:
+    """Appends violations for one span; returns True when the span is usable.
+    `where` is a locator such as "entities[{}].span", filled with `index`
+    only when the span is not."""
+    start, end = span
+    if 0 <= start < end <= n_tokens:
+        return True
+    where = where.format(index)
+    if start >= end:
         out.append(f"Span: start < end violated at {where}")
-        ok = False
-    if span.start < 0:
+    if start < 0:
         out.append(f"Span: start >= 0 violated at {where}")
-        ok = False
-    if span.end > n_tokens:
+    if end > n_tokens:
         out.append(f"Span: end <= token count violated at {where}")
-        ok = False
-    return ok
+    return False
 
 
 def validate_document(doc: Document) -> list[str]:
@@ -232,7 +234,7 @@ def validate_document(doc: Document) -> list[str]:
     cursor = 0
     partition_ok = True
     for i, s in enumerate(doc.sentences):
-        if not _check_span(s, n, f"sentences[{i}]", out):
+        if not _check_span(s, n, "sentences[{}]", i, out):
             partition_ok = False
             continue
         if s.start != cursor:
@@ -247,8 +249,8 @@ def validate_document(doc: Document) -> list[str]:
     for i, m in enumerate(doc.entities):
         if m.kind not in ENTITY_KINDS:
             out.append(f"unknown entity kind {m.kind!r} at entities[{i}]")
-        span_ok = _check_span(m.span, n, f"entities[{i}].span", out)
-        head_ok = _check_span(m.head_span, n, f"entities[{i}].head_span", out)
+        span_ok = _check_span(m.span, n, "entities[{}].span", i, out)
+        head_ok = _check_span(m.head_span, n, "entities[{}].head_span", i, out)
         if span_ok and head_ok and not span_contains(m.span, m.head_span):
             out.append(f"head_span not contained in span at entities[{i}]")
         if m.id in seen_entity_ids:
@@ -260,7 +262,7 @@ def validate_document(doc: Document) -> list[str]:
         if ev.id in seen_event_ids:
             out.append(f"duplicate event id {ev.id} at events[{i}]")
         seen_event_ids.add(ev.id)
-        if _check_span(ev.trigger, n, f"events[{i}].trigger", out):
+        if _check_span(ev.trigger, n, "events[{}].trigger", i, out):
             within = any(span_contains(s, ev.trigger) for s in doc.sentences)
             if doc.sentences and not within:
                 out.append(f"trigger span crosses sentence boundary at events[{i}].trigger")
@@ -268,10 +270,9 @@ def validate_document(doc: Document) -> list[str]:
         for j, arg in enumerate(ev.arguments):
             if arg.entity_id not in doc.entities_by_id:
                 out.append(f"unresolved entity_id {arg.entity_id} at events[{i}].arguments[{j}]")
-            key = (arg.entity_id, arg.role)
-            if key in seen_args:
-                out.append(f"duplicate (entity_id, role) {key} at events[{i}].arguments[{j}]")
-            seen_args.add(key)
+            if arg in seen_args:
+                out.append(f"duplicate (entity_id, role) {tuple(arg)} at events[{i}].arguments[{j}]")
+            seen_args.add(arg)
 
     return out
 

@@ -4,7 +4,9 @@ prediction, conditional generation) and the predicted-trigger file.
 
 All formats are JSONL: one record per line, UTF-8. Parsing is total over
 the error channel: malformed input raises ParseError/ValidationError with
-a locator, never an uncontrolled exception. Canonically formatted input
+a locator, never an uncontrolled exception. Fields are checked in a fixed
+order and the first fault is reported; an object that repeats a key is
+malformed. Canonically formatted input
 (sorted keys, no extra whitespace) round-trips byte-identically through
 serialize_corpus / serialize_predictions.
 """
@@ -14,7 +16,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple, Union
+from functools import partial
+from typing import IO, Iterator, NamedTuple, Union
 
 from .core import (
     TASK_ARGUMENT,
@@ -31,7 +34,7 @@ from .core import (
     validate_document,
 )
 from .errors import ParseError, ValidationError
-from .jsonio import dump_jsonl
+from .jsonio import DECODER, dump_jsonl
 
 PARADIGM_CLS = "CLS"
 PARADIGM_SL = "SL"
@@ -47,7 +50,23 @@ PAYLOAD_FIELD = {
     PARADIGM_CG: "items",
 }
 
-_TAG_RE = re.compile(r"^(O|[BI]-.+)$")
+# matched against the whole tag: "O\n" is malformed
+_TAG_RE = re.compile(r"O|[BI]-.+")
+_STR_TYPE = frozenset((str,))
+_new_span = partial(tuple.__new__, Span)  # Span(*pair) without a Python-level __new__
+
+# the fields each JSON object may carry
+_DOCUMENT_FIELDS = frozenset(("id", "tokens", "sentences", "entities", "events"))
+_ENTITY_FIELDS = frozenset(("id", "span", "head_span", "kind"))
+_EVENT_FIELDS = frozenset(("id", "type", "trigger", "arguments"))
+_ARGUMENT_FIELDS = frozenset(("entity_id", "role"))
+_RECORD_FIELDS = frozenset(("doc_id", "task", "anchor"))  # plus the paradigm's payload field
+_ANCHOR_FIELDS = frozenset(("trigger", "event_type"))
+_ASSIGNMENT_FIELDS = frozenset(("candidate_id", "label", "confidence"))
+_PREDICTION_FIELDS = frozenset(("span", "label", "confidence"))
+_ITEM_FIELDS = frozenset(("mention", "label", "confidence"))
+_TRIGGER_FILE_FIELDS = frozenset(("doc_id", "triggers"))
+_TRIGGER_FIELDS = frozenset(("span", "event_type", "confidence"))
 
 Stream = Union[bytes, str, IO]
 
@@ -133,67 +152,77 @@ def _iter_lines(stream: Stream) -> Iterator[tuple[int, str]]:
 
 def _load_object(raw: str, line: int) -> dict:
     try:
-        obj = json.loads(raw)
+        obj = DECODER.decode(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON ({exc.msg})", line) from None
     except RecursionError:
         raise ParseError("invalid JSON (nested too deeply)", line) from None
-    if not isinstance(obj, dict):
+    except ValueError as exc:  # a duplicate key, or an integer too long to convert
+        raise ParseError(str(exc), line) from None
+    if type(obj) is not dict:
         raise ParseError("record must be a JSON object", line)
     return obj
 
 
-def _require(obj: dict, key: str, line: int):
-    if key not in obj:
-        raise ParseError(f"missing field {key!r}", line)
-    return obj[key]
+# The field checks below run once per JSON value, so they are kept cheap:
+# JSON yields exact list/int/str/dict, so `type(x) is` admits exactly what
+# `isinstance` admits (bool is not int); a locator such as "spans[{}].span"
+# is filled in with its index only when the check raises.
 
 
-def _reject_extras(obj: dict, allowed: Iterable[str], line: int) -> None:
-    extras = sorted(set(obj) - set(allowed))
-    if extras:
+def _reject_extras(obj: dict, allowed: frozenset, line: int) -> None:
+    if not obj.keys() <= allowed:
+        extras = sorted(obj.keys() - allowed)
         raise ParseError(f"unknown field(s) {', '.join(map(repr, extras))}", line)
 
 
-def _string(value, what: str, line: int) -> str:
-    if not isinstance(value, str):
-        raise ParseError(f"{what} must be a string", line)
+def _require(obj: dict, key: str, line: int):
+    try:
+        return obj[key]
+    except KeyError:
+        raise ParseError(f"missing field {key!r}", line) from None
+
+
+def _text(obj: dict, key: str, line: int, what: str | None = None, index: int = 0) -> str:
+    """obj[key], which must be a string; `what` (default: the key) names it."""
+    value = _require(obj, key, line)
+    if type(value) is not str:
+        raise ParseError(f"{(what or key).format(index)} must be a string", line)
     return value
 
 
-def _decode_span(value, what: str, line: int) -> Span:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
-        raise ParseError(f"{what} must be a [start, end] integer pair", line)
-    return Span(value[0], value[1])
+def _strings(value) -> bool:
+    """True when `value` is a list of strings, checked in one C-level pass."""
+    return type(value) is list and set(map(type, value)) <= _STR_TYPE
 
 
-def _check_bounds(span: Span, n_tokens: int, what: str, line: int) -> Span:
-    if not (0 <= span.start < span.end <= n_tokens):
+def _decode_span(value, what: str, line: int, index: int = 0, n_tokens: int = -1) -> Span:
+    """A [start, end] integer pair; with `n_tokens` >= 0 it must also lie
+    inside a document of that many tokens."""
+    if type(value) is not list or len(value) != 2 or type(value[0]) is not int or type(value[1]) is not int:
+        raise ParseError(f"{what.format(index)} must be a [start, end] integer pair", line)
+    if n_tokens >= 0 and not 0 <= value[0] < value[1] <= n_tokens:
         raise ParseError(
-            f"{what} [{span.start}, {span.end}] out of bounds for {n_tokens} tokens", line
+            f"{what.format(index)} [{value[0]}, {value[1]}] out of bounds for {n_tokens} tokens", line
         )
-    return span
+    return _new_span(value)
 
 
 def _confidence(obj: dict, line: int) -> float | None:
     if "confidence" not in obj:
         return None
     c = obj["confidence"]
-    if isinstance(c, bool) or not isinstance(c, (int, float)):
+    if type(c) is not float and type(c) is not int:
         raise ParseError("confidence must be a number", line)
     if not (0 <= c <= 1):
         raise ParseError(f"confidence {c} outside [0, 1]", line)
     return c
 
 
-def _check_uniform_confidence(confidences: list, line: int) -> None:
+def _check_uniform_confidence(predictions: list, line: int) -> None:
     # all-or-none per record: duplicate resolution branches on presence
-    has = [c is not None for c in confidences]
-    if any(has) and not all(has):
+    unscored = [p.confidence for p in predictions].count(None)
+    if 0 < unscored < len(predictions):
         raise ParseError("record mixes scored and unscored predictions", line)
 
 
@@ -207,8 +236,8 @@ def parse_corpus(stream: Stream) -> Corpus:
     seen: dict[str, int] = {}
     for line, raw in _iter_lines(stream):
         obj = _load_object(raw, line)
-        _reject_extras(obj, ("id", "tokens", "sentences", "entities", "events"), line)
-        doc_id = _string(_require(obj, "id", line), "id", line)
+        _reject_extras(obj, _DOCUMENT_FIELDS, line)
+        doc_id = _text(obj, "id", line)
         if doc_id in seen:
             raise ParseError(
                 f"duplicate document id {doc_id!r} (first seen at line {seen[doc_id]})", line
@@ -216,64 +245,53 @@ def parse_corpus(stream: Stream) -> Corpus:
         seen[doc_id] = line
 
         tokens = _require(obj, "tokens", line)
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        if not _strings(tokens):
             raise ParseError("tokens must be an array of strings", line)
 
         sentences = _require(obj, "sentences", line)
-        if not isinstance(sentences, list):
+        if type(sentences) is not list:
             raise ParseError("sentences must be an array", line)
-        sentence_spans = tuple(
-            _decode_span(s, f"sentences[{i}]", line) for i, s in enumerate(sentences)
-        )
+        sentence_spans = tuple([_decode_span(s, "sentences[{}]", line, i) for i, s in enumerate(sentences)])
 
         raw_entities = _require(obj, "entities", line)
-        if not isinstance(raw_entities, list):
+        if type(raw_entities) is not list:
             raise ParseError("entities must be an array", line)
         entities = []
         for i, e in enumerate(raw_entities):
-            if not isinstance(e, dict):
+            if type(e) is not dict:
                 raise ParseError(f"entities[{i}] must be an object", line)
-            _reject_extras(e, ("id", "span", "head_span", "kind"), line)
+            _reject_extras(e, _ENTITY_FIELDS, line)
             entities.append(
                 EntityMention(
-                    id=_string(_require(e, "id", line), f"entities[{i}].id", line),
-                    span=_decode_span(_require(e, "span", line), f"entities[{i}].span", line),
-                    head_span=_decode_span(
-                        _require(e, "head_span", line), f"entities[{i}].head_span", line
-                    ),
-                    kind=_string(_require(e, "kind", line), f"entities[{i}].kind", line),
+                    id=_text(e, "id", line, "entities[{}].id", i),
+                    span=_decode_span(_require(e, "span", line), "entities[{}].span", line, i),
+                    head_span=_decode_span(_require(e, "head_span", line), "entities[{}].head_span", line, i),
+                    kind=_text(e, "kind", line, "entities[{}].kind", i),
                 )
             )
 
         raw_events = _require(obj, "events", line)
-        if not isinstance(raw_events, list):
+        if type(raw_events) is not list:
             raise ParseError("events must be an array", line)
         events = []
         for i, ev in enumerate(raw_events):
-            if not isinstance(ev, dict):
+            if type(ev) is not dict:
                 raise ParseError(f"events[{i}] must be an object", line)
-            _reject_extras(ev, ("id", "type", "trigger", "arguments"), line)
+            _reject_extras(ev, _EVENT_FIELDS, line)
             raw_args = _require(ev, "arguments", line)
-            if not isinstance(raw_args, list):
+            if type(raw_args) is not list:
                 raise ParseError(f"events[{i}].arguments must be an array", line)
             args = []
             for j, a in enumerate(raw_args):
-                if not isinstance(a, dict):
+                if type(a) is not dict:
                     raise ParseError(f"events[{i}].arguments[{j}] must be an object", line)
-                _reject_extras(a, ("entity_id", "role"), line)
-                args.append(
-                    Argument(
-                        entity_id=_string(_require(a, "entity_id", line), "entity_id", line),
-                        role=_string(_require(a, "role", line), "role", line),
-                    )
-                )
+                _reject_extras(a, _ARGUMENT_FIELDS, line)
+                args.append(Argument(entity_id=_text(a, "entity_id", line), role=_text(a, "role", line)))
             events.append(
                 EventAnnotation(
-                    id=_string(_require(ev, "id", line), f"events[{i}].id", line),
-                    event_type=_string(_require(ev, "type", line), f"events[{i}].type", line),
-                    trigger=_decode_span(
-                        _require(ev, "trigger", line), f"events[{i}].trigger", line
-                    ),
+                    id=_text(ev, "id", line, "events[{}].id", i),
+                    event_type=_text(ev, "type", line, "events[{}].type", i),
+                    trigger=_decode_span(_require(ev, "trigger", line), "events[{}].trigger", line, i),
                     arguments=tuple(args),
                 )
             )
@@ -321,102 +339,85 @@ def serialize_corpus(corpus: Corpus) -> bytes:
 # predictions
 
 
-def _parse_anchor(obj: dict, n_tokens: int, line: int) -> Anchor:
-    if not isinstance(obj, dict):
+def _parse_anchor(obj, n_tokens: int, line: int) -> Anchor:
+    if type(obj) is not dict:
         raise ParseError("anchor must be an object", line)
-    _reject_extras(obj, ("trigger", "event_type"), line)
-    trigger = _check_bounds(
-        _decode_span(_require(obj, "trigger", line), "anchor.trigger", line),
-        n_tokens,
-        "anchor.trigger",
-        line,
-    )
-    return Anchor(trigger=trigger, event_type=_string(_require(obj, "event_type", line), "anchor.event_type", line))
+    _reject_extras(obj, _ANCHOR_FIELDS, line)
+    trigger = _decode_span(_require(obj, "trigger", line), "anchor.trigger", line, n_tokens=n_tokens)
+    return Anchor(trigger=trigger, event_type=_text(obj, "event_type", line, "anchor.event_type"))
 
 
-def _parse_assignments(raw, line: int) -> tuple[ClsAssignment, ...]:
-    if not isinstance(raw, list):
+def _parse_assignments(raw, n_tokens: int, line: int) -> tuple[ClsAssignment, ...]:
+    if type(raw) is not list:
         raise ParseError("assignments must be an array", line)
     out = []
     seen: set[str] = set()
     for i, a in enumerate(raw):
-        if not isinstance(a, dict):
+        if type(a) is not dict:
             raise ParseError(f"assignments[{i}] must be an object", line)
-        _reject_extras(a, ("candidate_id", "label", "confidence"), line)
-        cid = _string(_require(a, "candidate_id", line), "candidate_id", line)
+        _reject_extras(a, _ASSIGNMENT_FIELDS, line)
+        cid = _text(a, "candidate_id", line)
         if cid in seen:
             raise ParseError(f"multiple assignments for candidate_id {cid!r}", line)
         seen.add(cid)
-        out.append(
-            ClsAssignment(
-                candidate_id=cid,
-                label=_string(_require(a, "label", line), "label", line),
-                confidence=_confidence(a, line),
-            )
-        )
-    _check_uniform_confidence([a.confidence for a in out], line)
+        out.append(ClsAssignment(candidate_id=cid, label=_text(a, "label", line), confidence=_confidence(a, line)))
+    _check_uniform_confidence(out, line)
     return tuple(out)
 
 
 def _parse_tags(raw, n_tokens: int, line: int) -> tuple[str, ...]:
-    if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw):
+    if not _strings(raw):
         raise ParseError("tags must be an array of strings", line)
     if len(raw) != n_tokens:
         raise ParseError(f"tag list has {len(raw)} entries for a {n_tokens}-token document", line)
-    for i, t in enumerate(raw):
-        if not _TAG_RE.match(t):
-            raise ParseError(f"malformed tag {t!r} at position {i}", line)
+    if not all(map(_TAG_RE.fullmatch, set(raw))):  # each distinct tag once
+        i, t = next((i, t) for i, t in enumerate(raw) if not _TAG_RE.fullmatch(t))
+        raise ParseError(f"malformed tag {t!r} at position {i}", line)
     return tuple(raw)
 
 
 def _parse_spans(raw, n_tokens: int, line: int) -> tuple[SpanPrediction, ...]:
-    if not isinstance(raw, list):
+    if type(raw) is not list:
         raise ParseError("spans must be an array", line)
     out = []
     for i, s in enumerate(raw):
-        if not isinstance(s, dict):
+        if type(s) is not dict:
             raise ParseError(f"spans[{i}] must be an object", line)
-        _reject_extras(s, ("span", "label", "confidence"), line)
+        _reject_extras(s, _PREDICTION_FIELDS, line)
         out.append(
             SpanPrediction(
-                span=_check_bounds(
-                    _decode_span(_require(s, "span", line), f"spans[{i}].span", line),
-                    n_tokens,
-                    f"spans[{i}].span",
-                    line,
-                ),
-                label=_string(_require(s, "label", line), "label", line),
+                span=_decode_span(_require(s, "span", line), "spans[{}].span", line, i, n_tokens),
+                label=_text(s, "label", line),
                 confidence=_confidence(s, line),
             )
         )
-    _check_uniform_confidence([s.confidence for s in out], line)
+    _check_uniform_confidence(out, line)
     return tuple(out)
 
 
-def _parse_items(raw, line: int) -> tuple[CgItem, ...]:
-    if not isinstance(raw, list):
+def _parse_items(raw, n_tokens: int, line: int) -> tuple[CgItem, ...]:
+    if type(raw) is not list:
         raise ParseError("items must be an array", line)
     out = []
     for i, it in enumerate(raw):
-        if not isinstance(it, dict):
+        if type(it) is not dict:
             raise ParseError(f"items[{i}] must be an object", line)
-        _reject_extras(it, ("mention", "label", "confidence"), line)
+        _reject_extras(it, _ITEM_FIELDS, line)
         mention = _require(it, "mention", line)
-        if (
-            not isinstance(mention, list)
-            or not mention
-            or not all(isinstance(t, str) for t in mention)
-        ):
+        if not mention or not _strings(mention):
             raise ParseError(f"items[{i}].mention must be a non-empty array of strings", line)
-        out.append(
-            CgItem(
-                mention=tuple(mention),
-                label=_string(_require(it, "label", line), "label", line),
-                confidence=_confidence(it, line),
-            )
-        )
-    _check_uniform_confidence([it.confidence for it in out], line)
+        out.append(CgItem(mention=tuple(mention), label=_text(it, "label", line), confidence=_confidence(it, line)))
+    _check_uniform_confidence(out, line)
     return tuple(out)
+
+
+# each takes (payload, token count of the document, line)
+_PAYLOAD_PARSERS = {
+    PARADIGM_CLS: _parse_assignments,
+    PARADIGM_SL: _parse_tags,
+    PARADIGM_SP: _parse_spans,
+    PARADIGM_CG: _parse_items,
+}
 
 
 def parse_predictions(stream: Stream, paradigm: str, corpus: Corpus) -> ParadigmPredictions:
@@ -428,19 +429,20 @@ def parse_predictions(stream: Stream, paradigm: str, corpus: Corpus) -> Paradigm
     if paradigm not in PARADIGMS:
         raise ValueError(f"unknown paradigm {paradigm!r}; expected one of {PARADIGMS}")
     payload_field = PAYLOAD_FIELD[paradigm]
+    parse_payload = _PAYLOAD_PARSERS[paradigm]
+    allowed = _RECORD_FIELDS | {payload_field}
     records: list[PredictionRecord] = []
     seen: dict[tuple, int] = {}
     for line, raw in _iter_lines(stream):
         obj = _load_object(raw, line)
-        _reject_extras(obj, ("doc_id", "task", "anchor", payload_field), line)
+        _reject_extras(obj, allowed, line)
 
-        doc_id = _string(_require(obj, "doc_id", line), "doc_id", line)
+        doc_id = _text(obj, "doc_id", line)
         if doc_id not in corpus:
             raise ParseError(f"unknown doc_id {doc_id!r}", line)
-        doc = corpus.get(doc_id)
-        n = len(doc.tokens)
+        n = len(corpus.get(doc_id).tokens)
 
-        task = _string(_require(obj, "task", line), "task", line)
+        task = _text(obj, "task", line)
         if task not in TASKS:
             raise ParseError(f"task must be one of {TASKS}, got {task!r}", line)
 
@@ -458,24 +460,8 @@ def parse_predictions(stream: Stream, paradigm: str, corpus: Corpus) -> Paradigm
             )
         seen[key] = line
 
-        payload = _require(obj, payload_field, line)
-        if paradigm == PARADIGM_CLS:
-            record = PredictionRecord(
-                doc_id, task, anchor, assignments=_parse_assignments(payload, line), line=line
-            )
-        elif paradigm == PARADIGM_SL:
-            record = PredictionRecord(
-                doc_id, task, anchor, tags=_parse_tags(payload, n, line), line=line
-            )
-        elif paradigm == PARADIGM_SP:
-            record = PredictionRecord(
-                doc_id, task, anchor, spans=_parse_spans(payload, n, line), line=line
-            )
-        else:
-            record = PredictionRecord(
-                doc_id, task, anchor, items=_parse_items(payload, line), line=line
-            )
-        records.append(record)
+        payload = parse_payload(_require(obj, payload_field, line), n, line)
+        records.append(PredictionRecord(doc_id, task, anchor, line=line, **{payload_field: payload}))
     return ParadigmPredictions(paradigm=paradigm, records=tuple(records))
 
 
@@ -504,8 +490,8 @@ def parse_trigger_file(stream: Stream, corpus: Corpus, source: str) -> TriggerCo
     seen: dict[str, int] = {}
     for line, raw in _iter_lines(stream):
         obj = _load_object(raw, line)
-        _reject_extras(obj, ("doc_id", "triggers"), line)
-        doc_id = _string(_require(obj, "doc_id", line), "doc_id", line)
+        _reject_extras(obj, _TRIGGER_FILE_FIELDS, line)
+        doc_id = _text(obj, "doc_id", line)
         if doc_id not in corpus:
             raise ParseError(f"unknown doc_id {doc_id!r}", line)
         if doc_id in seen:
@@ -513,23 +499,17 @@ def parse_trigger_file(stream: Stream, corpus: Corpus, source: str) -> TriggerCo
         seen[doc_id] = line
         n = len(corpus.get(doc_id).tokens)
         raw_triggers = _require(obj, "triggers", line)
-        if not isinstance(raw_triggers, list):
+        if type(raw_triggers) is not list:
             raise ParseError("triggers must be an array", line)
         preds = []
         for i, t in enumerate(raw_triggers):
-            if not isinstance(t, dict):
+            if type(t) is not dict:
                 raise ParseError(f"triggers[{i}] must be an object", line)
-            _reject_extras(t, ("span", "event_type", "confidence"), line)
-            span = _check_bounds(
-                _decode_span(_require(t, "span", line), f"triggers[{i}].span", line),
-                n,
-                f"triggers[{i}].span",
-                line,
-            )
+            _reject_extras(t, _TRIGGER_FIELDS, line)
             preds.append(
                 PredictedTrigger(
-                    span=span,
-                    event_type=_string(_require(t, "event_type", line), "event_type", line),
+                    span=_decode_span(_require(t, "span", line), "triggers[{}].span", line, i, n),
+                    event_type=_text(t, "event_type", line),
                     confidence=_confidence(t, line),
                 )
             )

@@ -63,11 +63,29 @@ def write_atomic(path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def unique_keys(pairs: list) -> dict:
+    """`object_pairs_hook` for `json.loads`: an object that repeats a key
+    raises ValueError naming it, instead of keeping the last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+# one decoder for every read: json.loads(s, **hooks) builds a new one per call
+DECODER = json.JSONDecoder(object_pairs_hook=unique_keys)
+
+
 def read_json(path) -> Any:
     """The JSON value in a file. Raises ValueError saying what is wrong when
-    the file is not UTF-8, not JSON, or nested too deeply to parse."""
+    the file is not UTF-8, not JSON, repeats a key in an object, or is
+    nested too deeply to parse."""
     try:
-        return json.loads(Path(path).read_bytes().decode("utf-8"))
+        return DECODER.decode(Path(path).read_bytes().decode("utf-8"))
     except UnicodeDecodeError:
         raise ValueError("not valid UTF-8") from None
     except json.JSONDecodeError as exc:

@@ -178,6 +178,7 @@ def corpus_fingerprint(corpus: Corpus, cfg: VariantConfig) -> str:
     return h.hexdigest()
 
 
+# matched with fullmatch: `$` alone also matches before a final "\n"
 _PRODUCER_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
@@ -266,7 +267,7 @@ class TriggerStore:
     ) -> TriggerStoreEntry:
         """Adds an entry; entries are immutable once written. Re-putting
         identical content is a no-op; differing content is an integrity error."""
-        if not _PRODUCER_RE.match(producer):
+        if not _PRODUCER_RE.fullmatch(producer):
             raise ConfigError(
                 f"producer {producer!r} must match {_PRODUCER_RE.pattern} (it names files)"
             )

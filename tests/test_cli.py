@@ -435,8 +435,10 @@ def test_score_native_and_standardized_counts(tmp_path, corpus_path, paradigm, r
         lambda good: json.dumps(dict(good, ed=5)).encode(),
         lambda good: json.dumps(dict(good, ed={k: v for k, v in good["ed"].items() if k != "recall"})).encode(),
         lambda good: json.dumps(dict(good, ed=dict(good["ed"], precision="1.0"))).encode(),
+        lambda good: b'{"fingerprint": "0", ' + json.dumps(good).encode()[1:],
     ],
-    ids=["deep", "not-utf8", "fingerprint-not-str", "ed-not-object", "ed-without-recall", "precision-not-number"],
+    ids=["deep", "not-utf8", "fingerprint-not-str", "ed-not-object", "ed-without-recall", "precision-not-number",
+         "repeated-key"],
 )
 def test_compare_malformed_report_exits_2(tmp_path, corpus_path, capsys, make_bad):
     preds = cls_ed_file(tmp_path, corpus_path)
@@ -451,6 +453,37 @@ def test_compare_malformed_report_exits_2(tmp_path, corpus_path, capsys, make_ba
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("eescore: error: report ")
+
+
+@pytest.mark.parametrize("tag", ["O\n", "B-End-Position\n"])
+def test_score_tag_with_a_trailing_newline_exits_1(tmp_path, corpus_path, capsys, tag):
+    preds = tmp_path / "ed_sl.jsonl"
+    preds.write_bytes(dump_jsonl([{"doc_id": "doc-resignation", "task": "trigger", "tags": _tags(t8=tag)}]))
+    assert run(["score", "--corpus", corpus_path, "--ed-predictions", preds, "--ed-paradigm", "SL",
+                "--output", tmp_path / "r.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"eescore: error: line 1: malformed tag {tag!r} at position 8"]
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_trigger_store_put_refuses_producer_with_a_newline(tmp_path, corpus_path, capsys):
+    preds = cls_ed_file(tmp_path, corpus_path)
+    store = tmp_path / "store"
+    put = ["trigger-store", "put", "--store", store, "--corpus", corpus_path, "--predictions", preds,
+           "--paradigm", "CLS", "--producer"]
+    assert run(put + ["model-x"]) == 0
+    before = sorted(p.name for p in store.iterdir())
+    manifest = (store / "manifest.json").read_bytes()
+    capsys.readouterr()
+    assert run(put + ["model-y\n"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        r"eescore: error: producer 'model-y\n' must match ^[A-Za-z0-9._-]+$ (it names files)"
+    ]
+    assert sorted(p.name for p in store.iterdir()) == before
+    assert (store / "manifest.json").read_bytes() == manifest
+    assert run(["trigger-store", "list", "--store", store]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
 
 
 def _cyclic_garbage(tmp_path, documents) -> list:

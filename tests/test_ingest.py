@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -283,3 +284,52 @@ def test_parse_never_crashes_on_noise():
         line = json.dumps({k: rng.random() for k in ("a", "b")}).encode()
         with pytest.raises((ParseError, ValidationError)):
             parse_corpus(line)
+
+
+@pytest.mark.parametrize("tag", ["O\n", "B-X\n", "I-X\n"])
+def test_sl_tag_with_a_trailing_newline_is_malformed(tag):
+    corpus = parse_corpus(
+        dump_jsonl([{"id": "d", "tokens": ["a", "b"], "sentences": [[0, 2]], "entities": [], "events": []}])
+    )
+    record = {"doc_id": "d", "task": "trigger", "tags": ["O", tag]}
+    with pytest.raises(ParseError, match=re.escape(f"line 1: malformed tag {tag!r} at position 1")):
+        parse_predictions(dump_jsonl([record]), "SL", corpus)
+
+
+def test_sl_first_malformed_tag_is_reported():
+    corpus = resignation_corpus()
+    tags = ["O"] * 21
+    tags[4], tags[9], tags[12] = "B-A", "X-Thing", "O\n"
+    record = {"doc_id": "doc-resignation", "task": "trigger", "tags": tags}
+    with pytest.raises(ParseError, match=re.escape("malformed tag 'X-Thing' at position 9")):
+        parse_predictions(dump_jsonl([record]), "SL", corpus)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"id": "d", "id": "e", "tokens": [], "sentences": [], "entities": [], "events": []}',
+        b'{"id": "d", "tokens": ["a"], "sentences": [[0, 1]], "events": [], '
+        b'"entities": [{"id": "m", "kind": "entity", "span": [0, 1], "head_span": [0, 1], "kind": "value"}]}',
+    ],
+    ids=["document", "entity"],
+)
+def test_corpus_repeated_key_is_a_parse_error(raw):
+    good = dump_jsonl([{"id": "c", "tokens": [], "sentences": [], "entities": [], "events": []}])
+    with pytest.raises(ParseError, match=r"^line 2: duplicate key '(id|kind)'$"):
+        parse_corpus(good + raw)
+
+
+def test_prediction_repeated_key_is_a_parse_error():
+    corpus = resignation_corpus()
+    raw = (
+        b'{"doc_id": "doc-resignation", "task": "trigger", '
+        b'"spans": [{"span": [8, 9], "label": "A", "label": "End-Position"}]}'
+    )
+    with pytest.raises(ParseError, match=r"^line 1: duplicate key 'label'$"):
+        parse_predictions(raw, "SP", corpus)
+
+
+def test_integer_too_long_to_convert_is_a_parse_error():
+    with pytest.raises(ParseError, match="^line 1: "):
+        parse_corpus(b'{"id": ' + b"1" * 5000 + b"}")

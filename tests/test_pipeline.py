@@ -388,3 +388,10 @@ def test_many_concurrent_puts_keep_every_entry(tmp_path):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert sorted(e.producer for e in TriggerStore(tmp_path / "store").entries()) == producers
+
+
+def test_manifest_with_a_repeated_key_is_a_store_error(tmp_path):
+    row = json.dumps(GOOD_ROW)
+    (tmp_path / "manifest.json").write_text("[" + row.replace('{"corpus_id"', '{"file": "x.jsonl", "corpus_id"') + "]")
+    with pytest.raises(StoreError, match=r"corrupt manifest .*: duplicate key 'file'$"):
+        TriggerStore(tmp_path).entries()
