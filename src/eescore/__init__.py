@@ -10,8 +10,6 @@ from .core import (
     NIL_LABEL,
     Anchor,
     Argument,
-    Candidate,
-    CandidateSet,
     Corpus,
     Document,
     EntityMention,
@@ -19,7 +17,6 @@ from .core import (
     Span,
     TriggerContext,
     span_contains,
-    validate_corpus,
     validate_document,
 )
 from .errors import (
@@ -38,7 +35,6 @@ from .ingest import (
     parse_corpus,
     parse_predictions,
     serialize_corpus,
-    serialize_predictions,
 )
 from .metrics import (
     ConfusionCounts,
@@ -54,11 +50,9 @@ from .standardize import (
     CandidatePolicy,
     StandardizedPredictionSet,
     StandardizeOptions,
-    build_candidates,
     decode_bio,
     native_predictions,
     position_cg,
-    project,
     resolve_duplicates,
     standardize_predictions,
 )

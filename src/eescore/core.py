@@ -1,4 +1,4 @@
-"""Shared data model: spans, documents, events, candidates, trigger contexts.
+"""Shared data model: spans, documents, events, trigger contexts.
 
 All types are immutable after construction; they can be shared freely
 across threads. The per-item records are `typing.NamedTuple`s: they
@@ -118,55 +118,6 @@ class Corpus:
         return self._by_id[doc_id]
 
 
-class Candidate(NamedTuple):
-    id: str
-    span: Span
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """The pre-enumerated output space a classification model chooses from.
-
-    Candidates are kept in canonical order: (span.start, span.end), ties
-    broken by id. For the argument task the set is anchored to one
-    (document, trigger, event_type).
-    """
-
-    task: str  # TASK_TRIGGER | TASK_ARGUMENT
-    doc_id: str
-    candidates: tuple[Candidate, ...]
-    anchor: Anchor | None = None  # set iff task == TASK_ARGUMENT
-
-    @staticmethod
-    def make(task: str, doc_id: str, candidates, anchor: Anchor | None = None) -> "CandidateSet":
-        ordered = tuple(sorted(candidates, key=lambda c: (c.span.start, c.span.end, c.id)))
-        ids = [c.id for c in ordered]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate candidate ids in candidate set for doc {doc_id}")
-        return CandidateSet(task=task, doc_id=doc_id, candidates=ordered, anchor=anchor)
-
-    @cached_property
-    def ids(self) -> dict[str, Candidate]:
-        return {c.id: c for c in self.candidates}
-
-    @cached_property
-    def by_span(self) -> dict[tuple[int, int], str]:
-        """Maps (start, end) to the first candidate id in canonical order."""
-        table: dict[tuple[int, int], str] = {}
-        for c in self.candidates:
-            table.setdefault((c.span.start, c.span.end), c.id)
-        return table
-
-    def span_of(self, candidate_id: str) -> Span | None:
-        """The span of a candidate id, or None when the id is not in the set."""
-        candidate = self.ids.get(candidate_id)
-        return None if candidate is None else candidate.span
-
-    def id_of(self, span: Span) -> str | None:
-        """The first candidate id in canonical order with exactly this span."""
-        return self.by_span.get((span.start, span.end))
-
-
 class PredictedTrigger(NamedTuple):
     span: Span
     event_type: str
@@ -274,12 +225,4 @@ def validate_document(doc: Document) -> list[str]:
                 out.append(f"duplicate (entity_id, role) {tuple(arg)} at events[{i}].arguments[{j}]")
             seen_args.add(arg)
 
-    return out
-
-
-def validate_corpus(corpus: Corpus) -> list[str]:
-    """Per-document violations, each prefixed with the document id."""
-    out: list[str] = []
-    for doc in corpus:
-        out.extend(f"{doc.id}: {v}" for v in validate_document(doc))
     return out

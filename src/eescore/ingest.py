@@ -6,9 +6,9 @@ All formats are JSONL: one record per line, UTF-8. Parsing is total over
 the error channel: malformed input raises ParseError/ValidationError with
 a locator, never an uncontrolled exception. Fields are checked in a fixed
 order and the first fault is reported; an object that repeats a key is
-malformed. Canonically formatted input
+malformed. A canonically formatted corpus
 (sorted keys, no extra whitespace) round-trips byte-identically through
-serialize_corpus / serialize_predictions.
+serialize_corpus.
 """
 
 from __future__ import annotations
@@ -463,21 +463,6 @@ def parse_predictions(stream: Stream, paradigm: str, corpus: Corpus) -> Paradigm
         payload = parse_payload(_require(obj, payload_field, line), n, line)
         records.append(PredictionRecord(doc_id, task, anchor, line=line, **{payload_field: payload}))
     return ParadigmPredictions(paradigm=paradigm, records=tuple(records))
-
-
-def _record_to_obj(record: PredictionRecord) -> dict:
-    obj: dict = {"doc_id": record.doc_id, "task": record.task}
-    if record.anchor is not None:
-        obj["anchor"] = record.anchor.as_dict()
-    for field in PAYLOAD_FIELD.values():
-        payload = getattr(record, field)
-        if payload is not None:
-            obj[field] = [p if isinstance(p, str) else p.as_dict() for p in payload]
-    return obj
-
-
-def serialize_predictions(predictions: ParadigmPredictions) -> bytes:
-    return dump_jsonl(_record_to_obj(r) for r in predictions.records)
 
 
 # ---------------------------------------------------------------------------

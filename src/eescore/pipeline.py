@@ -218,6 +218,8 @@ def _manifest_entry(row, where: str) -> TriggerStoreEntry:
             raise StoreError(f"{where} lacks {key!r}")
         if not isinstance(row[key], types) or isinstance(row[key], bool):
             raise StoreError(f"{where} has a {type(row[key]).__name__} {key!r}")
+    if not _PRODUCER_RE.fullmatch(row["producer"]):
+        raise StoreError(f"{where} has producer {row['producer']!r}, which does not match {_PRODUCER_RE.pattern}")
     name = row["file"]
     if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
         raise StoreError(f"{where} names {name!r}, which is not a file name inside the store")

@@ -18,22 +18,11 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import (
-    TASK_ARGUMENT,
-    TASK_TRIGGER,
-    Anchor,
-    Candidate,
-    CandidateSet,
-    Corpus,
-    Document,
-    Span,
-)
+from .core import TASK_TRIGGER, Anchor, Corpus, Document, Span
 from .errors import ConfigError, ValidationError
 from .ingest import (
     PARADIGM_CG,
-    PARADIGM_CLS,
     CgItem,
-    ClsAssignment,
     ParadigmPredictions,
     PredictionRecord,
     SpanPrediction,
@@ -123,36 +112,11 @@ def trigger_candidate_id(span: Span) -> str:
     return f"t:{span.start}:{span.end}"
 
 
-def build_candidates(
-    doc: Document, anchor: Anchor | None = None, policy: CandidatePolicy = CandidatePolicy()
-) -> CandidateSet:
-    """Enumerates the candidate set for one document (and anchor, for EAE).
-
-    anchor=None builds trigger candidates per the policy; otherwise one
-    argument candidate per entity mention, id equal to the mention id.
-    """
-    if anchor is None:
-        if policy.trigger_policy == TRIGGER_POLICY_EVERY_TOKEN:
-            cands = [Candidate(trigger_candidate_id(Span(i, i + 1)), Span(i, i + 1)) for i in range(len(doc.tokens))]
-        else:
-            cands = []
-            for sent in doc.sentences:
-                for start in range(sent.start, sent.end):
-                    for end in range(start + 1, min(start + policy.k, sent.end) + 1):
-                        cands.append(Candidate(trigger_candidate_id(Span(start, end)), Span(start, end)))
-        return CandidateSet.make(TASK_TRIGGER, doc.id, cands)
-    cands = [Candidate(m.id, m.span) for m in doc.entities]
-    return CandidateSet.make(TASK_ARGUMENT, doc.id, cands, anchor=anchor)
-
-
 class TriggerCandidates:
-    """The trigger candidate set of one document, derived instead of enumerated.
-
-    Admits exactly the spans `build_candidates(doc, policy=policy)` lists,
-    under the same ids, without building them: a span is a candidate iff
-    it lies inside one sentence and is at most k tokens long, where
-    `every_token` is k = 1 over one sentence spanning the whole document.
-    Trigger ids are unique per span, so canonical order is span order.
+    """The trigger candidates of one document, derived instead of enumerated:
+    a span is a candidate iff it lies inside one sentence and is at most k
+    tokens long, where `every_token` is k = 1 over one sentence spanning
+    the whole document. Its id is `t:<start>:<end>`, one per span.
     """
 
     def __init__(self, doc: Document, policy: CandidatePolicy):
@@ -162,6 +126,16 @@ class TriggerCandidates:
             self._k = policy.k
             self._starts = tuple(s.start for s in doc.sentences)
             self._ends = tuple(s.end for s in doc.sentences)
+
+    def __len__(self) -> int:
+        """The number of candidates: a sentence of n tokens holds
+        min(k, j) spans ending at its j-th token."""
+        k = self._k
+        total = 0
+        for start, end in zip(self._starts, self._ends):
+            n = end - start
+            total += n * (n + 1) // 2 if n <= k else k * (k + 1) // 2 + (n - k) * k
+        return total
 
     def id_of(self, span: Span) -> str | None:
         """The candidate id of a span, or None when the policy admits no such span."""
@@ -184,6 +158,32 @@ class TriggerCandidates:
         except ValueError:
             return None
         return span if self.id_of(span) == candidate_id else None
+
+
+class ArgumentCandidates:
+    """The argument candidates of one document: its entity mentions, each
+    under its own id. Mentions that share a span give that span the
+    smallest of their ids."""
+
+    def __init__(self, doc: Document):
+        self._mentions = doc.entities_by_id
+        self._ids: dict[Span, str] = {}
+        for m in doc.entities:
+            known = self._ids.get(m.span)
+            if known is None or m.id < known:
+                self._ids[m.span] = m.id
+
+    def __len__(self) -> int:
+        return len(self._mentions)
+
+    def id_of(self, span: Span) -> str | None:
+        """The smallest id of a mention with exactly this span, or None."""
+        return self._ids.get(span)
+
+    def span_of(self, candidate_id: str) -> Span | None:
+        """The span of the mention with this id, or None when there is none."""
+        mention = self._mentions.get(candidate_id)
+        return None if mention is None else mention.span
 
 
 def decode_bio(tags: Sequence[str], stray_i: str = STRAY_I_OPEN) -> list[tuple[Span, str]]:
@@ -299,35 +299,9 @@ def resolve_duplicates(
     return winners, discards
 
 
-def project(
-    record: PredictionRecord,
-    candidates: CandidateSet,
-    options: StandardizeOptions = StandardizeOptions(),
-    doc: Document | None = None,
-) -> StandardizedRecord:
-    """Projects one prediction record onto its candidate set.
-
-    Strict boundary matching: a prediction lands on a candidate only when
-    the spans are exactly equal. Generated items are positioned first,
-    then matched; duplicates are resolved last. Conservation holds per
-    record: every input prediction becomes exactly one assignment or one
-    discard. `doc` is required for generation records (positioning needs
-    the token sequence).
-    """
-    if record.doc_id != candidates.doc_id:
-        raise ValidationError(
-            f"record for doc {record.doc_id!r} projected onto candidates of doc {candidates.doc_id!r}"
-        )
-    if record.task != candidates.task or record.anchor != candidates.anchor:
-        raise ValidationError(
-            f"record anchor does not match candidate set anchor for doc {record.doc_id!r}"
-        )
-    return _project(record, candidates, options, doc)
-
-
 def _decode(
     record: PredictionRecord,
-    candidates: CandidateSet | TriggerCandidates,
+    candidates: TriggerCandidates | ArgumentCandidates,
     options: StandardizeOptions,
     doc: Document | None,
 ) -> tuple[str, Iterator[tuple]]:
@@ -373,12 +347,19 @@ def _decode(
 
 def _project(
     record: PredictionRecord,
-    candidates: CandidateSet | TriggerCandidates,
+    candidates: TriggerCandidates | ArgumentCandidates,
     options: StandardizeOptions,
     doc: Document | None,
 ) -> StandardizedRecord:
-    """`project` without the check that `candidates` belong to the record,
-    for callers that build the candidates from the record itself."""
+    """Projects one prediction record onto its candidates.
+
+    Strict boundary matching: a prediction lands on a candidate only when
+    the spans are exactly equal. Generated items are positioned first,
+    then matched; duplicates are resolved last. Conservation holds per
+    record: every input prediction becomes exactly one assignment or one
+    discard. `doc` is required for generation records (positioning needs
+    the token sequence).
+    """
     discards: list[Discard] = []
     matched: list[MatchedPrediction] = []
     originals: dict[int, dict] = {}  # arrival_index -> JSON description
@@ -423,12 +404,11 @@ def _project(
 
 def _with_candidates(
     predictions: ParadigmPredictions, corpus: Corpus, policy: CandidatePolicy
-) -> Iterator[tuple[PredictionRecord, CandidateSet | TriggerCandidates, Document]]:
+) -> Iterator[tuple[PredictionRecord, TriggerCandidates | ArgumentCandidates, Document]]:
     """Each record with its candidates and document. Candidates are set up
-    once per document and task and shared by its records: argument
-    candidates differ between anchors only in the anchor, and trigger
-    candidates are derived (`TriggerCandidates`)."""
-    shared: dict[tuple[str, str], CandidateSet | TriggerCandidates] = {}
+    once per document and task and shared by its records: the argument
+    candidates of a document are the same for every anchor."""
+    shared: dict[tuple[str, str], TriggerCandidates | ArgumentCandidates] = {}
     for record in predictions.records:
         doc = corpus.get(record.doc_id)
         candidates = shared.get((record.doc_id, record.task))
@@ -436,7 +416,7 @@ def _with_candidates(
             if record.task == TASK_TRIGGER:
                 candidates = TriggerCandidates(doc, policy)
             else:
-                candidates = build_candidates(doc, anchor=record.anchor, policy=policy)
+                candidates = ArgumentCandidates(doc)
             shared[(record.doc_id, record.task)] = candidates
         yield record, candidates, doc
 
@@ -503,23 +483,3 @@ def _record_to_obj(record: StandardizedRecord) -> dict:
 
 def serialize_standardized(standardized: StandardizedPredictionSet) -> bytes:
     return dump_jsonl(_record_to_obj(r) for r in standardized.records)
-
-
-def to_cls_records(standardized: StandardizedPredictionSet) -> ParadigmPredictions:
-    """Re-expresses standardized output as native classification records
-    (the output space is the classification space, so this is lossless
-    apart from discards)."""
-    records = []
-    for r in standardized.records:
-        records.append(
-            PredictionRecord(
-                doc_id=r.doc_id,
-                task=r.task,
-                anchor=r.anchor,
-                assignments=tuple(
-                    ClsAssignment(a.candidate_id, a.label, a.confidence) for a in r.assignments
-                ),
-                line=r.line,
-            )
-        )
-    return ParadigmPredictions(paradigm=PARADIGM_CLS, records=tuple(records))

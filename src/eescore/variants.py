@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import Corpus, Document, EntityMention, EventAnnotation, Span
 from .errors import ConfigError
-from .standardize import CandidatePolicy, build_candidates
+from .standardize import CandidatePolicy, TriggerCandidates
 
 MENTION_MODE_HEAD = "head"
 MENTION_MODE_FULL = "full"
@@ -149,7 +149,7 @@ def compute_stats(corpus: Corpus, policy: CandidatePolicy = CandidatePolicy()) -
     arguments = sum(len(e.arguments) for d in corpus for e in d.events)
     event_types = {e.event_type for d in corpus for e in d.events}
     roles = {a.role for d in corpus for e in d.events for a in e.arguments}
-    trigger_candidates = sum(len(build_candidates(d, policy=policy).candidates) for d in corpus)
+    trigger_candidates = sum(len(TriggerCandidates(d, policy)) for d in corpus)
     argument_candidates = sum(len(d.entities) for d in corpus)
     return DatasetStats(
         token_count=tokens,
@@ -171,9 +171,10 @@ _VALUE_KEYS = {
 
 def parse_variant_config(text: str) -> VariantConfig:
     """Parses a flat `key = value` config; `#` starts a comment. Unknown
-    keys are errors; missing keys default to the identity configuration."""
+    keys are errors; missing keys default to the identity configuration.
+    Lines end at "\n" only, as in every other input file."""
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -201,5 +202,10 @@ def parse_variant_config(text: str) -> VariantConfig:
 
 
 def load_variant_config(path) -> VariantConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_variant_config(f.read())
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"variant config is not valid UTF-8: {exc}") from None
+    return parse_variant_config(text)

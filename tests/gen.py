@@ -16,11 +16,11 @@ from eescore.core import (
     EntityMention,
     EventAnnotation,
     Span,
-    validate_corpus,
 )
-from eescore.standardize import CandidatePolicy, build_candidates, trigger_candidate_id
+from eescore.standardize import CandidatePolicy, trigger_candidate_id
 
 from corpora import predictions_from
+from oracles import enumerate_candidates, validate_corpus
 
 VOCAB = ("alpha", "bravo", "charlie", "delta", "alpha", "bravo")
 TYPES = ("A", "B", "C")
@@ -243,11 +243,11 @@ def gold_as_cls_predictions(corpus: Corpus, policy: CandidatePolicy):
     trigger_objs = []
     argument_objs = []
     for doc in corpus:
-        candidates = build_candidates(doc, policy=policy)
+        candidates = dict(enumerate_candidates(doc, "trigger", policy))
         if doc.events:
             assignments = []
             for e in doc.events:
-                cid = candidates.by_span.get((e.trigger.start, e.trigger.end))
+                cid = candidates.get(e.trigger)
                 assert cid is not None, "policy does not cover a gold trigger span"
                 assignments.append({"candidate_id": cid, "label": e.event_type})
             trigger_objs.append(

@@ -6,9 +6,12 @@ multisets, and the BIO decoder normalizes tags in a first pass before
 grouping runs in a second. They must never import the implementations
 they check beyond the shared data types.
 
-The reference parsers at the end are the field-by-field parsers and
-document validator as they stood before the field checks were made
-cheap, kept so that the current ones can be diffed against them.
+The candidate enumerator lists every candidate of a document where the
+package derives them. The helpers after it serve tests only: the package
+has no use for them. The reference parsers at the end are the
+field-by-field parsers and document validator as they stood before the
+field checks were made cheap, kept so that the current ones can be
+diffed against them.
 """
 
 from __future__ import annotations
@@ -151,6 +154,80 @@ def occurrences_by_window_scan(tokens, mention) -> list[Span]:
     return [
         Span(s, s + width) for s in range(len(tokens) - width + 1) if tuple(tokens[s : s + width]) == mention
     ]
+
+
+# ---------------------------------------------------------------------------
+# candidates, enumerated
+
+
+def enumerate_candidates(doc: Document, task: str, policy=None) -> list[tuple[Span, str]]:
+    """Every candidate of one document as (span, id), sorted by span, ties
+    by id. Trigger candidates follow `policy` (a `CandidatePolicy`):
+    one per token, or every span of up to k tokens inside a sentence.
+    Argument candidates are the entity mentions under their own ids."""
+    if task == TASK_ARGUMENT:
+        return sorted((m.span, m.id) for m in doc.entities)
+    if policy is None or policy.trigger_policy == "every_token":
+        spans = [Span(i, i + 1) for i in range(len(doc.tokens))]
+    else:
+        spans = [
+            Span(start, end)
+            for sent in doc.sentences
+            for start in range(sent.start, sent.end)
+            for end in range(start + 1, min(start + policy.k, sent.end) + 1)
+        ]
+    return sorted((span, f"t:{span.start}:{span.end}") for span in spans)
+
+
+# ---------------------------------------------------------------------------
+# test-side helpers
+
+
+def validate_corpus(corpus: Corpus) -> list[str]:
+    """Per-document violations, each prefixed with the document id."""
+    out: list[str] = []
+    for doc in corpus:
+        out.extend(f"{doc.id}: {v}" for v in reference_validate_document(doc))
+    return out
+
+
+def _prediction_to_obj(record: PredictionRecord) -> dict:
+    obj: dict = {"doc_id": record.doc_id, "task": record.task}
+    if record.anchor is not None:
+        obj["anchor"] = record.anchor.as_dict()
+    for field in PAYLOAD_FIELD.values():
+        payload = getattr(record, field)
+        if payload is not None:
+            obj[field] = [p if isinstance(p, str) else p.as_dict() for p in payload]
+    return obj
+
+
+def serialize_predictions(predictions: ParadigmPredictions) -> bytes:
+    """Canonical JSONL (sorted keys, no extra whitespace), which the parser
+    reads back into equal records."""
+    return "".join(
+        json.dumps(_prediction_to_obj(r), sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+        for r in predictions.records
+    ).encode("utf-8")
+
+
+def to_cls_records(standardized) -> ParadigmPredictions:
+    """Re-expresses standardized output as native classification records
+    (the output space is the classification space, so this is lossless
+    apart from discards)."""
+    return ParadigmPredictions(
+        paradigm=PARADIGM_CLS,
+        records=tuple(
+            PredictionRecord(
+                doc_id=r.doc_id,
+                task=r.task,
+                anchor=r.anchor,
+                assignments=tuple(ClsAssignment(a.candidate_id, a.label, a.confidence) for a in r.assignments),
+                line=r.line,
+            )
+            for r in standardized.records
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from eescore.metrics import (
 from eescore.pipeline import evaluate
 from eescore.standardize import (
     CandidatePolicy,
-    build_candidates,
     decode_bio,
     standardize_predictions,
 )
@@ -39,7 +38,7 @@ from gen import (
     random_corpus,
     random_trigger_predictions,
 )
-from oracles import brute_force_by_doc, reference_bio_decode
+from oracles import brute_force_by_doc, enumerate_candidates, reference_bio_decode
 
 N_CORPORA = 1000
 
@@ -94,13 +93,11 @@ def _gold_argument_keys(corpus, context=None):
 
 
 def _check_record(corpus, source_record, std_record, failures):
-    candidates = build_candidates(
-        corpus.get(std_record.doc_id), anchor=std_record.anchor, policy=CandidatePolicy()
-    )
+    candidates = {cid for _, cid in enumerate_candidates(corpus.get(std_record.doc_id), std_record.task)}
     if _input_count(source_record) != len(std_record.assignments) + len(std_record.discarded):
         failures.append(f"conservation broken for doc {std_record.doc_id}")
     for a in std_record.assignments:
-        if a.candidate_id not in candidates.ids:
+        if a.candidate_id not in candidates:
             failures.append(f"closure broken: {a.candidate_id} not a candidate")
 
 

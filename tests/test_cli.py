@@ -86,6 +86,20 @@ def test_stats_unknown_variant_key_exits_2(corpus_path, tmp_path):
     assert run(["stats", "--corpus", corpus_path, "--variant", cfg]) == 2
 
 
+def test_stats_variant_not_utf8_exits_2(corpus_path, tmp_path):
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_bytes(b"include_time = \xff\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "eescore", "stats", "--corpus", str(corpus_path), "--variant", str(cfg)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("eescore: error: variant config is not valid UTF-8")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def cls_ed_file(tmp_path, corpus_path):
     path = tmp_path / "ed_cls.jsonl"
     path.write_bytes(
@@ -304,8 +318,10 @@ def test_trigger_store_cli_flow(tmp_path, corpus_path, capsys):
         [{"corpus_id": "corpus.jsonl", "fingerprint": "f" * 64, "producer": "p", "file": "t.jsonl"}],
         [{"corpus_id": "corpus.jsonl", "fingerprint": "f" * 64, "producer": "p", "file": "../t.jsonl",
           "ed_f1": 0.5}],
+        [{"corpus_id": "corpus.jsonl", "fingerprint": "f" * 64, "producer": "p\n", "file": "t.jsonl",
+          "ed_f1": 0.5}],
     ],
-    ids=["not-a-list", "missing-key", "file-outside-store"],
+    ids=["not-a-list", "missing-key", "file-outside-store", "producer-newline"],
 )
 def test_trigger_store_list_corrupt_manifest_exits_1(tmp_path, capsys, manifest):
     store = tmp_path / "store"

@@ -9,12 +9,12 @@ from eescore.ingest import (
     parse_corpus,
     parse_predictions,
     serialize_corpus,
-    serialize_predictions,
 )
 from eescore.jsonio import dump_jsonl
 
 from corpora import resignation_corpus, resignation_document
 from gen import random_corpus, random_trigger_predictions
+from oracles import serialize_predictions
 
 RESIGNATION_OBJ = {
     "id": "doc-resignation",

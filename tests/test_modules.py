@@ -18,3 +18,24 @@ def test_no_module_imports_a_private_name_from_another():
                 f"{path.name}: {node.module}.{alias.name}" for alias in node.names if alias.name.startswith("_")
             ]
     assert offenders == []
+
+
+def test_every_export_has_a_caller_outside_tests():
+    """A name the package exports is used by another of its modules or by
+    the benchmark, not only by tests."""
+    init = SRC / "__init__.py"
+    exported = {
+        alias.name
+        for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    callers = [p for p in SRC.glob("*.py") if p != init] + sorted((SRC.parents[1] / "bench").glob("*.py"))
+    used = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(exported - used) == []

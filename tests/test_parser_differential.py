@@ -22,12 +22,16 @@ from eescore.ingest import (
     parse_predictions,
     parse_trigger_file,
     serialize_corpus,
-    serialize_predictions,
 )
 from eescore.jsonio import dump_jsonl
 
 from gen import gold_anchor_table, random_argument_predictions, random_corpus, random_trigger_predictions
-from oracles import reference_parse_corpus, reference_parse_predictions, reference_parse_trigger_file
+from oracles import (
+    reference_parse_corpus,
+    reference_parse_predictions,
+    reference_parse_trigger_file,
+    serialize_predictions,
+)
 
 # values a mutation puts in place of another, by the type of the value
 # they replace: spans of the wrong length or out of bounds, non-string

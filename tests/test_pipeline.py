@@ -297,6 +297,8 @@ GOOD_ROW = {"corpus_id": "c.jsonl", "fingerprint": "f" * 64, "producer": "p", "f
         ([dict(GOOD_ROW, file="..")], "not a file name inside the store"),
         ([dict(GOOD_ROW, file="")], "not a file name inside the store"),
         ([dict(GOOD_ROW, file="t\0.jsonl")], "not a file name inside the store"),
+        ([dict(GOOD_ROW, producer="p\n")], "producer 'p\\n', which does not match"),
+        ([dict(GOOD_ROW, producer="a/b")], "producer 'a/b', which does not match"),
     ],
 )
 def test_corrupt_manifest_is_a_store_error(tmp_path, manifest, problem):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from eescore.core import (
     Anchor,
     Argument,
-    Candidate,
     EntityMention,
     EventAnnotation,
     PredictedTrigger,
@@ -28,7 +27,6 @@ RECORDS = [
     Argument("e1", "Attacker"),
     EventAnnotation("ev1", "Attack", TRIGGER, (Argument("e1", "Attacker"),)),
     Anchor(TRIGGER, "Attack"),
-    Candidate("t:3:4", TRIGGER),
     PredictedTrigger(TRIGGER, "Attack", 0.5),
     ClsAssignment("t:3:4", "Attack", 0.5),
     SpanPrediction(TRIGGER, "Attack"),

@@ -6,30 +6,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eescore.core import Anchor, Document, Span
-from eescore.errors import ValidationError
-from eescore.ingest import CgItem
+from eescore.core import Document, EntityMention, Span
+from eescore.ingest import CgItem, ParadigmPredictions
 from eescore.standardize import (
     DISCARD_DUP_ARRIVAL,
     DISCARD_DUP_CONFIDENCE,
     DISCARD_OVERLAP,
     DISCARD_UNKNOWN_CANDIDATE,
     DISCARD_UNPLACEABLE,
+    ArgumentCandidates,
     CandidatePolicy,
     MatchedPrediction,
     TriggerCandidates,
-    build_candidates,
     decode_bio,
     position_cg,
-    project,
     resolve_duplicates,
     standardize_predictions,
-    to_cls_records,
 )
 
 from corpora import predictions_from, resignation_corpus, resignation_document, simple_doc
 from gen import gold_anchor_table, random_argument_predictions, random_corpus, random_trigger_predictions
-from oracles import occurrences_by_window_scan, reference_bio_decode
+from oracles import enumerate_candidates, occurrences_by_window_scan, reference_bio_decode, to_cls_records
 
 ANCHOR = {"trigger": [8, 9], "event_type": "End-Position"}
 
@@ -38,20 +35,27 @@ ANCHOR = {"trigger": [8, 9], "event_type": "End-Position"}
 # candidates
 
 
+def admitted_spans(candidates, n_tokens):
+    """Every span over [0, n_tokens) that `candidates` knows, in span order."""
+    return [
+        Span(start, end)
+        for start in range(n_tokens)
+        for end in range(start + 1, n_tokens + 1)
+        if candidates.id_of(Span(start, end)) is not None
+    ]
+
+
 def test_every_token_candidates():
-    doc = simple_doc("d", 9)
-    cands = build_candidates(doc)
-    assert len(cands.candidates) == 9
-    assert cands.candidates[0].span == Span(0, 1)
+    cands = TriggerCandidates(simple_doc("d", 9), CandidatePolicy())
+    assert len(cands) == 9
+    assert admitted_spans(cands, 9) == [Span(i, i + 1) for i in range(9)]
+    assert cands.id_of(Span(0, 1)) == "t:0:1" and cands.span_of("t:0:1") == Span(0, 1)
 
 
 def test_spans_up_to_k_enumeration():
-    doc = simple_doc("d", 3)
-    cands = build_candidates(doc, policy=CandidatePolicy("every_span_up_to_k", k=2))
-    spans = [(c.span.start, c.span.end) for c in cands.candidates]
-    assert sorted(spans) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
-    # canonical ordering: by (start, end)
-    assert spans == sorted(spans)
+    cands = TriggerCandidates(simple_doc("d", 3), CandidatePolicy("every_span_up_to_k", k=2))
+    assert admitted_spans(cands, 3) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+    assert len(cands) == 5
 
 
 def test_spans_up_to_k_respects_sentence_boundaries():
@@ -60,10 +64,11 @@ def test_spans_up_to_k_respects_sentence_boundaries():
         id=doc.id, tokens=doc.tokens, sentences=(Span(0, 2), Span(2, 4)),
         entities=doc.entities, events=doc.events,
     )
-    cands = build_candidates(doc, policy=CandidatePolicy("every_span_up_to_k", k=2))
-    spans = {(c.span.start, c.span.end) for c in cands.candidates}
+    cands = TriggerCandidates(doc, CandidatePolicy("every_span_up_to_k", k=2))
+    spans = admitted_spans(cands, 4)
     assert (1, 3) not in spans
-    assert spans == {(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)}
+    assert spans == [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
+    assert len(cands) == 6
 
 
 # near misses of candidate ids, several of which `int` reads as numbers
@@ -100,18 +105,60 @@ policies = st.one_of(
 )
 @settings(max_examples=300, deadline=None)
 def test_derived_trigger_candidates_agree_with_enumeration(doc, policy, noise_ids):
-    reference = build_candidates(doc, policy=policy)
-    derived = TriggerCandidates(doc, policy)
-    n = len(doc.tokens)
-    for start in range(-2, n + 2):
-        for end in range(start - 1, n + 3):
-            assert derived.id_of(Span(start, end)) == reference.by_span.get((start, end))
-    for cid in (*reference.ids, *MALFORMED_TRIGGER_IDS, *noise_ids):
-        known = reference.ids.get(cid)
-        assert derived.span_of(cid) == (known.span if known else None), cid
-    spans = {cid: derived.span_of(cid) for cid in reference.ids}
-    by_span_order = sorted(spans, key=lambda cid: (spans[cid].start, spans[cid].end, cid))
-    assert by_span_order == [c.id for c in reference.candidates]
+    assert_agrees_with_enumeration(
+        TriggerCandidates(doc, policy),
+        enumerate_candidates(doc, "trigger", policy),
+        len(doc.tokens),
+        (*MALFORMED_TRIGGER_IDS, *noise_ids),
+    )
+
+
+def assert_agrees_with_enumeration(derived, enumerated, n_tokens, unknown_ids):
+    """`derived` answers what the enumerated (span, id) list says: the first
+    id of each span in sorted order, the span of each id, and the count."""
+    first_id: dict = {}
+    for span, cid in enumerated:
+        first_id.setdefault(span, cid)
+    for start in range(-2, n_tokens + 2):
+        for end in range(start - 1, n_tokens + 3):
+            assert derived.id_of(Span(start, end)) == first_id.get((start, end))
+    span_of = {cid: span for span, cid in enumerated}
+    for cid in (*span_of, *unknown_ids):
+        assert derived.span_of(cid) == span_of.get(cid), cid
+    assert len(derived) == len(enumerated)
+
+
+@st.composite
+def documents_with_mentions(draw):
+    """Mentions over a short document, several of them often on one span."""
+    n = draw(st.integers(1, 6))
+    spans = st.tuples(st.integers(0, n - 1), st.integers(1, n)).filter(lambda p: p[0] < p[1])
+    mentions = draw(st.lists(spans, max_size=8))
+    ids = draw(st.lists(st.text(alphabet="e12", min_size=1, max_size=3), min_size=len(mentions),
+                        max_size=len(mentions), unique=True))
+    return Document(
+        id="d",
+        tokens=("w",) * n,
+        sentences=(Span(0, n),),
+        entities=tuple(EntityMention(i, Span(*p), Span(*p), "entity") for i, p in zip(ids, mentions)),
+        events=(),
+    )
+
+
+@given(documents_with_mentions(), st.lists(st.text(alphabet="e12", max_size=4), max_size=6))
+@settings(max_examples=300, deadline=None)
+@example(
+    Document(
+        "d", ("w", "w"), (Span(0, 2),),
+        tuple(EntityMention(i, Span(0, 1), Span(0, 1), "entity") for i in ("e2", "e10", "e1")), (),
+    ),
+    ["e3"],
+)
+def test_argument_candidates_agree_with_enumeration(doc, noise_ids):
+    derived = ArgumentCandidates(doc)
+    assert_agrees_with_enumeration(derived, enumerate_candidates(doc, "argument"), len(doc.tokens), noise_ids)
+    for span in {m.span for m in doc.entities}:  # a shared span goes to the smallest of its ids
+        assert derived.id_of(span) == min(m.id for m in doc.entities if m.span == span)
 
 
 def test_malformed_trigger_ids_are_unknown_candidates():
@@ -141,17 +188,20 @@ def test_shared_candidates_equal_per_record_projection(paradigm):
                 random_trigger_predictions(rng, corpus, paradigm),
                 random_argument_predictions(rng, corpus, paradigm, gold_anchor_table(corpus)),
             ):
-                expected = tuple(
-                    project(r, build_candidates(corpus.get(r.doc_id), r.anchor, policy), doc=corpus.get(r.doc_id))
+                one_record_runs = tuple(
+                    standardize_predictions(ParadigmPredictions(preds.paradigm, (r,)), corpus, policy).records[0]
                     for r in preds.records
                 )
-                assert standardize_predictions(preds, corpus, policy).records == expected
+                assert standardize_predictions(preds, corpus, policy).records == one_record_runs
 
 
 def test_argument_candidates_are_mentions():
     doc = resignation_document()
-    cands = build_candidates(doc, anchor=Anchor(Span(8, 9), "End-Position"))
-    assert [c.id for c in cands.candidates] == ["e1", "e2", "e3", "e4"]
+    cands = ArgumentCandidates(doc)
+    assert len(cands) == 4
+    for m in doc.entities:
+        assert cands.id_of(m.span) == m.id and cands.span_of(m.id) == m.span
+    assert [cands.id_of(span) for span in sorted(m.span for m in doc.entities)] == ["e1", "e2", "e3", "e4"]
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +458,6 @@ def test_unknown_candidate_discarded():
     assert record.discarded[0].reason == DISCARD_UNKNOWN_CANDIDATE
 
 
-def test_anchor_mismatch_raises():
-    corpus = resignation_corpus()
-    doc = corpus.documents[0]
-    preds = predictions_from(
-        [{"doc_id": "doc-resignation", "task": "argument", "anchor": ANCHOR, "tags": ["O"] * 21}],
-        "SL",
-        corpus,
-    )
-    wrong = build_candidates(doc, anchor=Anchor(Span(0, 1), "Other"))
-    with pytest.raises(ValidationError, match="anchor"):
-        project(preds.records[0], wrong)
-
-
 def test_cls_fixed_point():
     corpus = resignation_corpus()
     rng = random.Random(17)
@@ -458,8 +495,8 @@ def test_conservation_and_closure_on_fixture():
     std = standardize_predictions(predictions_from(objs, "SP", corpus), corpus)
     record = std.records[0]
     assert len(record.assignments) + len(record.discarded) == 4
-    candidates = build_candidates(corpus.documents[0], anchor=record.anchor)
-    assert all(a.candidate_id in candidates.ids for a in record.assignments)
+    candidates = enumerate_candidates(corpus.documents[0], "argument")
+    assert all((a.span, a.candidate_id) in candidates for a in record.assignments)
 
 
 def test_order_stability_with_distinct_confidences():

@@ -11,6 +11,7 @@ from eescore.variants import (
     VariantConfig,
     apply_variant,
     compute_stats,
+    load_variant_config,
     parse_variant_config,
 )
 
@@ -191,6 +192,22 @@ def test_variant_config_bad_value():
 def test_variant_config_duplicate_key():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_variant_config("include_time = true\ninclude_time = false\n")
+
+
+def test_variant_config_lines_end_at_newline_only():
+    # U+2028 (like "\x0b", "\x1c" or "\x85") is no line break here, so this is one line
+    with pytest.raises(ConfigError, match="^variant config line 1: include_time must be true or false"):
+        parse_variant_config("include_time = false\u2028include_value = maybe\n")
+    with pytest.raises(ConfigError, match="^variant config line 3: "):
+        parse_variant_config("include_time = false\r\n\x85\ninclude_value = maybe\r\n")
+
+
+@pytest.mark.parametrize("data", [b"include_time = \xff\n", b"\xfe\xff", b"include_time = tru\xc3"])
+def test_variant_config_that_is_not_utf8_is_a_config_error(tmp_path, data):
+    path = tmp_path / "variant.cfg"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match="^variant config is not valid UTF-8"):
+        load_variant_config(path)
 
 
 def test_stats_candidate_policy_affects_trigger_candidates():
