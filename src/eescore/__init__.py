@@ -48,7 +48,6 @@ from .pipeline import (
 )
 from .standardize import (
     CandidatePolicy,
-    StandardizedPredictionSet,
     StandardizeOptions,
     decode_bio,
     native_predictions,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError, ParseError, ToolkitError, ValidationError
 from .ingest import PARADIGMS, load_corpus, load_predictions, load_trigger_file, parse_trigger_file
-from .jsonio import dump_jsonl, format_report, read_json, write_atomic
+from .jsonio import canonical_line, dump_jsonl, format_report, read_json, write_atomic
 from .metrics import (
     CONVENTION_MODERN,
     CONVENTIONS,
@@ -102,7 +102,7 @@ def _load_variant(args) -> VariantConfig:
         cfg = load_variant_config(args.variant)
     else:
         cfg = VariantConfig()
-    if getattr(args, "multi_token_policy", None):
+    if args.multi_token_policy:
         cfg = replace(cfg, multi_token_policy=args.multi_token_policy)
     return cfg
 
@@ -158,20 +158,20 @@ def _resolved_config(args, cfg: VariantConfig, policy: CandidatePolicy) -> dict:
         "subcommand": args.command,
         "corpus": args.corpus,
         "variant": cfg.as_dict(),
-        "mode": getattr(args, "mode", None),
-        "convention": getattr(args, "convention", None),
-        "ed_predictions": getattr(args, "ed_predictions", None),
-        "ed_paradigm": getattr(args, "ed_paradigm", None),
-        "eae_predictions": getattr(args, "eae_predictions", None),
-        "eae_paradigm": getattr(args, "eae_paradigm", None),
-        "triggers": getattr(args, "triggers", None),
-        "store": getattr(args, "store", None),
-        "producer": getattr(args, "producer", None),
+        "mode": args.mode,
+        "convention": args.convention,
+        "ed_predictions": args.ed_predictions,
+        "ed_paradigm": args.ed_paradigm,
+        "eae_predictions": args.eae_predictions,
+        "eae_paradigm": args.eae_paradigm,
+        "triggers": args.triggers,
+        "store": args.store,
+        "producer": args.producer,
         "trigger_policy": policy.trigger_policy,
         "k": policy.k,
-        "stray_i": getattr(args, "stray_i", None),
-        "eae_match": getattr(args, "eae_match", None),
-        "standardize": getattr(args, "standardize", True),
+        "stray_i": args.stray_i,
+        "eae_match": args.eae_match,
+        "standardize": args.standardize,
     }
 
 
@@ -215,9 +215,7 @@ def _pipeline_context(args, corpus, fingerprint: str) -> TriggerContext | None:
         _require_file(args.triggers, "trigger file")
         return load_trigger_file(args.triggers, corpus)
     if args.store:
-        found = TriggerStore(args.store).get(
-            Path(args.corpus).name, fingerprint, getattr(args, "producer", None)
-        )
+        found = TriggerStore(args.store).get(Path(args.corpus).name, fingerprint, args.producer)
         if found is None:
             raise ToolkitError(
                 f"no trigger-store entry for corpus {Path(args.corpus).name!r} and the "
@@ -317,11 +315,19 @@ def cmd_standardize(args) -> int:
 
 
 _SCORES = ("precision", "recall", "f1")
+# The resolved-config keys that decide what a score measures. Prediction
+# paths, the store and the producer are provenance; the corpus and the
+# variant are bound by the fingerprint.
+_PROTOCOL = ("mode", "convention", "eae_match", "trigger_policy", "k", "stray_i", "standardize")
+# Each paradigm has its own native output space, so without
+# standardization the paradigms decide the score too.
+_NATIVE_PROTOCOL = ("ed_paradigm", "eae_paradigm")
 
 
 def _load_report(path) -> dict:
-    """A score report whose fingerprint is a string and whose "ed" and
-    "eae" are each null or carry numeric precision, recall and f1."""
+    """A score report whose fingerprint is a string, whose config holds
+    every protocol key, and whose "ed" and "eae" are each null or carry
+    numeric precision, recall and f1."""
     _require_file(path, "report file")
     try:
         obj = read_json(path)
@@ -329,6 +335,12 @@ def _load_report(path) -> dict:
         raise ConfigError(f"report {path}: {exc}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("fingerprint"), str):
         raise ConfigError(f"report {path}: not a score report (missing fingerprint)")
+    config = obj.get("config")
+    if not isinstance(config, dict):
+        raise ConfigError(f"report {path}: not a score report (missing config)")
+    for key in _PROTOCOL + _NATIVE_PROTOCOL:
+        if key not in config:
+            raise ConfigError(f"report {path}: config lacks {key!r}")
     for task in ("ed", "eae"):
         scores = obj.get(task)
         if scores is not None and not (
@@ -346,6 +358,11 @@ def cmd_compare(args) -> int:
             "reports were produced from different corpus/variant fingerprints: "
             f"{a['fingerprint'][:12]}... vs {b['fingerprint'][:12]}..."
         )
+    ca, cb = a["config"], b["config"]
+    for key in _PROTOCOL if ca["standardize"] is True else _PROTOCOL + _NATIVE_PROTOCOL:
+        va, vb = canonical_line(ca[key]), canonical_line(cb[key])
+        if va != vb:
+            raise ConfigError(f"reports were produced under different protocols: {key} is {va} vs {vb}")
     rows = []
     for task_key, task_name in (("ed", "ED"), ("eae", "EAE")):
         ra, rb = a.get(task_key), b.get(task_key)

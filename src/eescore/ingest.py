@@ -122,9 +122,6 @@ class ParadigmPredictions:
     paradigm: str
     records: tuple[PredictionRecord, ...]
 
-    def __iter__(self) -> Iterator[PredictionRecord]:
-        return iter(self.records)
-
 
 def _iter_lines(stream: Stream) -> Iterator[tuple[int, str]]:
     """Yields (line number, line) for every non-blank line.

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import NIL_LABEL, TASK_ARGUMENT, TASK_TRIGGER, Corpus, Span
 from .errors import ValidationError
-from .standardize import StandardizedPredictionSet
 
 TASK_ED = "ED"
 TASK_EAE = "EAE"
@@ -56,50 +55,42 @@ def prf(counts: ConfusionCounts) -> tuple[float, float, float]:
     return p, r, f1
 
 
-@dataclass(frozen=True)
-class SubReport:
-    counts: ConfusionCounts
-    precision: float
-    recall: float
-    f1: float
-
-    @staticmethod
-    def from_counts(counts: ConfusionCounts) -> "SubReport":
-        p, r, f1 = prf(counts)
-        return SubReport(counts=counts, precision=p, recall=r, f1=f1)
-
-    def as_dict(self) -> dict:
-        return {
-            "counts": self.counts.as_dict(),
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+def _scores(counts: ConfusionCounts) -> dict:
+    p, r, f1 = prf(counts)
+    return {"counts": counts.as_dict(), "precision": p, "recall": r, "f1": f1}
 
 
 @dataclass(frozen=True)
 class EvalReport:
+    """Counts of one task; precision, recall and F1 are computed from them."""
+
     task: str  # TASK_ED | TASK_EAE
     mode: str  # MODE_GOLD_TRIGGER | MODE_PIPELINE
     convention: str  # CONVENTION_MODERN | CONVENTION_LEGACY
     counts: ConfusionCounts
-    precision: float
-    recall: float
-    f1: float
     per_label: dict  # label -> ConfusionCounts
-    identification: SubReport  # span match only, label ignored
+    identification: ConfusionCounts  # span match only, label ignored
+
+    @property
+    def precision(self) -> float:
+        return prf(self.counts)[0]
+
+    @property
+    def recall(self) -> float:
+        return prf(self.counts)[1]
+
+    @property
+    def f1(self) -> float:
+        return prf(self.counts)[2]
 
     def as_dict(self) -> dict:
         return {
             "task": self.task,
             "mode": self.mode,
             "convention": self.convention,
-            "counts": self.counts.as_dict(),
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
+            **_scores(self.counts),
             "per_label": {label: c.as_dict() for label, c in sorted(self.per_label.items())},
-            "identification": self.identification.as_dict(),
+            "identification": _scores(self.identification),
         }
 
 
@@ -118,59 +109,45 @@ class ArgumentItem(NamedTuple):
 
 
 def _match(
-    pred_keys: Sequence[Hashable],
-    gold_keys: Sequence[Hashable],
-    label_of: Callable[[Hashable], str],
-) -> tuple[ConfusionCounts, dict]:
+    pred_keys: Sequence[tuple], gold_keys: Sequence[tuple]
+) -> tuple[ConfusionCounts, dict, ConfusionCounts]:
     """Multiset matching: each gold consumed at most once, no double credit.
 
-    One pass over the distinct keys: a key seen p times predicted and g
-    times in gold contributes min(p, g) true positives to its label.
+    A key's label is its last element and the rest is what identification
+    matches. One pass over the distinct keys: a key seen p times predicted
+    and g times in gold contributes min(p, g) true positives to its label,
+    and a label-free key min(p, g) to identification, with p and g summed
+    over its labels. Returns the total, per-label and identification counts.
     """
     pred = Counter(pred_keys)
     gold = Counter(gold_keys)
     rows: dict[str, list[int]] = {}  # label -> [tp, fp, fn]
+    unlabeled: dict[tuple, list[int]] = {}  # key without label -> [predicted, gold]
     for key, p in pred.items():
         tp = min(p, gold.get(key, 0))
-        row = rows.setdefault(label_of(key), [0, 0, 0])
+        row = rows.setdefault(key[-1], [0, 0, 0])
         row[0] += tp
         row[1] += p - tp
+        unlabeled.setdefault(key[:-1], [0, 0])[0] += p
     for key, g in gold.items():
-        row = rows.setdefault(label_of(key), [0, 0, 0])
+        row = rows.setdefault(key[-1], [0, 0, 0])
         row[2] += g - min(g, pred.get(key, 0))
+        unlabeled.setdefault(key[:-1], [0, 0])[1] += g
     per_label = {label: ConfusionCounts(*rows[label]) for label in sorted(rows)}
     total = ConfusionCounts(*(sum(row[i] for row in rows.values()) for i in range(3)))
-    return total, per_label
-
-
-def _identification(pred_keys, gold_keys) -> SubReport:
-    pred = Counter(pred_keys)
-    gold = Counter(gold_keys)
-    tp = sum((pred & gold).values())
-    return SubReport.from_counts(
-        ConfusionCounts(tp=tp, fp=sum(pred.values()) - tp, fn=sum(gold.values()) - tp)
-    )
-
-
-def _build_report(task, mode, convention, counts, per_label, identification) -> EvalReport:
-    p, r, f1 = prf(counts)
-    return EvalReport(
-        task=task,
-        mode=mode,
-        convention=convention,
-        counts=counts,
-        precision=p,
-        recall=r,
-        f1=f1,
-        per_label=per_label,
-        identification=identification,
-    )
+    found = sum(min(p, g) for p, g in unlabeled.values())
+    identification = ConfusionCounts(found, total.tp + total.fp - found, total.tp + total.fn - found)
+    return total, per_label, identification
 
 
 def _check_docs(corpus: Corpus, doc_ids: Iterable[str]) -> None:
     for doc_id in doc_ids:
         if doc_id not in corpus:
             raise ValidationError(f"predictions refer to unknown document {doc_id!r}")
+
+
+def _trigger_key(doc_id: str, span: Span, label: str) -> tuple:
+    return (doc_id, span.start, span.end, label)
 
 
 def score_trigger_items(
@@ -181,17 +158,17 @@ def score_trigger_items(
 ) -> EvalReport:
     """Scores trigger predictions given as bare (doc, span, label) items."""
     _check_docs(corpus, {it.doc_id for it in items})
-    pred_keys = [(it.doc_id, it.span.start, it.span.end, it.label) for it in items]
-    gold_keys = [
-        (d.id, e.trigger.start, e.trigger.end, e.event_type) for d in corpus for e in d.events
-    ]
-    counts, per_label = _match(pred_keys, gold_keys, lambda k: k[3])
-    identification = _identification([k[:3] for k in pred_keys], [k[:3] for k in gold_keys])
-    return _build_report(TASK_ED, mode, convention, counts, per_label, identification)
+    pred_keys = [_trigger_key(*it) for it in items]
+    gold_keys = [_trigger_key(d.id, e.trigger, e.event_type) for d in corpus for e in d.events]
+    return EvalReport(TASK_ED, mode, convention, *_match(pred_keys, gold_keys))
 
 
-def _in_scope(doc_id: str, event, trigger_context) -> bool:
-    return (doc_id, event.trigger, event.event_type) in trigger_context.keys
+def _argument_key_by_type(doc_id: str, trigger: Span, event_type: str, span: Span, role: str) -> tuple:
+    return (doc_id, event_type, span.start, span.end, role)
+
+
+def _argument_key_by_trigger(doc_id: str, trigger: Span, event_type: str, span: Span, role: str) -> tuple:
+    return (doc_id, trigger.start, trigger.end, event_type, span.start, span.end, role)
 
 
 def score_argument_items(
@@ -215,59 +192,38 @@ def score_argument_items(
     if eae_match not in EAE_MATCH_MODES:
         raise ValueError(f"unknown matching mode {eae_match!r}")
     _check_docs(corpus, {it.doc_id for it in items})
-
-    def pred_key(it: ArgumentItem):
-        if eae_match == EAE_MATCH_BY_TRIGGER:
-            return (it.doc_id, it.trigger.start, it.trigger.end, it.event_type,
-                    it.span.start, it.span.end, it.role)
-        return (it.doc_id, it.event_type, it.span.start, it.span.end, it.role)
-
-    gold_keys = []
-    for doc in corpus:
-        for ev in doc.events:
-            if convention == CONVENTION_LEGACY and not _in_scope(doc.id, ev, trigger_context):
-                continue
-            for arg in ev.arguments:
-                span = doc.entities_by_id[arg.entity_id].span
-                if eae_match == EAE_MATCH_BY_TRIGGER:
-                    gold_keys.append((doc.id, ev.trigger.start, ev.trigger.end, ev.event_type,
-                                      span.start, span.end, arg.role))
-                else:
-                    gold_keys.append((doc.id, ev.event_type, span.start, span.end, arg.role))
-
-    pred_keys = [pred_key(it) for it in items]
-    counts, per_label = _match(pred_keys, gold_keys, lambda k: k[-1])
-    identification = _identification([k[:-1] for k in pred_keys], [k[:-1] for k in gold_keys])
-    return _build_report(TASK_EAE, mode, convention, counts, per_label, identification)
+    key = _argument_key_by_trigger if eae_match == EAE_MATCH_BY_TRIGGER else _argument_key_by_type
+    scope = trigger_context.keys if convention == CONVENTION_LEGACY else None
+    pred_keys = [key(*it) for it in items]
+    gold_keys = [
+        key(doc.id, ev.trigger, ev.event_type, doc.entities_by_id[arg.entity_id].span, arg.role)
+        for doc in corpus
+        for ev in doc.events
+        if scope is None or (doc.id, ev.trigger, ev.event_type) in scope
+        for arg in ev.arguments
+    ]
+    return EvalReport(TASK_EAE, mode, convention, *_match(pred_keys, gold_keys))
 
 
-def trigger_items_from(standardized: StandardizedPredictionSet) -> list[TriggerItem]:
-    """Non-nil trigger assignments as scoreable items."""
-    items = []
-    for record in standardized.task_records(TASK_TRIGGER):
-        for a in record.assignments:
-            if a.label != NIL_LABEL:
-                items.append(TriggerItem(doc_id=record.doc_id, span=a.span, label=a.label))
-    return items
+def trigger_items_from(standardized: Iterable) -> list[TriggerItem]:
+    """Non-nil trigger assignments of standardized (or native) records as
+    scoreable items."""
+    return [
+        TriggerItem(r.doc_id, a.span, a.label)
+        for r in standardized
+        if r.task == TASK_TRIGGER
+        for a in r.assignments
+        if a.label != NIL_LABEL
+    ]
 
 
-def argument_items_from(standardized: StandardizedPredictionSet) -> list[ArgumentItem]:
-    """Non-nil argument assignments as scoreable items."""
-    items = []
-    for record in standardized.task_records(TASK_ARGUMENT):
-        anchor = record.anchor
-        if anchor is None:
-            raise ValidationError(f"argument record for doc {record.doc_id!r} lacks an anchor")
-        for a in record.assignments:
-            if a.label != NIL_LABEL:
-                items.append(
-                    ArgumentItem(
-                        doc_id=record.doc_id,
-                        trigger=anchor.trigger,
-                        event_type=anchor.event_type,
-                        span=a.span,
-                        role=a.label,
-                    )
-                )
-    return items
-
+def argument_items_from(standardized: Iterable) -> list[ArgumentItem]:
+    """Non-nil argument assignments of standardized (or native) records as
+    scoreable items, under the anchor every argument record carries."""
+    return [
+        ArgumentItem(r.doc_id, r.anchor.trigger, r.anchor.event_type, a.span, a.label)
+        for r in standardized
+        if r.task == TASK_ARGUMENT
+        for a in r.assignments
+        if a.label != NIL_LABEL
+    ]

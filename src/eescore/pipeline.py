@@ -36,7 +36,7 @@ from .metrics import (
 )
 from .standardize import (
     CandidatePolicy,
-    StandardizedPredictionSet,
+    StandardizedRecord,
     StandardizeOptions,
     native_predictions,
     standardize_predictions,
@@ -71,8 +71,8 @@ def serialize_trigger_context(context: TriggerContext) -> bytes:
 class EvaluationResult:
     ed_report: EvalReport | None
     eae_report: EvalReport | None
-    ed_standardized: StandardizedPredictionSet | None
-    eae_standardized: StandardizedPredictionSet | None
+    ed_standardized: tuple[StandardizedRecord, ...] | None
+    eae_standardized: tuple[StandardizedRecord, ...] | None
     trigger_context: TriggerContext | None
 
 
@@ -244,6 +244,14 @@ class TriggerStore:
     def _manifest_path(self) -> Path:
         return self.root / self.MANIFEST
 
+    def _read(self, entry: TriggerStoreEntry) -> bytes:
+        """The bytes of an entry's trigger file. A file the manifest names
+        but the store lacks is a StoreError, whichever command reads it."""
+        try:
+            return (self.root / entry.file).read_bytes()
+        except FileNotFoundError:
+            raise StoreError(f"manifest references missing trigger file {entry.file!r}") from None
+
     def entries(self) -> list[TriggerStoreEntry]:
         """The manifest's entries in the order they were put. A manifest
         that is not a list of complete rows, or that names a file outside
@@ -284,8 +292,7 @@ class TriggerStore:
                         f"{row.corpus_id!r}, refusing to attach it to {corpus_id!r}"
                     )
                 if row.fingerprint == fingerprint and row.producer == producer:
-                    existing = (self.root / row.file).read_bytes()
-                    if existing == trigger_bytes:
+                    if self._read(row) == trigger_bytes:
                         return row
                     raise StoreError(
                         f"store already holds different triggers for producer {producer!r} "
@@ -321,8 +328,5 @@ class TriggerStore:
                 continue
             if producer is not None and row.producer != producer:
                 continue
-            path = self.root / row.file
-            if not path.exists():
-                raise StoreError(f"manifest references missing trigger file {row.file!r}")
-            return row, path.read_bytes()
+            return row, self._read(row)
         return None

@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import TASK_TRIGGER, Anchor, Corpus, Document, Span
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 from .ingest import (
     PARADIGM_CG,
     CgItem,
@@ -95,17 +95,6 @@ class StandardizedRecord(NamedTuple):
     assignments: tuple[Assignment, ...]  # canonical candidate order, one per candidate (native: arrival order)
     discarded: tuple[Discard, ...]
     line: int = 0
-
-
-@dataclass(frozen=True)
-class StandardizedPredictionSet:
-    records: tuple[StandardizedRecord, ...]
-
-    def __iter__(self) -> Iterator[StandardizedRecord]:
-        return iter(self.records)
-
-    def task_records(self, task: str) -> tuple[StandardizedRecord, ...]:
-        return tuple(r for r in self.records if r.task == task)
 
 
 def trigger_candidate_id(span: Span) -> str:
@@ -303,7 +292,7 @@ def _decode(
     record: PredictionRecord,
     candidates: TriggerCandidates | ArgumentCandidates,
     options: StandardizeOptions,
-    doc: Document | None,
+    doc: Document,
 ) -> tuple[str, Iterator[tuple]]:
     """The one place that reads a record's paradigm payload.
 
@@ -331,10 +320,6 @@ def _decode(
             (i, sp.span, candidates.id_of(sp.span), sp.label, sp.confidence, sp.as_dict())
             for i, sp in enumerate(record.spans)
         )
-    if doc is None:
-        raise ValidationError(
-            f"projecting a generation record for doc {record.doc_id!r} requires the document"
-        )
     placed, unplaceable = position_cg(record.items or (), doc)
     return PROV_POSITIONED, chain(
         ((i, None, None, it.label, it.confidence, it.as_dict()) for it, i in unplaceable),
@@ -349,7 +334,7 @@ def _project(
     record: PredictionRecord,
     candidates: TriggerCandidates | ArgumentCandidates,
     options: StandardizeOptions,
-    doc: Document | None,
+    doc: Document,
 ) -> StandardizedRecord:
     """Projects one prediction record onto its candidates.
 
@@ -357,8 +342,7 @@ def _project(
     the spans are exactly equal. Generated items are positioned first,
     then matched; duplicates are resolved last. Conservation holds per
     record: every input prediction becomes exactly one assignment or one
-    discard. `doc` is required for generation records (positioning needs
-    the token sequence).
+    discard.
     """
     discards: list[Discard] = []
     matched: list[MatchedPrediction] = []
@@ -427,18 +411,16 @@ def standardize_predictions(
     policy: CandidatePolicy = CandidatePolicy(),
     options: StandardizeOptions = StandardizeOptions(),
     jobs: int = 1,
-) -> StandardizedPredictionSet:
+) -> tuple[StandardizedRecord, ...]:
     """Standardizes every record against its document's candidate set.
 
     Output order equals input order. `jobs` is accepted and ignored:
     projection is pure-Python work, which threads cannot run in parallel
     and which measured slower in a thread pool.
     """
-    return StandardizedPredictionSet(
-        records=tuple(
-            _project(record, candidates, options, doc)
-            for record, candidates, doc in _with_candidates(predictions, corpus, policy)
-        )
+    return tuple(
+        _project(record, candidates, options, doc)
+        for record, candidates, doc in _with_candidates(predictions, corpus, policy)
     )
 
 
@@ -447,7 +429,7 @@ def native_predictions(
     corpus: Corpus,
     policy: CandidatePolicy = CandidatePolicy(),
     options: StandardizeOptions = StandardizeOptions(),
-) -> StandardizedPredictionSet:
+) -> tuple[StandardizedRecord, ...]:
     """The predictions in their native output space, decoded as
     `standardize_predictions` decodes them but neither matched nor
     resolved: every prediction with a span is kept, in arrival order,
@@ -466,7 +448,7 @@ def native_predictions(
             if span is not None
         )
         records.append(StandardizedRecord(record.doc_id, record.task, record.anchor, assignments, (), record.line))
-    return StandardizedPredictionSet(records=tuple(records))
+    return tuple(records)
 
 
 def _record_to_obj(record: StandardizedRecord) -> dict:
@@ -481,5 +463,5 @@ def _record_to_obj(record: StandardizedRecord) -> dict:
     return obj
 
 
-def serialize_standardized(standardized: StandardizedPredictionSet) -> bytes:
-    return dump_jsonl(_record_to_obj(r) for r in standardized.records)
+def serialize_standardized(standardized: Sequence[StandardizedRecord]) -> bytes:
+    return dump_jsonl(_record_to_obj(r) for r in standardized)

@@ -147,6 +147,15 @@ def per_label_by_rescan(pred_keys, gold_keys, label_of) -> tuple[tuple[int, int,
     return total, per_label
 
 
+def identification_by_intersection(pred_keys, gold_keys) -> tuple[int, int, int]:
+    """Multiset matching of the keys with their last element (the label)
+    dropped: (tp, fp, fn), where tp is the size of the multiset intersection."""
+    pred = Counter(k[:-1] for k in pred_keys)
+    gold = Counter(k[:-1] for k in gold_keys)
+    tp = sum((pred & gold).values())
+    return tp, sum(pred.values()) - tp, sum(gold.values()) - tp
+
+
 def occurrences_by_window_scan(tokens, mention) -> list[Span]:
     """Every span whose tokens equal the mention, by sliding a window of
     its width over the whole document, left to right."""
@@ -225,7 +234,7 @@ def to_cls_records(standardized) -> ParadigmPredictions:
                 assignments=tuple(ClsAssignment(a.candidate_id, a.label, a.confidence) for a in r.assignments),
                 line=r.line,
             )
-            for r in standardized.records
+            for r in standardized
         ),
     )
 

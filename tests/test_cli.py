@@ -154,11 +154,31 @@ def test_score_sl_eae_with_and_without_standardization(delta_paths, tmp_path, ca
     assert raw["recall"] == 0.75
     assert round(raw["f1"], 6) == round(12 / 17, 6)
 
+    # the two reports were scored in different output spaces: compare refuses them
+    capsys.readouterr()
+    assert run(["compare", out_raw, out_std]) == 2
+    assert capsys.readouterr().err == (
+        "eescore: error: reports were produced under different protocols: standardize is false vs true\n"
+    )
+
+
+def test_compare_prints_signed_deltas(delta_paths, tmp_path, capsys):
+    corpus, preds = delta_paths
+    # the same tags without the 15 planted R1 spans of documents 10-19
+    exact = tmp_path / "eae_exact.jsonl"
+    exact.write_bytes(dump_jsonl([
+        dict(obj, tags=[t if t.endswith("R2") else "O" for t in obj["tags"]]) if obj["doc_id"] >= "d10" else obj
+        for obj in delta_sl_eae_objs()
+    ]))
+    out_planted, out_exact = tmp_path / "planted.json", tmp_path / "exact.json"
+    base = ["score", "--corpus", corpus, "--eae-paradigm", "SL", "--no-standardize"]
+    assert run(base + ["--eae-predictions", preds, "--output", out_planted]) == 0
+    assert run(base + ["--eae-predictions", exact, "--output", out_exact]) == 0
+    assert json.loads(out_exact.read_text())["eae"]["counts"] == {"tp": 30, "fp": 0, "fn": 10}
     # compare reports the delta in percentage points with explicit signs
     capsys.readouterr()
-    assert run(["compare", out_raw, out_std]) == 0
-    table = capsys.readouterr().out
-    assert "+33.3" in table and "+0.0" in table and "+15.1" in table
+    assert run(["compare", out_planted, out_exact]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["EAE", "+33.3", "+0.0", "+15.1"]
 
 
 def test_score_pipeline_without_triggers_exits_2(delta_paths, tmp_path, capsys):
@@ -260,6 +280,52 @@ def test_compare_fingerprint_mismatch_exits_2(tmp_path, corpus_path, delta_paths
     assert run(["compare", out_a, out_b]) == 2
 
 
+# every protocol key, with a value other than the one the native CLS report below has
+PROTOCOL_CHANGES = [
+    ("mode", "pipeline"),
+    ("convention", "legacy"),
+    ("eae_match", "by_trigger_span"),
+    ("trigger_policy", "every_span_up_to_k"),
+    ("k", 2),
+    ("stray_i", "discard"),
+    ("standardize", True),
+    ("ed_paradigm", "SL"),
+    ("eae_paradigm", "SP"),
+]
+
+
+@pytest.mark.parametrize("key, value", PROTOCOL_CHANGES, ids=[key for key, _ in PROTOCOL_CHANGES])
+def test_compare_different_protocol_exits_2(tmp_path, corpus_path, capsys, key, value):
+    preds = cls_ed_file(tmp_path, corpus_path)
+    out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["score", "--corpus", corpus_path, "--ed-predictions", preds,
+                "--ed-paradigm", "CLS", "--no-standardize", "--output", out_a]) == 0
+    report = json.loads(out_a.read_text())
+    out_b.write_text(json.dumps(dict(report, config=dict(report["config"], **{key: value}))))
+    capsys.readouterr()
+    assert run(["compare", out_a, out_b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "eescore: error: reports were produced under different protocols: "
+        f"{key} is {json.dumps(report['config'][key])} vs {json.dumps(value)}\n"
+    )
+
+
+def test_compare_ignores_provenance_and_standardized_paradigms(tmp_path, corpus_path, capsys):
+    preds = cls_ed_file(tmp_path, corpus_path)
+    out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["score", "--corpus", corpus_path, "--ed-predictions", preds,
+                "--ed-paradigm", "CLS", "--output", out_a]) == 0
+    report = json.loads(out_a.read_text())
+    elsewhere = {"corpus": "other.jsonl", "ed_predictions": "other.jsonl", "ed_paradigm": "SL",
+                 "eae_paradigm": "SP", "store": "s", "producer": "p"}
+    out_b.write_text(json.dumps(dict(report, config=dict(report["config"], **elsewhere))))
+    capsys.readouterr()
+    assert run(["compare", out_a, out_b]) == 0
+    assert capsys.readouterr().out.count("+0.0") == 3
+
+
 def test_standardize_subcommand_writes_records(tmp_path, corpus_path):
     preds = tmp_path / "sp.jsonl"
     preds.write_bytes(
@@ -332,6 +398,23 @@ def test_trigger_store_list_corrupt_manifest_exits_1(tmp_path, capsys, manifest)
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("eescore: error: corrupt manifest")
+
+
+def test_trigger_store_missing_trigger_file_exits_1(tmp_path, corpus_path, capsys):
+    preds = cls_ed_file(tmp_path, corpus_path)
+    store = tmp_path / "store"
+    put = ["trigger-store", "put", "--store", store, "--corpus", corpus_path,
+           "--predictions", preds, "--paradigm", "CLS", "--producer", "model-x"]
+    assert run(put) == 0
+    (trigger_file,) = store.glob("*__model-x.jsonl")
+    trigger_file.unlink()
+    capsys.readouterr()
+    missing = f"eescore: error: manifest references missing trigger file {trigger_file.name!r}\n"
+    assert run(["trigger-store", "get", "--store", store, "--corpus", corpus_path,
+                "--output", tmp_path / "t.jsonl"]) == 1
+    assert capsys.readouterr().err == missing
+    assert run(put) == 1
+    assert capsys.readouterr().err == missing
 
 
 def test_trigger_store_get_stale_variant_exits_1(tmp_path, corpus_path):
@@ -452,9 +535,12 @@ def test_score_native_and_standardized_counts(tmp_path, corpus_path, paradigm, r
         lambda good: json.dumps(dict(good, ed={k: v for k, v in good["ed"].items() if k != "recall"})).encode(),
         lambda good: json.dumps(dict(good, ed=dict(good["ed"], precision="1.0"))).encode(),
         lambda good: b'{"fingerprint": "0", ' + json.dumps(good).encode()[1:],
+        lambda good: json.dumps({k: v for k, v in good.items() if k != "config"}).encode(),
+        lambda good: json.dumps(dict(good, config=[])).encode(),
+        lambda good: json.dumps(dict(good, config={k: v for k, v in good["config"].items() if k != "k"})).encode(),
     ],
     ids=["deep", "not-utf8", "fingerprint-not-str", "ed-not-object", "ed-without-recall", "precision-not-number",
-         "repeated-key"],
+         "repeated-key", "no-config", "config-not-object", "config-without-k"],
 )
 def test_compare_malformed_report_exits_2(tmp_path, corpus_path, capsys, make_bad):
     preds = cls_ed_file(tmp_path, corpus_path)

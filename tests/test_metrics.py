@@ -35,7 +35,7 @@ from gen import (
     random_corpus,
     random_trigger_predictions,
 )
-from oracles import brute_force_by_doc, per_label_by_rescan
+from oracles import brute_force_by_doc, identification_by_intersection, per_label_by_rescan
 
 
 def test_prf_direct_arithmetic():
@@ -70,7 +70,7 @@ def test_ed_wrong_type_is_fp_and_fn_but_identified():
     report = score_trigger_items(corpus, [TriggerItem("d", Span(5, 6), "Attack")])
     assert (report.counts.tp, report.counts.fp, report.counts.fn) == (0, 1, 1)
     assert report.f1 == 0.0
-    assert report.identification.counts.tp == 1
+    assert report.identification.tp == 1
 
 
 def test_ed_three_doc_fixture_frozen_values():
@@ -174,7 +174,7 @@ def test_eae_wrong_role_costs_fp_and_fn():
     report = score_argument_items(corpus, wrong, context)
     assert (report.counts.tp, report.counts.fp, report.counts.fn) == (3, 1, 1)
     # identification ignores the role, so the span still counts
-    assert report.identification.counts.tp == 4
+    assert report.identification.tp == 4
 
 
 def test_eae_match_by_trigger_span_mode():
@@ -276,8 +276,10 @@ keys = st.lists(st.tuples(st.sampled_from("de"), st.integers(0, 3), st.sampled_f
 @given(keys, keys)
 @settings(max_examples=300, deadline=None)
 def test_match_equals_per_label_rescan(pred_keys, gold_keys):
-    total, per_label = _match(pred_keys, gold_keys, lambda k: k[-1])
+    total, per_label, identification = _match(pred_keys, gold_keys)
     expected_total, expected_per_label = per_label_by_rescan(pred_keys, gold_keys, lambda k: k[-1])
     assert (total.tp, total.fp, total.fn) == expected_total
     assert {label: (c.tp, c.fp, c.fn) for label, c in per_label.items()} == expected_per_label
     assert list(per_label) == sorted(per_label)
+    expected_identification = identification_by_intersection(pred_keys, gold_keys)
+    assert (identification.tp, identification.fp, identification.fn) == expected_identification

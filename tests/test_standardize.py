@@ -173,7 +173,7 @@ def test_malformed_trigger_ids_are_unknown_candidates():
         }
     ]
     for policy in (CandidatePolicy(), CandidatePolicy("every_span_up_to_k", k=2)):
-        record = standardize_predictions(predictions_from(objs, "CLS", corpus), corpus, policy).records[0]
+        record = standardize_predictions(predictions_from(objs, "CLS", corpus), corpus, policy)[0]
         assert [a.candidate_id for a in record.assignments] == ["t:10:11"]
         assert [d.reason for d in record.discarded] == [DISCARD_UNKNOWN_CANDIDATE] * len(MALFORMED_TRIGGER_IDS)
 
@@ -189,10 +189,10 @@ def test_shared_candidates_equal_per_record_projection(paradigm):
                 random_argument_predictions(rng, corpus, paradigm, gold_anchor_table(corpus)),
             ):
                 one_record_runs = tuple(
-                    standardize_predictions(ParadigmPredictions(preds.paradigm, (r,)), corpus, policy).records[0]
+                    standardize_predictions(ParadigmPredictions(preds.paradigm, (r,)), corpus, policy)[0]
                     for r in preds.records
                 )
-                assert standardize_predictions(preds, corpus, policy).records == one_record_runs
+                assert standardize_predictions(preds, corpus, policy) == one_record_runs
 
 
 def test_argument_candidates_are_mentions():
@@ -365,7 +365,7 @@ def test_sl_overlapping_span_discarded():
         corpus,
     )
     std = standardize_predictions(preds, corpus)
-    record = std.records[0]
+    record = std[0]
     assert record.assignments == ()
     assert record.discarded[0].reason == DISCARD_OVERLAP
     assert record.discarded[0].original == {"span": [9, 13], "label": "Position"}
@@ -386,7 +386,7 @@ def test_cls_passthrough_is_identity():
     ]
     preds = predictions_from(objs, "CLS", corpus)
     std = standardize_predictions(preds, corpus)
-    record = std.records[0]
+    record = std[0]
     assert [(a.candidate_id, a.label, a.provenance) for a in record.assignments] == [
         ("e1", "Person", "native"),
         ("e2", "NA", "native"),
@@ -408,7 +408,7 @@ def test_sp_duplicate_resolved_by_confidence():
         }
     ]
     std = standardize_predictions(predictions_from(objs, "SP", corpus), corpus)
-    record = std.records[0]
+    record = std[0]
     assert len(record.assignments) == 1
     winner = record.assignments[0]
     assert (winner.candidate_id, winner.label) == ("e1", "Person")
@@ -433,7 +433,7 @@ def test_cg_positioned_then_strict_matched():
         }
     ]
     std = standardize_predictions(predictions_from(objs, "CG", corpus), corpus)
-    record = std.records[0]
+    record = std[0]
     assert [(a.candidate_id, a.label, a.provenance) for a in record.assignments] == [
         ("e3", "Company", "positioned"),
         ("e4", "Company", "positioned"),
@@ -453,7 +453,7 @@ def test_unknown_candidate_discarded():
         }
     ]
     std = standardize_predictions(predictions_from(objs, "CLS", corpus), corpus)
-    record = std.records[0]
+    record = std[0]
     assert record.assignments == ()
     assert record.discarded[0].reason == DISCARD_UNKNOWN_CANDIDATE
 
@@ -473,8 +473,8 @@ def test_cls_fixed_point():
     ]
     once = standardize_predictions(predictions_from(objs, "CLS", corpus), corpus)
     twice = standardize_predictions(to_cls_records(once), corpus)
-    assert [r.assignments for r in twice.records] == [r.assignments for r in once.records]
-    assert all(not r.discarded for r in twice.records)
+    assert [r.assignments for r in twice] == [r.assignments for r in once]
+    assert all(not r.discarded for r in twice)
 
 
 def test_conservation_and_closure_on_fixture():
@@ -493,7 +493,7 @@ def test_conservation_and_closure_on_fixture():
         }
     ]
     std = standardize_predictions(predictions_from(objs, "SP", corpus), corpus)
-    record = std.records[0]
+    record = std[0]
     assert len(record.assignments) + len(record.discarded) == 4
     candidates = enumerate_candidates(corpus.documents[0], "argument")
     assert all((a.span, a.candidate_id) in candidates for a in record.assignments)
@@ -505,7 +505,7 @@ def test_order_stability_with_distinct_confidences():
     def run(spans):
         objs = [{"doc_id": "doc-resignation", "task": "argument", "anchor": ANCHOR, "spans": spans}]
         std = standardize_predictions(predictions_from(objs, "SP", corpus), corpus)
-        return [(a.candidate_id, a.label) for a in std.records[0].assignments]
+        return [(a.candidate_id, a.label) for a in std[0].assignments]
 
     spans = [
         {"span": [0, 2], "label": "Person", "confidence": 0.9},
