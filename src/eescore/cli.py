@@ -138,7 +138,7 @@ def cmd_stats(args) -> int:
     corpus = _load_corpus_checked(args)
     applied, report = apply_variant(corpus, cfg)
     stats = compute_stats(applied, policy)
-    payload = stats.as_dict()
+    payload = stats._asdict()
     payload["removed_arguments"] = report.removed_arguments
     payload["reduced_triggers"] = report.reduced_triggers
     text = format_report(payload)

@@ -3,8 +3,9 @@
 All types are immutable after construction; they can be shared freely
 across threads. The per-item records are `typing.NamedTuple`s: they
 compare equal to plain tuples, `len()` is their field count (use
-`Span.length`), and `._replace` copies one with a field changed.
-Invariant checking is data, not control flow: invalid structures can
+`Span.length`), and `._replace` copies one with a field changed. The
+types that cache derived tables (`Document`, `Corpus`, `TriggerContext`)
+are frozen dataclasses. Invariant checking is data, not control flow: invalid structures can
 be built, and `validate_document` reports what is wrong.
 """
 

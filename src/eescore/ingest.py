@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import IO, Iterator, NamedTuple, Union
 
@@ -55,18 +54,11 @@ _TAG_RE = re.compile(r"O|[BI]-.+")
 _STR_TYPE = frozenset((str,))
 _new_span = partial(tuple.__new__, Span)  # Span(*pair) without a Python-level __new__
 
-# the fields each JSON object may carry
+# the objects whose keys are not the fields of one record type
 _DOCUMENT_FIELDS = frozenset(("id", "tokens", "sentences", "entities", "events"))
-_ENTITY_FIELDS = frozenset(("id", "span", "head_span", "kind"))
 _EVENT_FIELDS = frozenset(("id", "type", "trigger", "arguments"))
-_ARGUMENT_FIELDS = frozenset(("entity_id", "role"))
 _RECORD_FIELDS = frozenset(("doc_id", "task", "anchor"))  # plus the paradigm's payload field
-_ANCHOR_FIELDS = frozenset(("trigger", "event_type"))
-_ASSIGNMENT_FIELDS = frozenset(("candidate_id", "label", "confidence"))
-_PREDICTION_FIELDS = frozenset(("span", "label", "confidence"))
-_ITEM_FIELDS = frozenset(("mention", "label", "confidence"))
 _TRIGGER_FILE_FIELDS = frozenset(("doc_id", "triggers"))
-_TRIGGER_FIELDS = frozenset(("span", "event_type", "confidence"))
 
 Stream = Union[bytes, str, IO]
 
@@ -117,10 +109,19 @@ class PredictionRecord(NamedTuple):
     line: int = 0  # source line, for locators; ignored in comparisons by tests
 
 
-@dataclass(frozen=True)
-class ParadigmPredictions:
+class ParadigmPredictions(NamedTuple):
     paradigm: str
     records: tuple[PredictionRecord, ...]
+
+
+# the objects whose keys are the fields of a record type
+_ENTITY_FIELDS = frozenset(EntityMention._fields)
+_ARGUMENT_FIELDS = frozenset(Argument._fields)
+_ANCHOR_FIELDS = frozenset(Anchor._fields)
+_TRIGGER_FIELDS = frozenset(PredictedTrigger._fields)
+_ASSIGNMENT_FIELDS = frozenset(ClsAssignment._fields)
+_PREDICTION_FIELDS = frozenset(SpanPrediction._fields)
+_ITEM_FIELDS = frozenset(CgItem._fields)
 
 
 def _iter_lines(stream: Stream) -> Iterator[tuple[int, str]]:
@@ -171,6 +172,20 @@ def _reject_extras(obj: dict, allowed: frozenset, line: int) -> None:
     if not obj.keys() <= allowed:
         extras = sorted(obj.keys() - allowed)
         raise ParseError(f"unknown field(s) {', '.join(map(repr, extras))}", line)
+
+
+def _objects(raw, what: str, fields: frozenset, line: int, index: int = 0) -> Iterator[tuple[int, dict]]:
+    """Yields (i, raw[i]) for a JSON array of objects, each checked to
+    carry no key outside `fields` just before it is yielded, so the first
+    fault is the one reported. `what` names the array; a template such as
+    "events[{}].arguments" is filled in with `index`."""
+    if type(raw) is not list:
+        raise ParseError(f"{what.format(index)} must be an array", line)
+    for i, obj in enumerate(raw):
+        if type(obj) is not dict:
+            raise ParseError(f"{what.format(index)}[{i}] must be an object", line)
+        _reject_extras(obj, fields, line)
+        yield i, obj
 
 
 def _require(obj: dict, key: str, line: int):
@@ -250,46 +265,29 @@ def parse_corpus(stream: Stream) -> Corpus:
             raise ParseError("sentences must be an array", line)
         sentence_spans = tuple([_decode_span(s, "sentences[{}]", line, i) for i, s in enumerate(sentences)])
 
-        raw_entities = _require(obj, "entities", line)
-        if type(raw_entities) is not list:
-            raise ParseError("entities must be an array", line)
-        entities = []
-        for i, e in enumerate(raw_entities):
-            if type(e) is not dict:
-                raise ParseError(f"entities[{i}] must be an object", line)
-            _reject_extras(e, _ENTITY_FIELDS, line)
-            entities.append(
-                EntityMention(
-                    id=_text(e, "id", line, "entities[{}].id", i),
-                    span=_decode_span(_require(e, "span", line), "entities[{}].span", line, i),
-                    head_span=_decode_span(_require(e, "head_span", line), "entities[{}].head_span", line, i),
-                    kind=_text(e, "kind", line, "entities[{}].kind", i),
-                )
+        entities = tuple([
+            EntityMention(
+                id=_text(e, "id", line, "entities[{}].id", i),
+                span=_decode_span(_require(e, "span", line), "entities[{}].span", line, i),
+                head_span=_decode_span(_require(e, "head_span", line), "entities[{}].head_span", line, i),
+                kind=_text(e, "kind", line, "entities[{}].kind", i),
             )
+            for i, e in _objects(_require(obj, "entities", line), "entities", _ENTITY_FIELDS, line)
+        ])
 
-        raw_events = _require(obj, "events", line)
-        if type(raw_events) is not list:
-            raise ParseError("events must be an array", line)
         events = []
-        for i, ev in enumerate(raw_events):
-            if type(ev) is not dict:
-                raise ParseError(f"events[{i}] must be an object", line)
-            _reject_extras(ev, _EVENT_FIELDS, line)
+        for i, ev in _objects(_require(obj, "events", line), "events", _EVENT_FIELDS, line):
             raw_args = _require(ev, "arguments", line)
-            if type(raw_args) is not list:
-                raise ParseError(f"events[{i}].arguments must be an array", line)
-            args = []
-            for j, a in enumerate(raw_args):
-                if type(a) is not dict:
-                    raise ParseError(f"events[{i}].arguments[{j}] must be an object", line)
-                _reject_extras(a, _ARGUMENT_FIELDS, line)
-                args.append(Argument(entity_id=_text(a, "entity_id", line), role=_text(a, "role", line)))
+            args = tuple([
+                Argument(entity_id=_text(a, "entity_id", line), role=_text(a, "role", line))
+                for _, a in _objects(raw_args, "events[{}].arguments", _ARGUMENT_FIELDS, line, i)
+            ])
             events.append(
                 EventAnnotation(
                     id=_text(ev, "id", line, "events[{}].id", i),
                     event_type=_text(ev, "type", line, "events[{}].type", i),
                     trigger=_decode_span(_require(ev, "trigger", line), "events[{}].trigger", line, i),
-                    arguments=tuple(args),
+                    arguments=args,
                 )
             )
 
@@ -297,7 +295,7 @@ def parse_corpus(stream: Stream) -> Corpus:
             id=doc_id,
             tokens=tuple(tokens),
             sentences=sentence_spans,
-            entities=tuple(entities),
+            entities=entities,
             events=tuple(events),
         )
         violations = validate_document(doc)
@@ -345,14 +343,9 @@ def _parse_anchor(obj, n_tokens: int, line: int) -> Anchor:
 
 
 def _parse_assignments(raw, n_tokens: int, line: int) -> tuple[ClsAssignment, ...]:
-    if type(raw) is not list:
-        raise ParseError("assignments must be an array", line)
     out = []
     seen: set[str] = set()
-    for i, a in enumerate(raw):
-        if type(a) is not dict:
-            raise ParseError(f"assignments[{i}] must be an object", line)
-        _reject_extras(a, _ASSIGNMENT_FIELDS, line)
+    for _, a in _objects(raw, "assignments", _ASSIGNMENT_FIELDS, line):
         cid = _text(a, "candidate_id", line)
         if cid in seen:
             raise ParseError(f"multiple assignments for candidate_id {cid!r}", line)
@@ -374,32 +367,21 @@ def _parse_tags(raw, n_tokens: int, line: int) -> tuple[str, ...]:
 
 
 def _parse_spans(raw, n_tokens: int, line: int) -> tuple[SpanPrediction, ...]:
-    if type(raw) is not list:
-        raise ParseError("spans must be an array", line)
-    out = []
-    for i, s in enumerate(raw):
-        if type(s) is not dict:
-            raise ParseError(f"spans[{i}] must be an object", line)
-        _reject_extras(s, _PREDICTION_FIELDS, line)
-        out.append(
-            SpanPrediction(
-                span=_decode_span(_require(s, "span", line), "spans[{}].span", line, i, n_tokens),
-                label=_text(s, "label", line),
-                confidence=_confidence(s, line),
-            )
+    out = [
+        SpanPrediction(
+            span=_decode_span(_require(s, "span", line), "spans[{}].span", line, i, n_tokens),
+            label=_text(s, "label", line),
+            confidence=_confidence(s, line),
         )
+        for i, s in _objects(raw, "spans", _PREDICTION_FIELDS, line)
+    ]
     _check_uniform_confidence(out, line)
     return tuple(out)
 
 
 def _parse_items(raw, n_tokens: int, line: int) -> tuple[CgItem, ...]:
-    if type(raw) is not list:
-        raise ParseError("items must be an array", line)
     out = []
-    for i, it in enumerate(raw):
-        if type(it) is not dict:
-            raise ParseError(f"items[{i}] must be an object", line)
-        _reject_extras(it, _ITEM_FIELDS, line)
+    for i, it in _objects(raw, "items", _ITEM_FIELDS, line):
         mention = _require(it, "mention", line)
         if not mention or not _strings(mention):
             raise ParseError(f"items[{i}].mention must be a non-empty array of strings", line)
@@ -480,23 +462,31 @@ def parse_trigger_file(stream: Stream, corpus: Corpus, source: str) -> TriggerCo
             raise ParseError(f"duplicate doc_id {doc_id!r} (first seen at line {seen[doc_id]})", line)
         seen[doc_id] = line
         n = len(corpus.get(doc_id).tokens)
-        raw_triggers = _require(obj, "triggers", line)
-        if type(raw_triggers) is not list:
-            raise ParseError("triggers must be an array", line)
-        preds = []
-        for i, t in enumerate(raw_triggers):
-            if type(t) is not dict:
-                raise ParseError(f"triggers[{i}] must be an object", line)
-            _reject_extras(t, _TRIGGER_FIELDS, line)
-            preds.append(
-                PredictedTrigger(
-                    span=_decode_span(_require(t, "span", line), "triggers[{}].span", line, i, n),
-                    event_type=_text(t, "event_type", line),
-                    confidence=_confidence(t, line),
-                )
+        table[doc_id] = tuple([
+            PredictedTrigger(
+                span=_decode_span(_require(t, "span", line), "triggers[{}].span", line, i, n),
+                event_type=_text(t, "event_type", line),
+                confidence=_confidence(t, line),
             )
-        table[doc_id] = tuple(preds)
+            for i, t in _objects(_require(obj, "triggers", line), "triggers", _TRIGGER_FIELDS, line)
+        ])
     return TriggerContext(source=source, triggers=table)
+
+
+def serialize_trigger_context(context: TriggerContext) -> bytes:
+    """The predicted-trigger file of a context: one line per document that
+    has triggers, in doc_id order."""
+    return dump_jsonl(
+        {
+            "doc_id": doc_id,
+            "triggers": [
+                _with_confidence({"span": t.span.as_pair(), "event_type": t.event_type}, t.confidence)
+                for t in triggers
+            ],
+        }
+        for doc_id, triggers in sorted(context.triggers.items())
+        if triggers
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,15 @@ def write_atomic(path, data: bytes) -> None:
     """Writes `data` to `path` through a temporary file in the same directory
     that is renamed into place, so a reader sees the old or the new bytes,
     never a torn file. The temporary name is unique per process and thread:
-    two concurrent writers never share one."""
+    two concurrent writers never share one, and a failed write removes it."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def unique_keys(pairs: list) -> dict:

@@ -15,7 +15,6 @@ trigger was not predicted, which inflates recall on imperfect triggers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import NIL_LABEL, TASK_ARGUMENT, TASK_TRIGGER, Corpus, Span
@@ -37,14 +36,13 @@ EAE_MATCH_BY_TRIGGER = "by_trigger_span"
 EAE_MATCH_MODES = (EAE_MATCH_BY_TYPE, EAE_MATCH_BY_TRIGGER)
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int = 0
     fp: int = 0
     fn: int = 0
 
     def as_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn}
+        return self._asdict()
 
 
 def prf(counts: ConfusionCounts) -> tuple[float, float, float]:
@@ -60,8 +58,7 @@ def _scores(counts: ConfusionCounts) -> dict:
     return {"counts": counts.as_dict(), "precision": p, "recall": r, "f1": f1}
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Counts of one task; precision, recall and F1 are computed from them."""
 
     task: str  # TASK_ED | TASK_EAE

@@ -15,13 +15,18 @@ import fcntl
 import hashlib
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import TASK_ARGUMENT, TASK_TRIGGER, Corpus, TriggerContext
 from .errors import ConfigError, ContextError, StoreError, ValidationError
-from .ingest import ParadigmPredictions, parse_trigger_file, serialize_corpus  # noqa: F401 (re-exported)
-from .jsonio import canonical_line, dump_jsonl, format_report, read_json, write_atomic
+from .ingest import (  # noqa: F401 (the trigger-file reader and writer are re-exported)
+    ParadigmPredictions,
+    parse_trigger_file,
+    serialize_corpus,
+    serialize_trigger_context,
+)
+from .jsonio import canonical_line, format_report, read_json, write_atomic
 from .metrics import (
     CONVENTION_MODERN,
     CONVENTIONS,
@@ -44,31 +49,11 @@ from .standardize import (
 from .variants import VariantConfig
 
 
-def serialize_trigger_context(context: TriggerContext) -> bytes:
-    objs = []
-    for doc_id in sorted(context.triggers):
-        triggers = context.triggers[doc_id]
-        if not triggers:
-            continue
-        objs.append(
-            {
-                "doc_id": doc_id,
-                "triggers": [
-                    {"span": t.span.as_pair(), "event_type": t.event_type}
-                    | ({"confidence": t.confidence} if t.confidence is not None else {})
-                    for t in triggers
-                ],
-            }
-        )
-    return dump_jsonl(objs)
-
-
 # ---------------------------------------------------------------------------
 # composed evaluation
 
 
-@dataclass
-class EvaluationResult:
+class EvaluationResult(NamedTuple):
     ed_report: EvalReport | None
     eae_report: EvalReport | None
     ed_standardized: tuple[StandardizedRecord, ...] | None
@@ -182,22 +167,12 @@ def corpus_fingerprint(corpus: Corpus, cfg: VariantConfig) -> str:
 _PRODUCER_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
-@dataclass(frozen=True)
-class TriggerStoreEntry:
+class TriggerStoreEntry(NamedTuple):
     corpus_id: str
     fingerprint: str
     producer: str
     file: str  # trigger file name inside the store directory
     ed_f1: float
-
-    def manifest_row(self) -> dict:
-        return {
-            "corpus_id": self.corpus_id,
-            "fingerprint": self.fingerprint,
-            "producer": self.producer,
-            "file": self.file,
-            "ed_f1": self.ed_f1,
-        }
 
 
 # manifest row key -> accepted JSON value types
@@ -246,16 +221,19 @@ class TriggerStore:
 
     def _read(self, entry: TriggerStoreEntry) -> bytes:
         """The bytes of an entry's trigger file. A file the manifest names
-        but the store lacks is a StoreError, whichever command reads it."""
+        but the store lacks or cannot read is a StoreError, whichever
+        command reads it."""
         try:
             return (self.root / entry.file).read_bytes()
         except FileNotFoundError:
             raise StoreError(f"manifest references missing trigger file {entry.file!r}") from None
+        except OSError as exc:
+            raise StoreError(f"cannot read trigger file {entry.file!r}: {exc.strerror}") from None
 
     def entries(self) -> list[TriggerStoreEntry]:
         """The manifest's entries in the order they were put. A manifest
-        that is not a list of complete rows, or that names a file outside
-        the store directory, raises StoreError."""
+        that cannot be read, is not a list of complete rows, or names a
+        file outside the store directory raises StoreError."""
         path = self._manifest_path()
         if not path.exists():
             return []
@@ -263,6 +241,8 @@ class TriggerStore:
             rows = read_json(path)
         except ValueError as exc:
             raise StoreError(f"corrupt manifest {path}: {exc}") from None
+        except OSError as exc:
+            raise StoreError(f"cannot read manifest {path}: {exc.strerror}") from None
         if not isinstance(rows, list):
             raise StoreError(f"corrupt manifest {path}: not a list of entries")
         return [_manifest_entry(row, f"corrupt manifest {path}: entry {i}") for i, row in enumerate(rows)]
@@ -315,7 +295,7 @@ class TriggerStore:
             rows.append(entry)
             write_atomic(
                 self._manifest_path(),
-                format_report([r.manifest_row() for r in rows]).encode("utf-8"),
+                format_report([r._asdict() for r in rows]).encode("utf-8"),
             )
             return entry
 

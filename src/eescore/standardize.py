@@ -162,9 +162,6 @@ class ArgumentCandidates:
             if known is None or m.id < known:
                 self._ids[m.span] = m.id
 
-    def __len__(self) -> int:
-        return len(self._mentions)
-
     def id_of(self, span: Span) -> str | None:
         """The smallest id of a mention with exactly this span, or None."""
         return self._ids.get(span)

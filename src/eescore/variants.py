@@ -10,7 +10,8 @@ and reports what was silently dropped so runs stay comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .core import Corpus, Document, EntityMention, EventAnnotation, Span
 from .errors import ConfigError
@@ -44,26 +45,17 @@ class VariantConfig:
             raise ValueError(f"unknown multi_token_policy {self.multi_token_policy!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "multi_token_triggers": self.multi_token_triggers,
-            "include_time": self.include_time,
-            "include_value": self.include_value,
-            "include_pronoun": self.include_pronoun,
-            "entity_mention_mode": self.entity_mention_mode,
-            "multi_token_policy": self.multi_token_policy,
-        }
+        return asdict(self)
 
 
-@dataclass(frozen=True)
-class VariantReport:
+class VariantReport(NamedTuple):
     """What the transformation removed or rewrote."""
 
     removed_arguments: int = 0
     reduced_triggers: int = 0
 
 
-@dataclass(frozen=True)
-class DatasetStats:
+class DatasetStats(NamedTuple):
     token_count: int
     trigger_count: int
     argument_count: int
@@ -71,17 +63,6 @@ class DatasetStats:
     role_count: int
     trigger_candidate_count: int
     argument_candidate_count: int
-
-    def as_dict(self) -> dict:
-        return {
-            "token_count": self.token_count,
-            "trigger_count": self.trigger_count,
-            "argument_count": self.argument_count,
-            "event_type_count": self.event_type_count,
-            "role_count": self.role_count,
-            "trigger_candidate_count": self.trigger_candidate_count,
-            "argument_candidate_count": self.argument_candidate_count,
-        }
 
 
 def _mention_kept(mention: EntityMention, cfg: VariantConfig) -> bool:

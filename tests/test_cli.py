@@ -61,6 +61,14 @@ def test_stats_missing_corpus_exits_2(tmp_path):
     assert run(["stats", "--corpus", tmp_path / "absent.jsonl"]) == 2
 
 
+def test_stats_output_that_cannot_be_replaced_leaves_no_temporary_file(tmp_path, corpus_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["stats", "--corpus", corpus_path, "--output", out]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "out"]
+
+
 def test_stats_invalid_corpus_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(
@@ -415,6 +423,31 @@ def test_trigger_store_missing_trigger_file_exits_1(tmp_path, corpus_path, capsy
     assert capsys.readouterr().err == missing
     assert run(put) == 1
     assert capsys.readouterr().err == missing
+
+
+def test_trigger_store_unreadable_trigger_file_exits_1(tmp_path, corpus_path, capsys):
+    preds = cls_ed_file(tmp_path, corpus_path)
+    store = tmp_path / "store"
+    put = ["trigger-store", "put", "--store", store, "--corpus", corpus_path,
+           "--predictions", preds, "--paradigm", "CLS", "--producer", "model-x"]
+    assert run(put) == 0
+    (trigger_file,) = store.glob("*__model-x.jsonl")
+    trigger_file.unlink()
+    trigger_file.mkdir()
+    capsys.readouterr()
+    unreadable = f"eescore: error: cannot read trigger file {trigger_file.name!r}: Is a directory\n"
+    assert run(["trigger-store", "get", "--store", store, "--corpus", corpus_path,
+                "--output", tmp_path / "t.jsonl"]) == 1
+    assert capsys.readouterr().err == unreadable
+    assert run(put) == 1
+    assert capsys.readouterr().err == unreadable
+
+
+def test_trigger_store_unreadable_manifest_exits_1(tmp_path, capsys):
+    manifest = tmp_path / "store" / "manifest.json"
+    manifest.mkdir(parents=True)
+    assert run(["trigger-store", "list", "--store", tmp_path / "store"]) == 1
+    assert capsys.readouterr().err == f"eescore: error: cannot read manifest {manifest}: Is a directory\n"
 
 
 def test_trigger_store_get_stale_variant_exits_1(tmp_path, corpus_path):

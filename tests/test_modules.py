@@ -39,3 +39,24 @@ def test_every_export_has_a_caller_outside_tests():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(exported - used) == []
+
+
+def _name(node) -> str:
+    return ast.unparse(node.func if isinstance(node, ast.Call) else node)
+
+
+def test_every_dataclass_validates_or_caches():
+    """A type that only holds data is a NamedTuple. @dataclass is kept for
+    a type that checks its fields in __post_init__ or caches a
+    cached_property."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) or "dataclass" not in map(_name, node.decorator_list):
+                continue
+            methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+            if not any(
+                m.name == "__post_init__" or "cached_property" in map(_name, m.decorator_list) for m in methods
+            ):
+                offenders.append(f"{path.name}: {node.name}")
+    assert offenders == []

@@ -166,7 +166,7 @@ def _same_outcome(parse, reference, *args) -> None:
     got = _outcome(parse, *args)
     expected = _outcome(reference, *args)
     assert got == expected
-    if isinstance(got, tuple):
+    if type(got) is tuple:  # (exception type, message); a parse result is a tuple subclass
         assert issubclass(got[0], ToolkitError), got
 
 

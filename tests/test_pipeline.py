@@ -320,7 +320,7 @@ def test_unreadable_manifest_is_a_store_error(tmp_path, raw):
 def test_good_manifest_row_loads(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps([GOOD_ROW, dict(GOOD_ROW, ed_f1=1)]))
     entries = TriggerStore(tmp_path).entries()
-    assert [e.manifest_row() for e in entries] == [GOOD_ROW, dict(GOOD_ROW, ed_f1=1)]
+    assert [e._asdict() for e in entries] == [GOOD_ROW, dict(GOOD_ROW, ed_f1=1)]
 
 
 def test_concurrent_puts_keep_every_entry(tmp_path, monkeypatch):

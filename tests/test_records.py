@@ -1,5 +1,6 @@
-"""The record contract: the high-volume records are immutable, hashable
-named tuples that rebuild, copy and sort like plain tuples."""
+"""The record contract: every data-only type is an immutable named tuple
+that rebuilds, copies and sorts like a plain tuple, and hashes unless it
+holds a dict."""
 
 import pytest
 from hypothesis import given
@@ -13,13 +14,19 @@ from eescore.core import (
     PredictedTrigger,
     Span,
 )
-from eescore.ingest import CgItem, ClsAssignment, PredictionRecord, SpanPrediction
+from eescore.ingest import CgItem, ClsAssignment, ParadigmPredictions, PredictionRecord, SpanPrediction
 from eescore.jsonio import format_report
-from eescore.metrics import ArgumentItem, TriggerItem
+from eescore.metrics import ArgumentItem, ConfusionCounts, EvalReport, TriggerItem
+from eescore.pipeline import EvaluationResult, TriggerStoreEntry
 from eescore.standardize import Assignment, Discard, MatchedPrediction, StandardizedRecord
+from eescore.variants import DatasetStats, VariantReport
 
 TRIGGER = Span(3, 4)
 ASSIGNMENT = Assignment("t:3:4", TRIGGER, "Attack", "projected", 0.5)
+PREDICTION = PredictionRecord("d1", "trigger", None, tags=("O", "B-Attack"), line=3)
+STANDARDIZED = StandardizedRecord("d1", "trigger", None, (ASSIGNMENT,), (), 3)
+COUNTS = ConfusionCounts(1, 2, 3)
+REPORT = EvalReport("ED", "gold_trigger", "modern", COUNTS, {"Attack": COUNTS}, ConfusionCounts(2, 1, 2))
 
 RECORDS = [
     Span(2, 5),
@@ -31,14 +38,23 @@ RECORDS = [
     ClsAssignment("t:3:4", "Attack", 0.5),
     SpanPrediction(TRIGGER, "Attack"),
     CgItem(("fired",), "Attack"),
-    PredictionRecord("d1", "trigger", None, tags=("O", "B-Attack"), line=3),
+    PREDICTION,
     TriggerItem("d1", TRIGGER, "Attack"),
     ArgumentItem("d1", TRIGGER, "Attack", Span(0, 2), "Attacker"),
     ASSIGNMENT,
     Discard("overlap_mismatch", {"span": [3, 5], "label": "Attack"}),
-    StandardizedRecord("d1", "trigger", None, (ASSIGNMENT,), (), 3),
+    STANDARDIZED,
     MatchedPrediction("t:3:4", "Attack", 0.5, 0),
+    ParadigmPredictions("SL", (PREDICTION,)),
+    COUNTS,
+    REPORT,
+    EvaluationResult(REPORT, None, (STANDARDIZED,), None, None),
+    TriggerStoreEntry("corpus.jsonl", "f" * 64, "p1", "ffffffffffffffff__p1.jsonl", 0.5),
+    VariantReport(removed_arguments=2, reduced_triggers=1),
+    DatasetStats(21, 2, 6, 2, 5, 21, 4),
 ]
+# these hold a dict (a JSON object, or labels to counts), so they have no hash
+UNHASHABLE = (Discard, EvalReport, EvaluationResult)
 
 records = pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
 
@@ -55,7 +71,7 @@ def test_record_rejects_assignment(record):
 def test_rebuilt_record_is_equal_and_hash_equal(record):
     rebuilt = type(record)(*record)
     assert rebuilt == record and rebuilt is not record
-    if isinstance(record, Discard):  # `original` is a JSON object, so a discard has no hash
+    if isinstance(record, UNHASHABLE):
         with pytest.raises(TypeError):
             hash(record)
     else:

@@ -109,7 +109,7 @@ def test_apply_variant_idempotent_random(a_seed=13):
 
 def test_stats_empty_corpus():
     stats = compute_stats(Corpus(documents=()))
-    assert all(v == 0 for v in stats.as_dict().values())
+    assert all(v == 0 for v in stats._asdict().values())
 
 
 def test_stats_small_fixture_counts():
