@@ -42,6 +42,7 @@ from .metrics import (
     prf,
 )
 from .pipeline import (
+    Protocol,
     TriggerStore,
     corpus_fingerprint,
     evaluate,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, ParseError, ToolkitError, ValidationError
@@ -30,10 +30,12 @@ from .metrics import (
     EvalReport,
 )
 from .pipeline import (
+    Protocol,
     TriggerContext,
     TriggerStore,
     corpus_fingerprint,
     evaluate,
+    protocol_keys,
     serialize_trigger_context,
 )
 from .standardize import (
@@ -42,8 +44,6 @@ from .standardize import (
     TRIGGER_POLICY_EVERY_TOKEN,
     TRIGGER_POLICY_SPANS_UP_TO_K,
     TRIGGER_POLICIES,
-    CandidatePolicy,
-    StandardizeOptions,
     serialize_standardized,
     standardize_predictions,
 )
@@ -116,16 +116,21 @@ def _load_corpus_checked(args):
         raise ConfigError(f"corpus {args.corpus}: {exc}") from None
 
 
-def _policy(args) -> CandidatePolicy:
-    if args.trigger_policy == TRIGGER_POLICY_SPANS_UP_TO_K:
+def _protocol(args, **fixed) -> Protocol:
+    """The protocol that the flags in `args` select; `fixed` gives what the
+    subcommand does not take as a flag. The --k checks, which name flags,
+    come after the protocol's own checks."""
+    flags = {f.name: getattr(args, f.name) for f in fields(Protocol) if f.name != "k" and hasattr(args, f.name)}
+    protocol = Protocol(**flags, **fixed)
+    if protocol.trigger_policy == TRIGGER_POLICY_SPANS_UP_TO_K:
         if args.k is None:
             raise ConfigError("--k is required with --trigger-policy every_span_up_to_k")
         if args.k < 1:
             raise ConfigError("--k must be >= 1")
-        return CandidatePolicy(trigger_policy=TRIGGER_POLICY_SPANS_UP_TO_K, k=args.k)
+        return replace(protocol, k=args.k)
     if args.k is not None:
         raise ConfigError("--k only applies to --trigger-policy every_span_up_to_k")
-    return CandidatePolicy()
+    return protocol
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +138,7 @@ def _policy(args) -> CandidatePolicy:
 
 
 def cmd_stats(args) -> int:
-    policy = _policy(args)
+    policy = _protocol(args).policy
     cfg = _load_variant(args)
     corpus = _load_corpus_checked(args)
     applied, report = apply_variant(corpus, cfg)
@@ -153,25 +158,17 @@ def cmd_stats(args) -> int:
 # score
 
 
-def _resolved_config(args, cfg: VariantConfig, policy: CandidatePolicy) -> dict:
+def _resolved_config(args, cfg: VariantConfig, protocol: Protocol) -> dict:
     return {
         "subcommand": args.command,
         "corpus": args.corpus,
         "variant": cfg.as_dict(),
-        "mode": args.mode,
-        "convention": args.convention,
         "ed_predictions": args.ed_predictions,
-        "ed_paradigm": args.ed_paradigm,
         "eae_predictions": args.eae_predictions,
-        "eae_paradigm": args.eae_paradigm,
         "triggers": args.triggers,
         "store": args.store,
         "producer": args.producer,
-        "trigger_policy": policy.trigger_policy,
-        "k": policy.k,
-        "stray_i": args.stray_i,
-        "eae_match": args.eae_match,
-        "standardize": args.standardize,
+        **asdict(protocol),
     }
 
 
@@ -202,12 +199,6 @@ def _validate_score_flags(args) -> None:
         raise ConfigError(
             "pipeline mode requires predicted triggers: provide --ed-predictions, --triggers or --store"
         )
-    if not args.standardize:
-        if args.ed_paradigm == "CG" or args.eae_paradigm == "CG":
-            raise ConfigError(
-                "generation predictions cannot be scored without --standardize "
-                "(their mentions carry no positions)"
-            )
 
 
 def _pipeline_context(args, corpus, fingerprint: str) -> TriggerContext | None:
@@ -228,12 +219,11 @@ def _pipeline_context(args, corpus, fingerprint: str) -> TriggerContext | None:
 
 def cmd_score(args) -> int:
     _validate_score_flags(args)
-    policy = _policy(args)
+    protocol = _protocol(args)
     cfg = _load_variant(args)
     corpus_raw = _load_corpus_checked(args)
     fingerprint = corpus_fingerprint(corpus_raw, cfg)
     corpus, _ = apply_variant(corpus_raw, cfg)
-    options = StandardizeOptions(stray_i=args.stray_i)
 
     ed_pred = None
     if args.ed_predictions:
@@ -248,21 +238,10 @@ def cmd_score(args) -> int:
     if args.mode == MODE_PIPELINE:
         trigger_context = _pipeline_context(args, corpus, fingerprint)
 
-    result = evaluate(
-        corpus,
-        eae_pred,
-        mode=args.mode,
-        convention=args.convention,
-        ed_pred=ed_pred,
-        trigger_context=trigger_context,
-        policy=policy,
-        options=options,
-        eae_match=args.eae_match,
-        standardize=args.standardize,
-    )
+    result = evaluate(corpus, protocol, ed_pred=ed_pred, eae_pred=eae_pred, trigger_context=trigger_context)
 
     payload = {
-        "config": _resolved_config(args, cfg, policy),
+        "config": _resolved_config(args, cfg, protocol),
         "fingerprint": fingerprint,
         "ed": result.ed_report.as_dict() if result.ed_report else None,
         "eae": result.eae_report.as_dict() if result.eae_report else None,
@@ -297,15 +276,13 @@ def cmd_score(args) -> int:
 
 
 def cmd_standardize(args) -> int:
-    policy = _policy(args)
+    protocol = _protocol(args)
     cfg = _load_variant(args)
     corpus = _load_corpus_checked(args)
     corpus, _ = apply_variant(corpus, cfg)
     _require_file(args.predictions, "prediction file")
     predictions = load_predictions(args.predictions, args.paradigm, corpus)
-    standardized = standardize_predictions(
-        predictions, corpus, policy, StandardizeOptions(stray_i=args.stray_i), jobs=args.jobs
-    )
+    standardized = standardize_predictions(predictions, corpus, protocol.policy, protocol.options)
     write_atomic(args.output, serialize_standardized(standardized))
     return 0
 
@@ -315,13 +292,6 @@ def cmd_standardize(args) -> int:
 
 
 _SCORES = ("precision", "recall", "f1")
-# The resolved-config keys that decide what a score measures. Prediction
-# paths, the store and the producer are provenance; the corpus and the
-# variant are bound by the fingerprint.
-_PROTOCOL = ("mode", "convention", "eae_match", "trigger_policy", "k", "stray_i", "standardize")
-# Each paradigm has its own native output space, so without
-# standardization the paradigms decide the score too.
-_NATIVE_PROTOCOL = ("ed_paradigm", "eae_paradigm")
 
 
 def _load_report(path) -> dict:
@@ -338,7 +308,7 @@ def _load_report(path) -> dict:
     config = obj.get("config")
     if not isinstance(config, dict):
         raise ConfigError(f"report {path}: not a score report (missing config)")
-    for key in _PROTOCOL + _NATIVE_PROTOCOL:
+    for key in protocol_keys():
         if key not in config:
             raise ConfigError(f"report {path}: config lacks {key!r}")
     for task in ("ed", "eae"):
@@ -359,7 +329,9 @@ def cmd_compare(args) -> int:
             f"{a['fingerprint'][:12]}... vs {b['fingerprint'][:12]}..."
         )
     ca, cb = a["config"], b["config"]
-    for key in _PROTOCOL if ca["standardize"] is True else _PROTOCOL + _NATIVE_PROTOCOL:
+    # prediction paths, the store and the producer are provenance; the
+    # corpus and the variant are bound by the fingerprint
+    for key in protocol_keys(ca):
         va, vb = canonical_line(ca[key]), canonical_line(cb[key])
         if va != vb:
             raise ConfigError(f"reports were produced under different protocols: {key} is {va} vs {vb}")
@@ -387,21 +359,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_store_put(args) -> int:
-    policy = _policy(args)
+    protocol = _protocol(args, mode=MODE_PIPELINE)
     cfg = _load_variant(args)
     corpus_raw = _load_corpus_checked(args)
     fingerprint = corpus_fingerprint(corpus_raw, cfg)
     corpus, _ = apply_variant(corpus_raw, cfg)
     _require_file(args.predictions, "ED prediction file")
     predictions = load_predictions(args.predictions, args.paradigm, corpus)
-    result = evaluate(
-        corpus,
-        None,
-        mode=MODE_PIPELINE,
-        ed_pred=predictions,
-        policy=policy,
-        options=StandardizeOptions(stray_i=args.stray_i),
-    )
+    result = evaluate(corpus, protocol, ed_pred=predictions)
     trigger_bytes = serialize_trigger_context(result.trigger_context)
     entry = TriggerStore(args.store).put(
         corpus_id=Path(args.corpus).name,

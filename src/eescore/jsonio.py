@@ -56,14 +56,17 @@ def write_atomic(path, data: bytes) -> None:
     """Writes `data` to `path` through a temporary file in the same directory
     that is renamed into place, so a reader sees the old or the new bytes,
     never a torn file. The temporary name is unique per process and thread:
-    two concurrent writers never share one, and a failed write removes it."""
+    two concurrent writers never share one, and a failed write removes it.
+    An OSError names `path`, not the temporary file."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

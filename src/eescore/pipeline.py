@@ -15,12 +15,15 @@ import fcntl
 import hashlib
 import os
 import re
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
 from .core import TASK_ARGUMENT, TASK_TRIGGER, Corpus, TriggerContext
 from .errors import ConfigError, ContextError, StoreError, ValidationError
 from .ingest import (  # noqa: F401 (the trigger-file reader and writer are re-exported)
+    PARADIGM_CG,
+    PARADIGMS,
     ParadigmPredictions,
     parse_trigger_file,
     serialize_corpus,
@@ -31,6 +34,7 @@ from .metrics import (
     CONVENTION_MODERN,
     CONVENTIONS,
     EAE_MATCH_BY_TYPE,
+    EAE_MATCH_MODES,
     MODE_GOLD_TRIGGER,
     MODES,
     EvalReport,
@@ -40,6 +44,8 @@ from .metrics import (
     trigger_items_from,
 )
 from .standardize import (
+    STRAY_I_OPEN,
+    TRIGGER_POLICY_EVERY_TOKEN,
     CandidatePolicy,
     StandardizedRecord,
     StandardizeOptions,
@@ -83,18 +89,63 @@ def _check_anchors(predictions: ParadigmPredictions, context: TriggerContext) ->
             )
 
 
+@dataclass(frozen=True)
+class Protocol:
+    """The settings that decide what a score measures, with the CLI's
+    defaults: two scores can be read side by side only under one protocol."""
+
+    mode: str = MODE_GOLD_TRIGGER
+    convention: str = CONVENTION_MODERN
+    eae_match: str = EAE_MATCH_BY_TYPE
+    trigger_policy: str = TRIGGER_POLICY_EVERY_TOKEN
+    k: int = 1
+    stray_i: str = STRAY_I_OPEN
+    standardize: bool = True
+    ed_paradigm: str | None = None
+    eae_paradigm: str | None = None
+
+    def __post_init__(self):
+        paradigms = (None, *PARADIGMS)
+        for name, allowed in (("mode", MODES), ("convention", CONVENTIONS), ("eae_match", EAE_MATCH_MODES),
+                              ("ed_paradigm", paradigms), ("eae_paradigm", paradigms)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
+        if type(self.standardize) is not bool or type(self.k) is not int:
+            raise ConfigError(f"standardize must be a bool and k an int, not {self.standardize!r} and {self.k!r}")
+        if not self.standardize and PARADIGM_CG in (self.ed_paradigm, self.eae_paradigm):
+            raise ConfigError(
+                "generation predictions cannot be scored without --standardize "
+                "(their mentions carry no positions)"
+            )
+        try:
+            self.policy, self.options
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    @property
+    def policy(self) -> CandidatePolicy:
+        return CandidatePolicy(self.trigger_policy, self.k)
+
+    @property
+    def options(self) -> StandardizeOptions:
+        return StandardizeOptions(self.stray_i)
+
+
+def protocol_keys(config: dict | None = None) -> tuple[str, ...]:
+    """The report-config keys that `compare` checks: every `Protocol` field,
+    but each paradigm has its own native output space, so the paradigms
+    only count when `config` was scored without standardization."""
+    native = config is None or config["standardize"] is not True
+    return tuple(f.name for f in fields(Protocol) if native or not f.name.endswith("_paradigm"))
+
+
 def evaluate(
     corpus: Corpus,
-    eae_pred: ParadigmPredictions | None = None,
+    protocol: Protocol,
     *,
-    mode: str = MODE_GOLD_TRIGGER,
-    convention: str = CONVENTION_MODERN,
     ed_pred: ParadigmPredictions | None = None,
+    eae_pred: ParadigmPredictions | None = None,
     trigger_context: TriggerContext | None = None,
-    policy: CandidatePolicy = CandidatePolicy(),
-    options: StandardizeOptions = StandardizeOptions(),
-    eae_match: str = EAE_MATCH_BY_TYPE,
-    standardize: bool = True,
 ) -> EvaluationResult:
     """Runs ED and/or EAE scoring under one trigger context.
 
@@ -102,13 +153,12 @@ def evaluate(
     pipeline mode requires predicted triggers (from ed_pred or an explicit
     trigger_context). EAE records anchored outside the context are
     rejected: they indicate the experiment answered triggers it was never
-    given. standardize=False scores the predictions in their native output
-    space (`native_predictions`), which has no discard ledger.
+    given. A protocol without standardization scores the predictions in
+    their native output space (`native_predictions`), which has no
+    discard ledger.
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
-    if convention not in CONVENTIONS:
-        raise ConfigError(f"unknown convention {convention!r}")
+    mode, convention, standardize = protocol.mode, protocol.convention, protocol.standardize
+    policy, options = protocol.policy, protocol.options
     output_space = standardize_predictions if standardize else native_predictions
 
     ed_report = ed_std = ed_items = None
@@ -121,34 +171,25 @@ def evaluate(
 
     if mode == MODE_GOLD_TRIGGER:
         context = TriggerContext.from_gold(corpus)
+    elif trigger_context is not None:
+        context = trigger_context
+    elif ed_items is not None:
+        context = TriggerContext.from_items(ed_items, source="ed_predictions")
     else:
-        if trigger_context is not None:
-            context = trigger_context
-        elif ed_items is not None:
-            context = TriggerContext.from_items(ed_items, source="ed_predictions")
-        else:
-            raise ConfigError(
-                "pipeline mode requires ED predictions or a predicted-trigger file/store entry"
-            )
+        raise ConfigError("pipeline mode requires ED predictions or a predicted-trigger file/store entry")
 
-    eae_report = None
-    eae_std = None
+    eae_report = eae_std = None
     if eae_pred is not None:
         _require_task(eae_pred, TASK_ARGUMENT, "EAE prediction file")
         _check_anchors(eae_pred, context)
         eae_space = output_space(eae_pred, corpus, policy, options)
         eae_std = eae_space if standardize else None
         eae_report = score_argument_items(
-            corpus, argument_items_from(eae_space), context, convention=convention, mode=mode, eae_match=eae_match
+            corpus, argument_items_from(eae_space), context, convention=convention, mode=mode,
+            eae_match=protocol.eae_match,
         )
 
-    return EvaluationResult(
-        ed_report=ed_report,
-        eae_report=eae_report,
-        ed_standardized=ed_std,
-        eae_standardized=eae_std,
-        trigger_context=context,
-    )
+    return EvaluationResult(ed_report, eae_report, ed_std, eae_std, context)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from eescore.metrics import (
     score_trigger_items,
     trigger_items_from,
 )
-from eescore.pipeline import evaluate
+from eescore.pipeline import Protocol, evaluate
 from eescore.standardize import (
     CandidatePolicy,
     decode_bio,
@@ -342,8 +342,8 @@ def _two_event_fixture_predictions(corpus, include_second_event=True):
 def test_criterion_06_pipeline_vs_gold_trigger():
     corpus = resignation_corpus(second_event=True)
     ed, eae = _two_event_fixture_predictions(corpus)
-    gold_run = evaluate(corpus, eae, mode="gold_trigger")
-    pipe_run = evaluate(corpus, eae, mode="pipeline", ed_pred=ed)
+    gold_run = evaluate(corpus, Protocol(mode="gold_trigger"), eae_pred=eae)
+    pipe_run = evaluate(corpus, Protocol(mode="pipeline"), ed_pred=ed, eae_pred=eae)
     # byte-identical apart from the mode field, which records the requested
     # protocol and so differs by definition
     a = gold_run.eae_report.as_dict()
@@ -354,7 +354,7 @@ def test_criterion_06_pipeline_vs_gold_trigger():
 
     # drop the second event's trigger: 2 of 6 gold arguments leave reach
     ed_miss, eae_miss = _two_event_fixture_predictions(corpus, include_second_event=False)
-    degraded = evaluate(corpus, eae_miss, mode="pipeline", ed_pred=ed_miss)
+    degraded = evaluate(corpus, Protocol(mode="pipeline"), ed_pred=ed_miss, eae_pred=eae_miss)
     assert degraded.eae_report.counts.tp == 4
     assert degraded.eae_report.counts.fn == 2
     assert degraded.eae_report.recall == pytest.approx(4 / 6, abs=0)
@@ -365,8 +365,8 @@ def test_criterion_06_pipeline_vs_gold_trigger():
 def test_criterion_07_legacy_convention():
     corpus = resignation_corpus(second_event=True)
     ed_miss, eae_miss = _two_event_fixture_predictions(corpus, include_second_event=False)
-    modern = evaluate(corpus, eae_miss, mode="pipeline", ed_pred=ed_miss, convention="modern")
-    legacy = evaluate(corpus, eae_miss, mode="pipeline", ed_pred=ed_miss, convention="legacy")
+    modern = evaluate(corpus, Protocol(mode="pipeline", convention="modern"), ed_pred=ed_miss, eae_pred=eae_miss)
+    legacy = evaluate(corpus, Protocol(mode="pipeline", convention="legacy"), ed_pred=ed_miss, eae_pred=eae_miss)
     assert legacy.eae_report.recall == 1.0
     assert modern.eae_report.recall < 1.0
     assert modern.eae_report.recall == pytest.approx(4 / 6, abs=0)

@@ -3,12 +3,15 @@ import json
 import subprocess
 import sys
 
+from dataclasses import asdict
+
 import pytest
 
 from eescore import cli
 from eescore.core import Corpus
 from eescore.ingest import serialize_corpus
 from eescore.jsonio import dump_jsonl
+from eescore.pipeline import Protocol, protocol_keys
 
 from corpora import (
     delta_corpus,
@@ -67,6 +70,16 @@ def test_stats_output_that_cannot_be_replaced_leaves_no_temporary_file(tmp_path,
     assert run(["stats", "--corpus", corpus_path, "--output", out]) == 2
     assert "Is a directory" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "out"]
+
+
+@pytest.mark.parametrize("output, error", [("out", "[Errno 21] Is a directory"),
+                                           ("absent/out", "[Errno 2] No such file or directory")])
+def test_write_error_names_the_output_not_the_temporary_file(tmp_path, corpus_path, capsys, monkeypatch,
+                                                             output, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    assert run(["stats", "--corpus", corpus_path, "--output", output]) == 2
+    assert capsys.readouterr().err == f"eescore: error: {error}: '{output}'\n"
 
 
 def test_stats_invalid_corpus_exits_2(tmp_path, capsys):
@@ -218,7 +231,13 @@ def test_score_anchor_outside_context_exits_1(tmp_path, corpus_path):
     assert code == 1
 
 
-def test_score_no_standardize_rejects_cg(tmp_path, corpus_path):
+CG_WITHOUT_STANDARDIZE = (
+    "eescore: error: generation predictions cannot be scored without --standardize "
+    "(their mentions carry no positions)\n"
+)
+
+
+def test_score_no_standardize_rejects_cg(tmp_path, corpus_path, capsys):
     preds = tmp_path / "cg.jsonl"
     preds.write_bytes(
         dump_jsonl([{"doc_id": "doc-resignation", "task": "trigger",
@@ -227,6 +246,15 @@ def test_score_no_standardize_rejects_cg(tmp_path, corpus_path):
     code = run(["score", "--corpus", corpus_path, "--ed-predictions", preds,
                 "--ed-paradigm", "CG", "--no-standardize", "--output", tmp_path / "r.json"])
     assert code == 2
+    assert capsys.readouterr().err == CG_WITHOUT_STANDARDIZE
+
+
+def test_score_cg_rule_comes_before_the_k_and_input_checks(tmp_path, capsys):
+    code = run(["score", "--corpus", tmp_path / "missing.jsonl", "--ed-predictions", tmp_path / "cg.jsonl",
+                "--ed-paradigm", "CG", "--no-standardize", "--trigger-policy", "every_span_up_to_k",
+                "--output", tmp_path / "r.json"])
+    assert code == 2
+    assert capsys.readouterr().err == CG_WITHOUT_STANDARDIZE
 
 
 def test_score_table_output(tmp_path, corpus_path, capsys):
@@ -300,6 +328,19 @@ PROTOCOL_CHANGES = [
     ("ed_paradigm", "SL"),
     ("eae_paradigm", "SP"),
 ]
+
+
+def test_protocol_changes_cover_every_protocol_key():
+    assert {key for key, _ in PROTOCOL_CHANGES} == set(protocol_keys())
+
+
+def test_report_config_holds_the_default_protocol(tmp_path, corpus_path):
+    preds = cls_ed_file(tmp_path, corpus_path)
+    out = tmp_path / "r.json"
+    assert run(["score", "--corpus", corpus_path, "--ed-predictions", preds,
+                "--ed-paradigm", "CLS", "--output", out]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert {key: config[key] for key in protocol_keys()} == asdict(Protocol(ed_paradigm="CLS"))
 
 
 @pytest.mark.parametrize("key, value", PROTOCOL_CHANGES, ids=[key for key, _ in PROTOCOL_CHANGES])

@@ -9,6 +9,7 @@ from eescore.core import Argument, Corpus, EntityMention, EventAnnotation, Predi
 from eescore.errors import ConfigError, ContextError, StoreError
 from eescore.metrics import MODE_GOLD_TRIGGER, MODE_PIPELINE
 from eescore.pipeline import (
+    Protocol,
     TriggerContext,
     TriggerStore,
     corpus_fingerprint,
@@ -75,8 +76,8 @@ def test_gold_context_equals_pipeline_with_perfect_ed():
         "CLS",
         corpus,
     )
-    gold_run = evaluate(corpus, eae, mode=MODE_GOLD_TRIGGER)
-    pipe_run = evaluate(corpus, eae, mode=MODE_PIPELINE, ed_pred=ed)
+    gold_run = evaluate(corpus, Protocol(mode=MODE_GOLD_TRIGGER), eae_pred=eae)
+    pipe_run = evaluate(corpus, Protocol(mode=MODE_PIPELINE), ed_pred=ed, eae_pred=eae)
     gold_dict = gold_run.eae_report.as_dict()
     pipe_dict = pipe_run.eae_report.as_dict()
     # the mode field records the requested protocol and differs by definition;
@@ -107,7 +108,7 @@ def test_pipeline_fp_trigger_args_are_fp_and_missed_args_are_fn():
         "CLS",
         corpus,
     )
-    result = evaluate(corpus, eae, mode=MODE_PIPELINE, ed_pred=ed)
+    result = evaluate(corpus, Protocol(mode=MODE_PIPELINE), ed_pred=ed, eae_pred=eae)
     counts = result.eae_report.counts
     assert (counts.tp, counts.fp, counts.fn) == (2, 2, 2)
 
@@ -124,7 +125,7 @@ def test_gold_trigger_mode_perfect_eae():
         "CLS",
         corpus,
     )
-    result = evaluate(corpus, eae, mode=MODE_GOLD_TRIGGER)
+    result = evaluate(corpus, Protocol(mode=MODE_GOLD_TRIGGER), eae_pred=eae)
     assert result.eae_report.f1 == 1.0
 
 
@@ -137,7 +138,7 @@ def test_anchor_outside_context_is_hard_error():
         cls_argument_objs([((6, 7, "B"), [("e3", "r1")])]), "CLS", corpus
     )
     with pytest.raises(ContextError, match="never given"):
-        evaluate(corpus, eae, mode=MODE_PIPELINE, ed_pred=ed)
+        evaluate(corpus, Protocol(mode=MODE_PIPELINE), ed_pred=ed, eae_pred=eae)
 
 
 def test_gold_mode_rejects_anchor_not_in_gold():
@@ -146,7 +147,24 @@ def test_gold_mode_rejects_anchor_not_in_gold():
         cls_argument_objs([((3, 4, "C"), [("e1", "r1")])]), "CLS", corpus
     )
     with pytest.raises(ContextError):
-        evaluate(corpus, eae, mode=MODE_GOLD_TRIGGER)
+        evaluate(corpus, Protocol(mode=MODE_GOLD_TRIGGER), eae_pred=eae)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("mode", "oracle"), ("convention", "modern\n"), ("eae_match", "by_span"), ("trigger_policy", "every_span"),
+     ("k", 0), ("k", "2"), ("stray_i", "keep"), ("standardize", 1), ("ed_paradigm", "cls"), ("eae_paradigm", "")],
+)
+def test_protocol_rejects_each_invalid_field(field, value):
+    with pytest.raises(ConfigError):
+        Protocol(**{field: value})
+
+
+@pytest.mark.parametrize("paradigm", ["ed_paradigm", "eae_paradigm"])
+def test_protocol_rejects_generation_without_standardization(paradigm):
+    assert Protocol(**{paradigm: "CG"}).standardize is True
+    with pytest.raises(ConfigError, match="^generation predictions cannot be scored without --standardize"):
+        Protocol(standardize=False, **{paradigm: "CG"})
 
 
 def test_pipeline_without_triggers_is_config_error():
@@ -155,7 +173,7 @@ def test_pipeline_without_triggers_is_config_error():
         cls_argument_objs([((2, 3, "A"), [("e1", "r1")])]), "CLS", corpus
     )
     with pytest.raises(ConfigError, match="pipeline mode requires"):
-        evaluate(corpus, eae, mode=MODE_PIPELINE)
+        evaluate(corpus, Protocol(mode=MODE_PIPELINE), eae_pred=eae)
 
 
 def test_context_monotonicity_removing_correct_trigger():
@@ -177,8 +195,8 @@ def test_context_monotonicity_removing_correct_trigger():
     eae_reduced = predictions_from(
         cls_argument_objs([((2, 3, "A"), [("e1", "r1"), ("e2", "r2")])]), "CLS", corpus
     )
-    full = evaluate(corpus, eae_full, mode=MODE_PIPELINE, trigger_context=full_context)
-    reduced = evaluate(corpus, eae_reduced, mode=MODE_PIPELINE, trigger_context=reduced_context)
+    full = evaluate(corpus, Protocol(mode=MODE_PIPELINE), eae_pred=eae_full, trigger_context=full_context)
+    reduced = evaluate(corpus, Protocol(mode=MODE_PIPELINE), eae_pred=eae_reduced, trigger_context=reduced_context)
     assert reduced.eae_report.counts.tp <= full.eae_report.counts.tp
     assert reduced.eae_report.counts.fn >= full.eae_report.counts.fn
 
@@ -189,7 +207,7 @@ def test_mixed_task_prediction_file_rejected():
         cls_trigger_objs([{"candidate_id": "t:2:3", "label": "A"}]), "CLS", corpus
     )
     with pytest.raises(Exception, match="expected task 'argument'"):
-        evaluate(corpus, eae, mode=MODE_GOLD_TRIGGER)
+        evaluate(corpus, Protocol(mode=MODE_GOLD_TRIGGER), eae_pred=eae)
 
 
 def test_trigger_file_roundtrip():
@@ -213,7 +231,7 @@ def ed_report_for(corpus):
     ed = predictions_from(
         cls_trigger_objs([{"candidate_id": "t:2:3", "label": "A"}]), "CLS", corpus
     )
-    return evaluate(corpus, None, mode=MODE_PIPELINE, ed_pred=ed)
+    return evaluate(corpus, Protocol(mode=MODE_PIPELINE), ed_pred=ed)
 
 
 def test_store_put_then_get_roundtrip(tmp_path):
