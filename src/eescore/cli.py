@@ -221,9 +221,9 @@ def cmd_score(args) -> int:
     _validate_score_flags(args)
     protocol = _protocol(args)
     cfg = _load_variant(args)
-    corpus_raw = _load_corpus_checked(args)
-    fingerprint = corpus_fingerprint(corpus_raw, cfg)
-    corpus, _ = apply_variant(corpus_raw, cfg)
+    corpus = _load_corpus_checked(args)
+    fingerprint = corpus_fingerprint(corpus, cfg)
+    corpus, _ = apply_variant(corpus, cfg)  # the unvaried corpus is not kept alive
 
     ed_pred = None
     if args.ed_predictions:
@@ -361,9 +361,9 @@ def cmd_compare(args) -> int:
 def cmd_store_put(args) -> int:
     protocol = _protocol(args, mode=MODE_PIPELINE)
     cfg = _load_variant(args)
-    corpus_raw = _load_corpus_checked(args)
-    fingerprint = corpus_fingerprint(corpus_raw, cfg)
-    corpus, _ = apply_variant(corpus_raw, cfg)
+    corpus = _load_corpus_checked(args)
+    fingerprint = corpus_fingerprint(corpus, cfg)
+    corpus, _ = apply_variant(corpus, cfg)  # the unvaried corpus is not kept alive
     _require_file(args.predictions, "ED prediction file")
     predictions = load_predictions(args.predictions, args.paradigm, corpus)
     result = evaluate(corpus, protocol, ed_pred=predictions)

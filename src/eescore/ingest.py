@@ -131,21 +131,22 @@ def _iter_lines(stream: Stream) -> Iterator[tuple[int, str]]:
     hold U+2028, U+0085, "\f" and the other characters `str.splitlines`
     also breaks on, and the canonical writer emits them raw.
     """
-    if hasattr(stream, "read"):
-        data = stream.read()
-    else:
-        data = stream
-    if isinstance(data, (bytes, bytearray)):
+    text = stream.read() if hasattr(stream, "read") else stream
+    if isinstance(text, (bytes, bytearray)):
         try:
-            text = data.decode("utf-8")
+            text = text.decode("utf-8")  # the bytes are dropped from here on
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc}") from None
-    else:
-        text = data
-    for i, raw in enumerate(text.split("\n"), start=1):
-        raw = raw.removesuffix("\r")
+    # one line at a time: the text is held once, not again as a list of lines
+    start, i = 0, 1
+    while start <= len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        raw = text[start:end].removesuffix("\r")
         if raw.strip():
             yield i, raw
+        start, i = end + 1, i + 1
 
 
 def _load_object(raw: str, line: int) -> dict:

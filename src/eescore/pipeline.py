@@ -12,7 +12,6 @@ against the same predicted triggers.
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import os
 import re
 from dataclasses import dataclass, fields
@@ -53,6 +52,15 @@ from .standardize import (
     standardize_predictions,
 )
 from .variants import VariantConfig
+
+# the interpreter's built-in SHA-256 gives hashlib's digest without loading OpenSSL
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +206,7 @@ def evaluate(
 
 def corpus_fingerprint(corpus: Corpus, cfg: VariantConfig) -> str:
     """Binds a corpus's content to a preprocessing-variant configuration."""
-    h = hashlib.sha256()
+    h = sha256()
     h.update(serialize_corpus(corpus))
     h.update(canonical_line(cfg.as_dict()).encode("utf-8"))
     return h.hexdigest()

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import TASK_TRIGGER, Anchor, Corpus, Document, Span
@@ -49,6 +48,7 @@ DISCARD_DUP_CONFIDENCE = "duplicate_lower_confidence"
 DISCARD_DUP_ARRIVAL = "duplicate_later_arrival"
 DISCARD_UNPLACEABLE = "unplaceable_mention"
 DISCARD_UNKNOWN_CANDIDATE = "unknown_candidate"
+DISCARD_STRAY_I = "stray_inside_tag"
 
 
 @dataclass(frozen=True)
@@ -290,40 +290,49 @@ def _decode(
     candidates: TriggerCandidates | ArgumentCandidates,
     options: StandardizeOptions,
     doc: Document,
-) -> tuple[str, Iterator[tuple]]:
+) -> tuple[str, list[Discard], Iterator[tuple]]:
     """The one place that reads a record's paradigm payload.
 
-    Returns the provenance of the record's matches and its predictions as
-    (arrival index, span, candidate id, label, confidence, original)
-    tuples, where `original` is the JSON description of the prediction.
-    The span is None when the prediction has no position: a classification
-    id that names no candidate (its own id is kept) or a generated mention
-    with no occurrence left (candidate id None). Otherwise the candidate
-    id is None when no candidate has exactly that span. Unplaceable
-    generated items come before placed ones.
+    Returns the provenance of the record's matches, the discards found
+    while decoding, and the positioned predictions as (arrival index,
+    span, candidate id, label, confidence, original) tuples, where
+    `original` is the JSON description of the prediction and the
+    candidate id is None when no candidate has exactly that span. The
+    discards are a classification id that names no candidate, a generated
+    mention with no occurrence left and, under `--stray_i discard`, a
+    stray I tag that was dropped.
     """
     if record.assignments is not None:
-        return PROV_NATIVE, (
-            (i, candidates.span_of(a.candidate_id), a.candidate_id, a.label, a.confidence, a.as_dict())
-            for i, a in enumerate(record.assignments)
+        located = [(a, candidates.span_of(a.candidate_id)) for a in record.assignments]
+        unknown = [Discard(DISCARD_UNKNOWN_CANDIDATE, a.as_dict()) for a, span in located if span is None]
+        return PROV_NATIVE, unknown, (
+            (i, span, a.candidate_id, a.label, a.confidence, a.as_dict())
+            for i, (a, span) in enumerate(located)
+            if span is not None
         )
     if record.tags is not None:
-        return PROV_PROJECTED, (
+        decoded = decode_bio(record.tags, options.stray_i)
+        strays = []
+        if options.stray_i == STRAY_I_DISCARD:  # a non-O tag in no decoded span was dropped
+            covered = {t for span, _ in decoded for t in range(span.start, span.end)}
+            strays = [
+                Discard(DISCARD_STRAY_I, {"tag": tag, "token": t})
+                for t, tag in enumerate(record.tags)
+                if tag != "O" and t not in covered
+            ]
+        return PROV_PROJECTED, strays, (
             (i, span, candidates.id_of(span), label, None, SpanPrediction(span, label).as_dict())
-            for i, (span, label) in enumerate(decode_bio(record.tags, options.stray_i))
+            for i, (span, label) in enumerate(decoded)
         )
     if record.spans is not None:
-        return PROV_PROJECTED, (
+        return PROV_PROJECTED, [], (
             (i, sp.span, candidates.id_of(sp.span), sp.label, sp.confidence, sp.as_dict())
             for i, sp in enumerate(record.spans)
         )
     placed, unplaceable = position_cg(record.items or (), doc)
-    return PROV_POSITIONED, chain(
-        ((i, None, None, it.label, it.confidence, it.as_dict()) for it, i in unplaceable),
-        (
-            (i, span, candidates.id_of(span), it.label, it.confidence, {**it.as_dict(), "span": span.as_pair()})
-            for span, it, i in placed
-        ),
+    return PROV_POSITIONED, [Discard(DISCARD_UNPLACEABLE, it.as_dict()) for it, _ in unplaceable], (
+        (i, span, candidates.id_of(span), it.label, it.confidence, {**it.as_dict(), "span": span.as_pair()})
+        for span, it, i in placed
     )
 
 
@@ -341,16 +350,12 @@ def _project(
     record: every input prediction becomes exactly one assignment or one
     discard.
     """
-    discards: list[Discard] = []
     matched: list[MatchedPrediction] = []
     originals: dict[int, dict] = {}  # arrival_index -> JSON description
     spans: dict[str, Span] = {}  # candidate_id -> span, for every matched candidate
-    provenance_base, decoded = _decode(record, candidates, options, doc)
+    provenance_base, discards, decoded = _decode(record, candidates, options, doc)
     for idx, span, cid, label, confidence, original in decoded:
-        if span is None:
-            reason = DISCARD_UNPLACEABLE if cid is None else DISCARD_UNKNOWN_CANDIDATE
-            discards.append(Discard(reason, original))
-        elif cid is None:
+        if cid is None:
             discards.append(Discard(DISCARD_OVERLAP, original))
         else:
             spans[cid] = span
@@ -438,11 +443,9 @@ def native_predictions(
         raise ConfigError("generation predictions cannot be scored without standardization")
     records = []
     for record, candidates, doc in _with_candidates(predictions, corpus, policy):
-        provenance, decoded = _decode(record, candidates, options, doc)
+        provenance, _, decoded = _decode(record, candidates, options, doc)
         assignments = tuple(
-            Assignment(cid, span, label, provenance, confidence)
-            for _, span, cid, label, confidence, _ in decoded
-            if span is not None
+            Assignment(cid, span, label, provenance, confidence) for _, span, cid, label, confidence, _ in decoded
         )
         records.append(StandardizedRecord(record.doc_id, record.task, record.anchor, assignments, (), record.line))
     return tuple(records)

@@ -1,9 +1,11 @@
 import gc
 import json
+import os
 import subprocess
 import sys
 
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -523,6 +525,35 @@ def test_console_entry_point_subprocess(tmp_path, corpus_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["token_count"] == 21
+
+
+# runs a score and a put in one interpreter; prints the modules of
+# hashlib (and so of OpenSSL) that they added to the bare interpreter's
+OPENSSL_PROBE = """
+import sys
+bare = set(sys.modules)
+from eescore import cli
+corpus, ed, root = sys.argv[1:]
+codes = [
+    cli.main(["score", "--corpus", corpus, "--ed-predictions", ed, "--ed-paradigm", "CLS",
+              "--output", root + "/report.json"]),
+    cli.main(["trigger-store", "put", "--store", root + "/store", "--corpus", corpus,
+              "--predictions", ed, "--paradigm", "CLS", "--producer", "p"]),
+]
+print(codes, sorted({"hashlib", "_hashlib"} & (set(sys.modules) - bare)))
+"""
+
+
+def test_score_and_put_never_load_hashlib(tmp_path, corpus_path):
+    ed = tmp_path / "ed.jsonl"
+    ed.write_bytes(dump_jsonl([{"doc_id": "doc-resignation", "task": "trigger",
+                                "assignments": [{"candidate_id": "t:8:9", "label": "End-Position"}]}]))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", OPENSSL_PROBE, str(corpus_path), str(ed), str(tmp_path)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0] []"
+    assert (tmp_path / "report.json").is_file()
 
 
 def _tags(**at):

@@ -1,13 +1,19 @@
+import io
 import json
 import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from eescore.errors import ParseError, ValidationError
+from eescore.errors import ParseError, ToolkitError, ValidationError
 from eescore.ingest import (
+    PARADIGMS,
+    _iter_lines,
     parse_corpus,
     parse_predictions,
+    parse_trigger_file,
     serialize_corpus,
 )
 from eescore.jsonio import dump_jsonl
@@ -115,6 +121,48 @@ def test_crlf_lines_keep_their_numbers():
     with pytest.raises(ParseError, match="line 3"):
         parse_corpus(data)
     assert len(parse_corpus(first.replace(b"\n", b"\r\n"))) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["\n", "\r\n", "\r", " ", "\t", "\f", "\u2028", "\x85", "a", "{}", "é"]), max_size=30))
+@example(["a", "\r\n", "\r\n", "\u2028", "\n", "\f", "\n", "a"])
+def test_iter_lines_splits_on_newline_only(parts):
+    text = "".join(parts)
+    want = [(i, l.removesuffix("\r")) for i, l in enumerate(text.split("\n"), 1) if l.removesuffix("\r").strip()]
+    for stream in (text, text.encode("utf-8"), io.BytesIO(text.encode("utf-8"))):
+        assert list(_iter_lines(stream)) == want
+
+
+def _parsers():
+    """Every parser of an input file, each taking the bytes alone."""
+    corpus = resignation_corpus()
+    yield parse_corpus
+    for paradigm in PARADIGMS:
+        yield lambda data, paradigm=paradigm: parse_predictions(data, paradigm, corpus)
+    yield lambda data: parse_trigger_file(data, corpus, source="t")
+
+
+# valid lines of each input kind, for mixing with noise
+VALID_LINES = [
+    serialize_corpus(resignation_corpus()).rstrip(b"\n"),
+    b'{"doc_id":"doc-resignation","task":"trigger","assignments":[{"candidate_id":"t:8:9","label":"A"}]}',
+    b'{"doc_id":"doc-resignation","task":"trigger","tags":["O"]}',
+    b'{"doc_id":"doc-resignation","task":"trigger","spans":[{"span":[8,9],"label":"A"}]}',
+    b'{"doc_id":"doc-resignation","task":"argument","anchor":{"trigger":[8,9],"event_type":"A"},'
+    b'"items":[{"mention":["Musk"],"label":"P"}]}',
+    b'{"doc_id":"doc-resignation","triggers":[{"span":[8,9],"event_type":"A"}]}',
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.binary(max_size=40), st.sampled_from(VALID_LINES)), max_size=4))
+def test_every_parser_is_total_on_arbitrary_bytes(lines):
+    data = b"\n".join(lines)
+    for parse in _parsers():
+        try:
+            parse(data)
+        except ToolkitError:
+            pass
 
 
 @pytest.mark.parametrize("nested", [b"[" * 100000, b'{"a":' * 100000], ids=["arrays", "objects"])

@@ -1,12 +1,18 @@
+import hashlib
 import json
+import random
 import re
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eescore.core import Argument, Corpus, EntityMention, EventAnnotation, PredictedTrigger, Span
 from eescore.errors import ConfigError, ContextError, StoreError
+from eescore.ingest import serialize_corpus
+from eescore.jsonio import canonical_line
 from eescore.metrics import MODE_GOLD_TRIGGER, MODE_PIPELINE
 from eescore.pipeline import (
     Protocol,
@@ -17,9 +23,10 @@ from eescore.pipeline import (
     parse_trigger_file,
     serialize_trigger_context,
 )
-from eescore.variants import VariantConfig
+from eescore.variants import MENTION_MODES, MULTI_TOKEN_POLICIES, VariantConfig
 
 from corpora import predictions_from, resignation_corpus, simple_doc
+from gen import random_corpus
 
 
 def two_event_corpus():
@@ -225,6 +232,19 @@ def test_fingerprint_binds_corpus_and_variant():
     assert base == corpus_fingerprint(two_event_corpus(), VariantConfig())
     assert base != corpus_fingerprint(corpus, VariantConfig(include_time=False))
     assert base != corpus_fingerprint(resignation_corpus(), VariantConfig())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    cfg=st.builds(VariantConfig, entity_mention_mode=st.sampled_from(MENTION_MODES),
+                  multi_token_policy=st.sampled_from(MULTI_TOKEN_POLICIES)),
+)
+def test_fingerprint_is_hashlib_sha256_of_corpus_and_variant(seed, cfg):
+    """The built-in SHA-256 the fingerprint uses gives hashlib's digest."""
+    corpus = random_corpus(random.Random(seed))
+    data = serialize_corpus(corpus) + canonical_line(cfg.as_dict()).encode("utf-8")
+    assert corpus_fingerprint(corpus, cfg) == hashlib.sha256(data).hexdigest()
 
 
 def ed_report_for(corpus):

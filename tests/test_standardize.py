@@ -6,17 +6,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eescore.core import Document, EntityMention, Span
+from eescore.core import Corpus, Document, EntityMention, Span
 from eescore.ingest import CgItem, ParadigmPredictions
 from eescore.standardize import (
     DISCARD_DUP_ARRIVAL,
     DISCARD_DUP_CONFIDENCE,
     DISCARD_OVERLAP,
+    DISCARD_STRAY_I,
     DISCARD_UNKNOWN_CANDIDATE,
     DISCARD_UNPLACEABLE,
     ArgumentCandidates,
     CandidatePolicy,
     MatchedPrediction,
+    StandardizeOptions,
     TriggerCandidates,
     decode_bio,
     position_cg,
@@ -226,6 +228,33 @@ def test_decode_label_change_closes_run():
 def test_decode_stray_i_discard_mode():
     assert decode_bio(["O", "I-Place", "O"], stray_i="discard") == []
     assert decode_bio(["B-A", "I-B", "I-B"], stray_i="discard") == [(Span(0, 1), "A")]
+
+
+def stray_tokens(tags):
+    """The I tags that no same-label B starts a run for, found by walking back."""
+    out = []
+    for t, tag in enumerate(tags):
+        if tag.startswith("I-"):
+            s = t
+            while s > 0 and tags[s - 1] == tag:
+                s -= 1
+            if s == 0 or tags[s - 1] != "B-" + tag[2:]:
+                out.append(t)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["O", "B-X", "I-X", "B-Y", "I-Y"]), max_size=12))
+@example(["B-A", "I-B", "I-B", "O", "I-C", "B-C", "I-C"])
+def test_every_dropped_stray_i_tag_is_one_ledger_row(tags):
+    corpus = Corpus(documents=(simple_doc("d", len(tags)),))
+    predictions = predictions_from([{"doc_id": "d", "task": "trigger", "tags": tags}], "SL", corpus)
+    for mode, want in (("open_span", []), ("discard", stray_tokens(tags))):
+        (record,) = standardize_predictions(predictions, corpus, options=StandardizeOptions(mode))
+        rows = [d.original for d in record.discarded if d.reason == DISCARD_STRAY_I]
+        assert rows == [{"tag": tags[t], "token": t} for t in want]
+        # conservation: every decoded span and every dropped tag is one assignment or one discard
+        assert len(record.assignments) + len(record.discarded) == len(decode_bio(tags, mode)) + len(want)
 
 
 def test_decode_matches_reference_on_random_tags():
