@@ -35,6 +35,7 @@ from .pipeline import (
     TriggerStore,
     corpus_fingerprint,
     evaluate,
+    is_score,
     protocol_keys,
     serialize_trigger_context,
 )
@@ -297,7 +298,7 @@ _SCORES = ("precision", "recall", "f1")
 def _load_report(path) -> dict:
     """A score report whose fingerprint is a string, whose config holds
     every protocol key, and whose "ed" and "eae" are each null or carry
-    numeric precision, recall and f1."""
+    precision, recall and f1 as numbers in [0, 1]."""
     _require_file(path, "report file")
     try:
         obj = read_json(path)
@@ -314,9 +315,9 @@ def _load_report(path) -> dict:
     for task in ("ed", "eae"):
         scores = obj.get(task)
         if scores is not None and not (
-            isinstance(scores, dict) and all(type(scores.get(m)) in (int, float) for m in _SCORES)
+            isinstance(scores, dict) and all(is_score(scores.get(m)) for m in _SCORES)
         ):
-            raise ConfigError(f"report {path}: {task!r} lacks numeric {', '.join(_SCORES)}")
+            raise ConfigError(f"report {path}: {task!r} lacks {', '.join(_SCORES)} as numbers in [0, 1]")
     return obj
 
 

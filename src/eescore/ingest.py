@@ -167,6 +167,12 @@ def _load_object(raw: str, line: int) -> dict:
 # JSON yields exact list/int/str/dict, so `type(x) is` admits exactly what
 # `isinstance` admits (bool is not int); a locator such as "spans[{}].span"
 # is filled in with its index only when the check raises.
+#
+# The decoder makes a new object for every string and pair it reads, and one
+# file repeats a few ids, labels, tokens and spans many times. Each parse
+# keeps one copy of each value that has passed its checks: `share =
+# {}.setdefault` lives for the call, and `share(v, v)` is the first value
+# equal to v. The values are immutable, so sharing them is safe.
 
 
 def _reject_extras(obj: dict, allowed: frozenset, line: int) -> None:
@@ -196,12 +202,12 @@ def _require(obj: dict, key: str, line: int):
         raise ParseError(f"missing field {key!r}", line) from None
 
 
-def _text(obj: dict, key: str, line: int, what: str | None = None, index: int = 0) -> str:
+def _text(obj: dict, key: str, line: int, share, what: str | None = None, index: int = 0) -> str:
     """obj[key], which must be a string; `what` (default: the key) names it."""
     value = _require(obj, key, line)
     if type(value) is not str:
         raise ParseError(f"{(what or key).format(index)} must be a string", line)
-    return value
+    return share(value, value)
 
 
 def _strings(value) -> bool:
@@ -209,7 +215,7 @@ def _strings(value) -> bool:
     return type(value) is list and set(map(type, value)) <= _STR_TYPE
 
 
-def _decode_span(value, what: str, line: int, index: int = 0, n_tokens: int = -1) -> Span:
+def _decode_span(value, what: str, line: int, share, index: int = 0, n_tokens: int = -1) -> Span:
     """A [start, end] integer pair; with `n_tokens` >= 0 it must also lie
     inside a document of that many tokens."""
     if type(value) is not list or len(value) != 2 or type(value[0]) is not int or type(value[1]) is not int:
@@ -218,7 +224,8 @@ def _decode_span(value, what: str, line: int, index: int = 0, n_tokens: int = -1
         raise ParseError(
             f"{what.format(index)} [{value[0]}, {value[1]}] out of bounds for {n_tokens} tokens", line
         )
-    return _new_span(value)
+    span = _new_span(value)
+    return share(span, span)
 
 
 def _confidence(obj: dict, line: int) -> float | None:
@@ -247,10 +254,11 @@ def parse_corpus(stream: Stream) -> Corpus:
     """Parses a JSONL corpus, validating every document invariant."""
     docs: list[Document] = []
     seen: dict[str, int] = {}
+    share = {}.setdefault
     for line, raw in _iter_lines(stream):
         obj = _load_object(raw, line)
         _reject_extras(obj, _DOCUMENT_FIELDS, line)
-        doc_id = _text(obj, "id", line)
+        doc_id = _text(obj, "id", line, share)
         if doc_id in seen:
             raise ParseError(
                 f"duplicate document id {doc_id!r} (first seen at line {seen[doc_id]})", line
@@ -264,14 +272,14 @@ def parse_corpus(stream: Stream) -> Corpus:
         sentences = _require(obj, "sentences", line)
         if type(sentences) is not list:
             raise ParseError("sentences must be an array", line)
-        sentence_spans = tuple([_decode_span(s, "sentences[{}]", line, i) for i, s in enumerate(sentences)])
+        sentence_spans = tuple([_decode_span(s, "sentences[{}]", line, share, i) for i, s in enumerate(sentences)])
 
         entities = tuple([
             EntityMention(
-                id=_text(e, "id", line, "entities[{}].id", i),
-                span=_decode_span(_require(e, "span", line), "entities[{}].span", line, i),
-                head_span=_decode_span(_require(e, "head_span", line), "entities[{}].head_span", line, i),
-                kind=_text(e, "kind", line, "entities[{}].kind", i),
+                id=_text(e, "id", line, share, "entities[{}].id", i),
+                span=_decode_span(_require(e, "span", line), "entities[{}].span", line, share, i),
+                head_span=_decode_span(_require(e, "head_span", line), "entities[{}].head_span", line, share, i),
+                kind=_text(e, "kind", line, share, "entities[{}].kind", i),
             )
             for i, e in _objects(_require(obj, "entities", line), "entities", _ENTITY_FIELDS, line)
         ])
@@ -280,21 +288,21 @@ def parse_corpus(stream: Stream) -> Corpus:
         for i, ev in _objects(_require(obj, "events", line), "events", _EVENT_FIELDS, line):
             raw_args = _require(ev, "arguments", line)
             args = tuple([
-                Argument(entity_id=_text(a, "entity_id", line), role=_text(a, "role", line))
+                Argument(entity_id=_text(a, "entity_id", line, share), role=_text(a, "role", line, share))
                 for _, a in _objects(raw_args, "events[{}].arguments", _ARGUMENT_FIELDS, line, i)
             ])
             events.append(
                 EventAnnotation(
-                    id=_text(ev, "id", line, "events[{}].id", i),
-                    event_type=_text(ev, "type", line, "events[{}].type", i),
-                    trigger=_decode_span(_require(ev, "trigger", line), "events[{}].trigger", line, i),
+                    id=_text(ev, "id", line, share, "events[{}].id", i),
+                    event_type=_text(ev, "type", line, share, "events[{}].type", i),
+                    trigger=_decode_span(_require(ev, "trigger", line), "events[{}].trigger", line, share, i),
                     arguments=args,
                 )
             )
 
         doc = Document(
             id=doc_id,
-            tokens=tuple(tokens),
+            tokens=tuple(map(share, tokens, tokens)),
             sentences=sentence_spans,
             entities=entities,
             events=tuple(events),
@@ -335,28 +343,29 @@ def serialize_corpus(corpus: Corpus) -> bytes:
 # predictions
 
 
-def _parse_anchor(obj, n_tokens: int, line: int) -> Anchor:
+def _parse_anchor(obj, n_tokens: int, line: int, share) -> Anchor:
     if type(obj) is not dict:
         raise ParseError("anchor must be an object", line)
     _reject_extras(obj, _ANCHOR_FIELDS, line)
-    trigger = _decode_span(_require(obj, "trigger", line), "anchor.trigger", line, n_tokens=n_tokens)
-    return Anchor(trigger=trigger, event_type=_text(obj, "event_type", line, "anchor.event_type"))
+    trigger = _decode_span(_require(obj, "trigger", line), "anchor.trigger", line, share, n_tokens=n_tokens)
+    return Anchor(trigger=trigger, event_type=_text(obj, "event_type", line, share, "anchor.event_type"))
 
 
-def _parse_assignments(raw, n_tokens: int, line: int) -> tuple[ClsAssignment, ...]:
+def _parse_assignments(raw, n_tokens: int, line: int, share) -> tuple[ClsAssignment, ...]:
     out = []
     seen: set[str] = set()
     for _, a in _objects(raw, "assignments", _ASSIGNMENT_FIELDS, line):
-        cid = _text(a, "candidate_id", line)
+        cid = _text(a, "candidate_id", line, share)
         if cid in seen:
             raise ParseError(f"multiple assignments for candidate_id {cid!r}", line)
         seen.add(cid)
-        out.append(ClsAssignment(candidate_id=cid, label=_text(a, "label", line), confidence=_confidence(a, line)))
+        label = _text(a, "label", line, share)
+        out.append(ClsAssignment(candidate_id=cid, label=label, confidence=_confidence(a, line)))
     _check_uniform_confidence(out, line)
     return tuple(out)
 
 
-def _parse_tags(raw, n_tokens: int, line: int) -> tuple[str, ...]:
+def _parse_tags(raw, n_tokens: int, line: int, share) -> tuple[str, ...]:
     if not _strings(raw):
         raise ParseError("tags must be an array of strings", line)
     if len(raw) != n_tokens:
@@ -364,14 +373,14 @@ def _parse_tags(raw, n_tokens: int, line: int) -> tuple[str, ...]:
     if not all(map(_TAG_RE.fullmatch, set(raw))):  # each distinct tag once
         i, t = next((i, t) for i, t in enumerate(raw) if not _TAG_RE.fullmatch(t))
         raise ParseError(f"malformed tag {t!r} at position {i}", line)
-    return tuple(raw)
+    return tuple(map(share, raw, raw))
 
 
-def _parse_spans(raw, n_tokens: int, line: int) -> tuple[SpanPrediction, ...]:
+def _parse_spans(raw, n_tokens: int, line: int, share) -> tuple[SpanPrediction, ...]:
     out = [
         SpanPrediction(
-            span=_decode_span(_require(s, "span", line), "spans[{}].span", line, i, n_tokens),
-            label=_text(s, "label", line),
+            span=_decode_span(_require(s, "span", line), "spans[{}].span", line, share, i, n_tokens),
+            label=_text(s, "label", line, share),
             confidence=_confidence(s, line),
         )
         for i, s in _objects(raw, "spans", _PREDICTION_FIELDS, line)
@@ -380,18 +389,19 @@ def _parse_spans(raw, n_tokens: int, line: int) -> tuple[SpanPrediction, ...]:
     return tuple(out)
 
 
-def _parse_items(raw, n_tokens: int, line: int) -> tuple[CgItem, ...]:
+def _parse_items(raw, n_tokens: int, line: int, share) -> tuple[CgItem, ...]:
     out = []
     for i, it in _objects(raw, "items", _ITEM_FIELDS, line):
         mention = _require(it, "mention", line)
         if not mention or not _strings(mention):
             raise ParseError(f"items[{i}].mention must be a non-empty array of strings", line)
-        out.append(CgItem(mention=tuple(mention), label=_text(it, "label", line), confidence=_confidence(it, line)))
+        label = _text(it, "label", line, share)
+        out.append(CgItem(mention=tuple(map(share, mention, mention)), label=label, confidence=_confidence(it, line)))
     _check_uniform_confidence(out, line)
     return tuple(out)
 
 
-# each takes (payload, token count of the document, line)
+# each takes (payload, token count of the document, line, share)
 _PAYLOAD_PARSERS = {
     PARADIGM_CLS: _parse_assignments,
     PARADIGM_SL: _parse_tags,
@@ -413,22 +423,23 @@ def parse_predictions(stream: Stream, paradigm: str, corpus: Corpus) -> Paradigm
     allowed = _RECORD_FIELDS | {payload_field}
     records: list[PredictionRecord] = []
     seen: dict[tuple, int] = {}
+    share = {}.setdefault
     for line, raw in _iter_lines(stream):
         obj = _load_object(raw, line)
         _reject_extras(obj, allowed, line)
 
-        doc_id = _text(obj, "doc_id", line)
+        doc_id = _text(obj, "doc_id", line, share)
         if doc_id not in corpus:
             raise ParseError(f"unknown doc_id {doc_id!r}", line)
         n = len(corpus.get(doc_id).tokens)
 
-        task = _text(obj, "task", line)
+        task = _text(obj, "task", line, share)
         if task not in TASKS:
             raise ParseError(f"task must be one of {TASKS}, got {task!r}", line)
 
         anchor = None
         if task == TASK_ARGUMENT:
-            anchor = _parse_anchor(_require(obj, "anchor", line), n, line)
+            anchor = _parse_anchor(_require(obj, "anchor", line), n, line, share)
         elif "anchor" in obj:
             raise ParseError("anchor is only allowed when task is 'argument'", line)
 
@@ -440,7 +451,7 @@ def parse_predictions(stream: Stream, paradigm: str, corpus: Corpus) -> Paradigm
             )
         seen[key] = line
 
-        payload = parse_payload(_require(obj, payload_field, line), n, line)
+        payload = parse_payload(_require(obj, payload_field, line), n, line, share)
         records.append(PredictionRecord(doc_id, task, anchor, line=line, **{payload_field: payload}))
     return ParadigmPredictions(paradigm=paradigm, records=tuple(records))
 
@@ -453,10 +464,11 @@ def parse_trigger_file(stream: Stream, corpus: Corpus, source: str) -> TriggerCo
     """Parses a predicted-trigger file (one line per document) into a trigger context."""
     table: dict = {}
     seen: dict[str, int] = {}
+    share = {}.setdefault
     for line, raw in _iter_lines(stream):
         obj = _load_object(raw, line)
         _reject_extras(obj, _TRIGGER_FILE_FIELDS, line)
-        doc_id = _text(obj, "doc_id", line)
+        doc_id = _text(obj, "doc_id", line, share)
         if doc_id not in corpus:
             raise ParseError(f"unknown doc_id {doc_id!r}", line)
         if doc_id in seen:
@@ -465,8 +477,8 @@ def parse_trigger_file(stream: Stream, corpus: Corpus, source: str) -> TriggerCo
         n = len(corpus.get(doc_id).tokens)
         table[doc_id] = tuple([
             PredictedTrigger(
-                span=_decode_span(_require(t, "span", line), "triggers[{}].span", line, i, n),
-                event_type=_text(t, "event_type", line),
+                span=_decode_span(_require(t, "span", line), "triggers[{}].span", line, share, i, n),
+                event_type=_text(t, "event_type", line, share),
                 confidence=_confidence(t, line),
             )
             for i, t in _objects(_require(obj, "triggers", line), "triggers", _TRIGGER_FIELDS, line)

@@ -234,6 +234,11 @@ _MANIFEST_FIELDS = {
 }
 
 
+def is_score(value) -> bool:
+    """True for a JSON number in [0, 1], so not for a bool, NaN or infinity."""
+    return type(value) in (int, float) and 0 <= value <= 1
+
+
 def _manifest_entry(row, where: str) -> TriggerStoreEntry:
     if not isinstance(row, dict):
         raise StoreError(f"{where} is not an object")
@@ -242,6 +247,8 @@ def _manifest_entry(row, where: str) -> TriggerStoreEntry:
             raise StoreError(f"{where} lacks {key!r}")
         if not isinstance(row[key], types) or isinstance(row[key], bool):
             raise StoreError(f"{where} has a {type(row[key]).__name__} {key!r}")
+    if not is_score(row["ed_f1"]):
+        raise StoreError(f"{where} has an 'ed_f1' that is not a number in [0, 1]")
     if not _PRODUCER_RE.fullmatch(row["producer"]):
         raise StoreError(f"{where} has producer {row['producer']!r}, which does not match {_PRODUCER_RE.pattern}")
     name = row["file"]

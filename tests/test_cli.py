@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -660,6 +661,57 @@ def test_compare_malformed_report_exits_2(tmp_path, corpus_path, capsys, make_ba
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("eescore: error: report ")
+
+
+@pytest.mark.parametrize("f1", [b"9" * 400, b"NaN", b"1e999", b"-Infinity", b"1.5", b"-0.0001"],
+                         ids=["400-digits", "nan", "1e999", "-inf", "above-1", "below-0"])
+def test_compare_score_outside_0_1_exits_2(tmp_path, corpus_path, capsys, f1):
+    preds = cls_ed_file(tmp_path, corpus_path)
+    good = tmp_path / "good.json"
+    assert run(["score", "--corpus", corpus_path, "--ed-predictions", preds,
+                "--ed-paradigm", "CLS", "--output", good]) == 0
+    report = json.loads(good.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(json.dumps(dict(report, ed=dict(report["ed"], f1="@"))).encode().replace(b'"@"', f1))
+    capsys.readouterr()
+    for argv in (["compare", good, bad], ["compare", bad, good]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"eescore: error: report {bad}: 'ed' lacks precision, recall, f1 as numbers in [0, 1]\n"
+        )
+
+
+@pytest.mark.parametrize("ed_f1", [b"9" * 400, b"NaN", b"1e999", b"1.5"],
+                         ids=["400-digits", "nan", "1e999", "above-1"])
+def test_manifest_ed_f1_outside_0_1_exits_1(tmp_path, corpus_path, capsys, ed_f1):
+    preds = cls_ed_file(tmp_path, corpus_path)
+    store = tmp_path / "store"
+    put = ["trigger-store", "put", "--store", store, "--corpus", corpus_path,
+           "--predictions", preds, "--paradigm", "CLS", "--producer", "model-x"]
+    assert run(put) == 0
+    manifest = store / "manifest.json"
+    manifest.write_bytes(re.sub(rb'"ed_f1": [0-9.]+', b'"ed_f1": ' + ed_f1, manifest.read_bytes()))
+    eae = tmp_path / "eae.jsonl"
+    eae.write_bytes(dump_jsonl([{"doc_id": "doc-resignation", "task": "argument", "anchor": EP_ANCHOR,
+                                 "assignments": [{"candidate_id": "e1", "label": "Person"}]}]))
+    commands = [
+        ["trigger-store", "list", "--store", store],
+        ["trigger-store", "get", "--store", store, "--corpus", corpus_path, "--output", tmp_path / "t.jsonl"],
+        put,
+        ["score", "--corpus", corpus_path, "--eae-predictions", eae, "--eae-paradigm", "CLS",
+         "--mode", "pipeline", "--store", store, "--output", tmp_path / "r.json"],
+    ]
+    capsys.readouterr()
+    for argv in commands:
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"eescore: error: corrupt manifest {manifest}: entry 0 has an 'ed_f1' that is not a number in [0, 1]\n"
+        )
+    assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("tag", ["O\n", "B-End-Position\n"])

@@ -77,7 +77,7 @@ PATHS = set(INPUTS) | {"store", REPORT, "good.json"}
 # JSON tokens and the separators of the line and config formats
 FRAGMENTS = (
     b'"', b"[", b"]", b"{", b"}", b",", b":", b"=", b"#", b"\n", b"\r", b"\\", b"null", b"true", b"0", b"-1",
-    b"1.5", b"1e999", b"[]", b"{}", b'""', b'"x"', b'"O"', b"\\u0000", b"\xff", b"\xc3",
+    b"1.5", b"1e999", b"[]", b"{}", b'""', b'"x"', b'"O"', b"\\u0000", b"\xff", b"\xc3", b"NaN", b"9" * 400,
 )
 
 

@@ -2,11 +2,13 @@ import io
 import json
 import random
 import re
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eescore.core import Span
 from eescore.errors import ParseError, ToolkitError, ValidationError
 from eescore.ingest import (
     PARADIGMS,
@@ -19,7 +21,7 @@ from eescore.ingest import (
 from eescore.jsonio import dump_jsonl
 
 from corpora import resignation_corpus, resignation_document
-from gen import random_corpus, random_trigger_predictions
+from gen import gold_anchor_table, random_argument_predictions, random_corpus, random_trigger_predictions
 from oracles import serialize_predictions
 
 RESIGNATION_OBJ = {
@@ -189,6 +191,52 @@ def test_prediction_roundtrip_all_paradigms():
             preds = random_trigger_predictions(rng, corpus, paradigm)
             data = serialize_predictions(preds)
             assert serialize_predictions(parse_predictions(data, paradigm, corpus)) == data
+
+
+def _kept_values(value, out: list) -> list:
+    """Every string and span a parse result holds."""
+    if type(value) is str or type(value) is Span:
+        out.append(value)
+    elif isinstance(value, tuple):
+        for item in value:
+            _kept_values(item, out)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _kept_values(key, out)
+            _kept_values(item, out)
+    elif is_dataclass(value):
+        for f in fields(value):
+            _kept_values(getattr(value, f.name), out)
+    return out
+
+
+def _assert_one_object_per_value(result) -> None:
+    values = _kept_values(result, [])
+    assert len({id(v) for v in values}) == len(set(values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_each_parse_keeps_one_object_per_distinct_value(seed):
+    """Equal tokens, ids, labels, tags and spans within one parsed file are
+    one object (the values themselves are checked by the round-trip,
+    differential and golden tests)."""
+    rng = random.Random(seed)
+    corpus = parse_corpus(serialize_corpus(random_corpus(rng, require_event_with_argument=True)))
+    _assert_one_object_per_value(corpus)
+    anchors = gold_anchor_table(corpus)
+    for paradigm in PARADIGMS:
+        for predictions in (
+            random_trigger_predictions(rng, corpus, paradigm),
+            random_argument_predictions(rng, corpus, paradigm, anchors),
+        ):
+            parsed = parse_predictions(serialize_predictions(predictions), paradigm, corpus)
+            _assert_one_object_per_value(parsed.records)
+    triggers = dump_jsonl(
+        {"doc_id": d.id, "triggers": [{"span": e.trigger.as_pair(), "event_type": e.event_type} for e in d.events]}
+        for d in corpus
+    )
+    _assert_one_object_per_value(parse_trigger_file(triggers, corpus, source="t").triggers)
 
 
 def test_sl_tag_length_mismatch():

@@ -78,10 +78,13 @@ def _draw_path(data, records: list) -> tuple:
     return data.draw(st.sampled_from(by_field[field]))
 
 
-def _replacement(data, old):
-    """A value of the same JSON type as `old` half of the time, else any."""
+def _replacement(data, old, extra: tuple = ()):
+    """A value of the same JSON type as `old` half of the time, else any:
+    one of `extra` half of the rest of the time, when there are any."""
     if type(old) in SAME_TYPE and data.draw(st.booleans()):
         return copy.deepcopy(data.draw(st.sampled_from(SAME_TYPE[type(old)])))
+    if extra and data.draw(st.booleans()):
+        return copy.deepcopy(data.draw(st.sampled_from(extra)))
     return copy.deepcopy(data.draw(st.sampled_from(REPLACEMENTS)))
 
 
@@ -119,7 +122,7 @@ def _replace_run(records: list, path: tuple, values) -> list:
     return records
 
 
-def _mutate(data, records: list) -> list:
+def _mutate(data, records: list, extra: tuple = ()) -> list:
     for _ in range(data.draw(st.integers(1, 3))):
         if not records:
             break
@@ -127,11 +130,11 @@ def _mutate(data, records: list) -> list:
         *parent_path, last = path = _draw_path(data, records)
         if op == "replace_run" and type(last) is int:
             siblings = _at(records, parent_path)[last : last + data.draw(st.integers(2, 4))]
-            records = _replace_run(records, path, [_replacement(data, old) for old in siblings])
+            records = _replace_run(records, path, [_replacement(data, old, extra) for old in siblings])
         elif op == "add":
             records = _edit(records, path, op, data.draw(st.sampled_from(ADDED_KEYS)))
         else:
-            records = _edit(records, path, op.removesuffix("_run"), _replacement(data, _at(records, path)))
+            records = _edit(records, path, op.removesuffix("_run"), _replacement(data, _at(records, path), extra))
     return records
 
 

@@ -337,6 +337,10 @@ GOOD_ROW = {"corpus_id": "c.jsonl", "fingerprint": "f" * 64, "producer": "p", "f
         ([dict(GOOD_ROW, file="t\0.jsonl")], "not a file name inside the store"),
         ([dict(GOOD_ROW, producer="p\n")], "producer 'p\\n', which does not match"),
         ([dict(GOOD_ROW, producer="a/b")], "producer 'a/b', which does not match"),
+        ([dict(GOOD_ROW, ed_f1=float("nan"))], "an 'ed_f1' that is not a number in [0, 1]"),
+        ([dict(GOOD_ROW, ed_f1=10**400)], "an 'ed_f1' that is not a number in [0, 1]"),
+        ([dict(GOOD_ROW, ed_f1=float("inf"))], "an 'ed_f1' that is not a number in [0, 1]"),
+        ([dict(GOOD_ROW, ed_f1=-0.5)], "an 'ed_f1' that is not a number in [0, 1]"),
     ],
 )
 def test_corrupt_manifest_is_a_store_error(tmp_path, manifest, problem):
