@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -19,16 +20,7 @@ from pathlib import Path
 from .errors import ConfigError, ParseError, ToolkitError, ValidationError
 from .ingest import PARADIGMS, load_corpus, load_predictions, load_trigger_file, parse_trigger_file
 from .jsonio import canonical_line, dump_jsonl, format_report, read_json, write_atomic
-from .metrics import (
-    CONVENTION_MODERN,
-    CONVENTIONS,
-    EAE_MATCH_BY_TYPE,
-    EAE_MATCH_MODES,
-    MODE_GOLD_TRIGGER,
-    MODE_PIPELINE,
-    MODES,
-    EvalReport,
-)
+from .metrics import CONVENTIONS, EAE_MATCH_MODES, MODE_GOLD_TRIGGER, MODE_PIPELINE, MODES, EvalReport
 from .pipeline import (
     Protocol,
     TriggerContext,
@@ -41,8 +33,6 @@ from .pipeline import (
 )
 from .standardize import (
     STRAY_I_MODES,
-    STRAY_I_OPEN,
-    TRIGGER_POLICY_EVERY_TOKEN,
     TRIGGER_POLICY_SPANS_UP_TO_K,
     TRIGGER_POLICIES,
     serialize_standardized,
@@ -61,9 +51,11 @@ def _err(message) -> None:
     print(f"eescore: error: {message}", file=sys.stderr)
 
 
-def _require_file(path, what: str) -> None:
-    if not Path(path).is_file():
-        raise ConfigError(f"{what} {path!r} does not exist")
+def _read(path, what: str, load, *args):
+    """`load(path, *args)`, once `path` is known to name a file."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} {path!r} {'is not a file' if os.path.exists(path) else 'does not exist'}")
+    return load(path, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -84,37 +76,41 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trigger-policy",
         choices=TRIGGER_POLICIES,
-        default=TRIGGER_POLICY_EVERY_TOKEN,
+        default=Protocol.trigger_policy,
         help="trigger candidate enumeration",
     )
     p.add_argument("--k", type=int, help="max span length for every_span_up_to_k")
 
 
 def _add_standardize_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--stray_i", choices=STRAY_I_MODES, default=STRAY_I_OPEN,
+    p.add_argument("--stray_i", choices=STRAY_I_MODES, default=Protocol.stray_i,
                    help="how to decode a stray I tag")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility and ignored: scoring runs in one thread")
 
 
-def _load_variant(args) -> VariantConfig:
-    if args.variant:
-        _require_file(args.variant, "variant config")
-        cfg = load_variant_config(args.variant)
-    else:
-        cfg = VariantConfig()
+def _load_inputs(args):
+    """The variant config that the flags select, and the corpus as read,
+    before the variant is applied."""
+    cfg = _read(args.variant, "variant config", load_variant_config) if args.variant else VariantConfig()
     if args.multi_token_policy:
         cfg = replace(cfg, multi_token_policy=args.multi_token_policy)
-    return cfg
-
-
-def _load_corpus_checked(args):
-    _require_file(args.corpus, "corpus")
     try:
-        return load_corpus(args.corpus)
+        return cfg, _read(args.corpus, "corpus", load_corpus)
     except (ParseError, ValidationError) as exc:
         # data the run cannot even start from: configuration/validation class
         raise ConfigError(f"corpus {args.corpus}: {exc}") from None
+
+
+def _store_entry(args, fingerprint: str):
+    """The store's entry and trigger bytes for the corpus under `fingerprint`."""
+    found = TriggerStore(args.store).get(Path(args.corpus).name, fingerprint, args.producer)
+    if found is None:
+        raise ToolkitError(
+            f"no trigger-store entry for corpus {Path(args.corpus).name!r} and the "
+            f"current variant fingerprint {fingerprint[:12]}... (stale or missing entry)"
+        )
+    return found
 
 
 def _protocol(args, **fixed) -> Protocol:
@@ -140,8 +136,7 @@ def _protocol(args, **fixed) -> Protocol:
 
 def cmd_stats(args) -> int:
     policy = _protocol(args).policy
-    cfg = _load_variant(args)
-    corpus = _load_corpus_checked(args)
+    cfg, corpus = _load_inputs(args)
     applied, report = apply_variant(corpus, cfg)
     stats = compute_stats(applied, policy)
     payload = stats._asdict()
@@ -204,16 +199,9 @@ def _validate_score_flags(args) -> None:
 
 def _pipeline_context(args, corpus, fingerprint: str) -> TriggerContext | None:
     if args.triggers:
-        _require_file(args.triggers, "trigger file")
-        return load_trigger_file(args.triggers, corpus)
+        return _read(args.triggers, "trigger file", load_trigger_file, corpus)
     if args.store:
-        found = TriggerStore(args.store).get(Path(args.corpus).name, fingerprint, args.producer)
-        if found is None:
-            raise ToolkitError(
-                f"no trigger-store entry for corpus {Path(args.corpus).name!r} and the "
-                f"current variant fingerprint {fingerprint[:12]}... (stale or missing entry)"
-            )
-        entry, payload = found
+        entry, payload = _store_entry(args, fingerprint)
         return parse_trigger_file(payload, corpus, source=f"store:{entry.producer}")
     return None
 
@@ -221,24 +209,15 @@ def _pipeline_context(args, corpus, fingerprint: str) -> TriggerContext | None:
 def cmd_score(args) -> int:
     _validate_score_flags(args)
     protocol = _protocol(args)
-    cfg = _load_variant(args)
-    corpus = _load_corpus_checked(args)
+    cfg, corpus = _load_inputs(args)
     fingerprint = corpus_fingerprint(corpus, cfg)
     corpus, _ = apply_variant(corpus, cfg)  # the unvaried corpus is not kept alive
-
-    ed_pred = None
+    ed_pred = eae_pred = None
     if args.ed_predictions:
-        _require_file(args.ed_predictions, "ED prediction file")
-        ed_pred = load_predictions(args.ed_predictions, args.ed_paradigm, corpus)
-    eae_pred = None
+        ed_pred = _read(args.ed_predictions, "ED prediction file", load_predictions, args.ed_paradigm, corpus)
     if args.eae_predictions:
-        _require_file(args.eae_predictions, "EAE prediction file")
-        eae_pred = load_predictions(args.eae_predictions, args.eae_paradigm, corpus)
-
-    trigger_context = None
-    if args.mode == MODE_PIPELINE:
-        trigger_context = _pipeline_context(args, corpus, fingerprint)
-
+        eae_pred = _read(args.eae_predictions, "EAE prediction file", load_predictions, args.eae_paradigm, corpus)
+    trigger_context = _pipeline_context(args, corpus, fingerprint) if args.mode == MODE_PIPELINE else None
     result = evaluate(corpus, protocol, ed_pred=ed_pred, eae_pred=eae_pred, trigger_context=trigger_context)
 
     payload = {
@@ -278,11 +257,9 @@ def cmd_score(args) -> int:
 
 def cmd_standardize(args) -> int:
     protocol = _protocol(args)
-    cfg = _load_variant(args)
-    corpus = _load_corpus_checked(args)
+    cfg, corpus = _load_inputs(args)
     corpus, _ = apply_variant(corpus, cfg)
-    _require_file(args.predictions, "prediction file")
-    predictions = load_predictions(args.predictions, args.paradigm, corpus)
+    predictions = _read(args.predictions, "prediction file", load_predictions, args.paradigm, corpus)
     standardized = standardize_predictions(predictions, corpus, protocol.policy, protocol.options)
     write_atomic(args.output, serialize_standardized(standardized))
     return 0
@@ -299,9 +276,8 @@ def _load_report(path) -> dict:
     """A score report whose fingerprint is a string, whose config holds
     every protocol key, and whose "ed" and "eae" are each null or carry
     precision, recall and f1 as numbers in [0, 1]."""
-    _require_file(path, "report file")
     try:
-        obj = read_json(path)
+        obj = _read(path, "report file", read_json)
     except ValueError as exc:
         raise ConfigError(f"report {path}: {exc}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("fingerprint"), str):
@@ -312,6 +288,10 @@ def _load_report(path) -> dict:
     for key in protocol_keys():
         if key not in config:
             raise ConfigError(f"report {path}: config lacks {key!r}")
+    try:
+        Protocol(**{key: config[key] for key in protocol_keys()})
+    except ConfigError as exc:
+        raise ConfigError(f"report {path}: {exc}") from None
     for task in ("ed", "eae"):
         scores = obj.get(task)
         if scores is not None and not (
@@ -361,12 +341,10 @@ def cmd_compare(args) -> int:
 
 def cmd_store_put(args) -> int:
     protocol = _protocol(args, mode=MODE_PIPELINE)
-    cfg = _load_variant(args)
-    corpus = _load_corpus_checked(args)
+    cfg, corpus = _load_inputs(args)
     fingerprint = corpus_fingerprint(corpus, cfg)
     corpus, _ = apply_variant(corpus, cfg)  # the unvaried corpus is not kept alive
-    _require_file(args.predictions, "ED prediction file")
-    predictions = load_predictions(args.predictions, args.paradigm, corpus)
+    predictions = _read(args.predictions, "ED prediction file", load_predictions, args.paradigm, corpus)
     result = evaluate(corpus, protocol, ed_pred=predictions)
     trigger_bytes = serialize_trigger_context(result.trigger_context)
     entry = TriggerStore(args.store).put(
@@ -381,17 +359,8 @@ def cmd_store_put(args) -> int:
 
 
 def cmd_store_get(args) -> int:
-    cfg = _load_variant(args)
-    corpus = _load_corpus_checked(args)
-    fingerprint = corpus_fingerprint(corpus, cfg)
-    found = TriggerStore(args.store).get(Path(args.corpus).name, fingerprint, args.producer)
-    if found is None:
-        _err(
-            f"no trigger-store entry for corpus {Path(args.corpus).name!r} and fingerprint "
-            f"{fingerprint[:12]}..."
-        )
-        return 1
-    entry, payload = found
+    cfg, corpus = _load_inputs(args)
+    entry, payload = _store_entry(args, corpus_fingerprint(corpus, cfg))
     write_atomic(args.output, payload)
     print(f"{entry.producer}\t{entry.file}\tED F1 {entry.ed_f1 * 100:.1f}")
     return 0
@@ -430,16 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--ed-paradigm", choices=PARADIGMS)
     p_score.add_argument("--eae-predictions", help="argument prediction JSONL")
     p_score.add_argument("--eae-paradigm", choices=PARADIGMS)
-    p_score.add_argument("--mode", choices=MODES, default=MODE_GOLD_TRIGGER)
-    p_score.add_argument("--convention", choices=CONVENTIONS, default=CONVENTION_MODERN)
-    p_score.add_argument("--eae_match", choices=EAE_MATCH_MODES, default=EAE_MATCH_BY_TYPE)
+    p_score.add_argument("--mode", choices=MODES, default=Protocol.mode)
+    p_score.add_argument("--convention", choices=CONVENTIONS, default=Protocol.convention)
+    p_score.add_argument("--eae_match", choices=EAE_MATCH_MODES, default=Protocol.eae_match)
     p_score.add_argument("--triggers", help="predicted-trigger JSONL for pipeline mode")
     p_score.add_argument("--store", help="trigger-store directory for pipeline mode")
     p_score.add_argument("--producer", help="trigger-store producer to use")
     p_score.add_argument(
         "--standardize",
         action=argparse.BooleanOptionalAction,
-        default=True,
+        default=Protocol.standardize,
         help="project predictions onto the candidate space before scoring",
     )
     p_score.add_argument("--dump-discards", dest="dump_discards",

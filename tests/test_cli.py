@@ -683,6 +683,44 @@ def test_compare_score_outside_0_1_exits_2(tmp_path, corpus_path, capsys, f1):
         )
 
 
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("k", b"NaN", "standardize must be a bool and k an int, not True and nan"),
+        ("k", b"1e999", "standardize must be a bool and k an int, not True and inf"),
+        ("k", b"0", "k must be >= 1"),
+        ("mode", b'"NaN"', "unknown mode 'NaN'"),
+        ("standardize", b'"yes"', "standardize must be a bool and k an int, not 'yes' and 1"),
+    ],
+    ids=["k-nan", "k-1e999", "k-0", "mode-nan", "standardize-yes"],
+)
+def test_compare_refuses_a_protocol_that_protocol_rejects(tmp_path, corpus_path, capsys, key, value, error):
+    """A report compared with itself shares its protocol, but an invalid
+    protocol value is still no protocol a score was made under."""
+    preds = cls_ed_file(tmp_path, corpus_path)
+    good = tmp_path / "good.json"
+    assert run(["score", "--corpus", corpus_path, "--ed-predictions", preds,
+                "--ed-paradigm", "CLS", "--output", good]) == 0
+    report = json.loads(good.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(json.dumps(dict(report, config=dict(report["config"], **{key: "@"}))).encode()
+                    .replace(b'"@"', value))
+    capsys.readouterr()
+    assert run(["compare", bad, bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"eescore: error: report {bad}: {error}\n"
+
+
+@pytest.mark.parametrize("argv, what", [(["stats", "--corpus", "{dir}"], "corpus"),
+                                        (["compare", "{dir}", "{dir}"], "report file")], ids=["stats", "compare"])
+def test_a_directory_given_as_an_input_file_is_not_a_file(tmp_path, capsys, argv, what):
+    assert run([str(tmp_path) if a == "{dir}" else a for a in argv]) == 2
+    assert capsys.readouterr().err == f"eescore: error: {what} {str(tmp_path)!r} is not a file\n"
+    assert run([str(tmp_path / "absent") if a == "{dir}" else a for a in argv]) == 2
+    assert capsys.readouterr().err == f"eescore: error: {what} {str(tmp_path / 'absent')!r} does not exist\n"
+
+
 @pytest.mark.parametrize("ed_f1", [b"9" * 400, b"NaN", b"1e999", b"1.5"],
                          ids=["400-digits", "nan", "1e999", "above-1"])
 def test_manifest_ed_f1_outside_0_1_exits_1(tmp_path, corpus_path, capsys, ed_f1):

@@ -104,6 +104,11 @@ CASES = {
                           "--output", "report.json"],
         SCORE + EAE_SL + ["--mode", "pipeline", "--store", "store", "--producer", "model-y",
                           "--output", "report.json"],
+        # nothing was put under the variant: both readers of the store give one message and exit 1
+        ["trigger-store", "get", "--store", "store", "--corpus", "corpus.jsonl", "--variant", "variant.cfg",
+         "--output", "missing.jsonl"],
+        SCORE + ["--variant", "variant.cfg", *EAE_SL, "--mode", "pipeline", "--store", "store",
+                 "--output", "missing.json"],
     ],
 }
 

@@ -60,3 +60,27 @@ def test_every_dataclass_validates_or_caches():
             ):
                 offenders.append(f"{path.name}: {node.name}")
     assert offenders == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module imports is read somewhere in it. `__init__.py`
+    re-exports by design, and an import whose first line is marked
+    `# noqa: F401` is a deliberate re-export too."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    offenders.append(f"{path.name}: {bound}")
+    assert offenders == []
