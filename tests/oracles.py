@@ -7,8 +7,9 @@ grouping runs in a second. They must never import the implementations
 they check beyond the shared data types.
 
 The candidate enumerator lists every candidate of a document where the
-package derives them. The helpers after it serve tests only: the package
-has no use for them. The reference parsers at the end are the
+package derives them, and the reference projection matches, resolves and
+orders predictions against that full list. The helpers after them serve
+tests only: the package has no use for them. The reference parsers at the end are the
 field-by-field parsers and document validator as they stood before the
 field checks were made cheap, kept so that the current ones can be
 diffed against them.
@@ -50,6 +51,7 @@ from eescore.ingest import (
     PredictionRecord,
     SpanPrediction,
 )
+from eescore.standardize import Assignment, Discard, StandardizedRecord
 
 
 def max_matching(pred_keys, gold_keys) -> int:
@@ -186,6 +188,107 @@ def enumerate_candidates(doc: Document, task: str, policy=None) -> list[tuple[Sp
             for end in range(start + 1, min(start + policy.k, sent.end) + 1)
         ]
     return sorted((span, f"t:{span.start}:{span.end}") for span in spans)
+
+
+# ---------------------------------------------------------------------------
+# projection, defined the slow way
+
+
+def _json_prediction(head: dict, label: str, confidence) -> dict:
+    obj = {**head, "label": label}
+    if confidence is not None:
+        obj["confidence"] = confidence
+    return obj
+
+
+def _reference_record(record: PredictionRecord, doc: Document, candidates, stray_i: str) -> StandardizedRecord:
+    """One record projected: see `reference_project`."""
+    id_spans = {cid: span for span, cid in candidates}
+    early: list[Discard] = []  # predictions that never reach a span
+    spanned: list[tuple] = []  # (span, candidate id or None, label, confidence, JSON original), arrival order
+    if record.assignments is not None:
+        provenance = "native"
+        for a in record.assignments:
+            original = _json_prediction({"candidate_id": a.candidate_id}, a.label, a.confidence)
+            if a.candidate_id in id_spans:
+                spanned.append((id_spans[a.candidate_id], a.candidate_id, a.label, a.confidence, original))
+            else:
+                early.append(Discard("unknown_candidate", original))
+    elif record.tags is not None:
+        provenance = "projected"
+        for span, label in reference_bio_decode(record.tags):
+            if stray_i == "discard" and record.tags[span.start].startswith("I-"):  # opened by a stray I tag
+                early += [Discard("stray_inside_tag", {"tag": record.tags[t], "token": t})
+                          for t in range(span.start, span.end)]
+            else:
+                spanned.append((span, None, label, None, {"span": [span.start, span.end], "label": label}))
+    elif record.spans is not None:
+        provenance = "projected"
+        for sp in record.spans:
+            original = _json_prediction({"span": [sp.span.start, sp.span.end]}, sp.label, sp.confidence)
+            spanned.append((sp.span, None, sp.label, sp.confidence, original))
+    else:
+        provenance = "positioned"
+        placed_so_far: Counter = Counter()
+        for item in record.items:
+            occurrences = occurrences_by_window_scan(doc.tokens, item.mention)
+            original = _json_prediction({"mention": list(item.mention)}, item.label, item.confidence)
+            if placed_so_far[item.mention] < len(occurrences):
+                span = occurrences[placed_so_far[item.mention]]
+                placed_so_far[item.mention] += 1
+                spanned.append((span, None, item.label, item.confidence, {**original, "span": [span.start, span.end]}))
+            else:
+                early.append(Discard("unplaceable_mention", original))
+
+    # strict matching: a span lands on the first candidate (in id order) with exactly that span
+    matched = []  # (candidate id, span, label, confidence, original), arrival order
+    overlaps = []
+    for span, cid, label, confidence, original in spanned:
+        if cid is None:
+            cid = next((c for s, c in candidates if s == span), None)
+        if cid is None:
+            overlaps.append(Discard("overlap_mismatch", original))
+        else:
+            matched.append((cid, span, label, confidence, original))
+
+    winners = {}
+    losers = []
+    for cid in dict.fromkeys(m[0] for m in matched):  # candidates by first arrival
+        group = [m for m in matched if m[0] == cid]
+        best = group[0]
+        for m in group:
+            if m[3] is not None and m[3] > best[3]:
+                best = m
+        winners[cid] = (best, len(group) > 1)
+        for m in group:
+            if m is not best:
+                late = m[3] is None or m[3] == best[3]
+                losers.append(Discard("duplicate_later_arrival" if late else "duplicate_lower_confidence", m[4]))
+
+    assignments = tuple(
+        Assignment(cid, span, winners[cid][0][2], "resolved_duplicate" if winners[cid][1] else provenance,
+                   winners[cid][0][3])
+        for span, cid in candidates  # sorted by span, then id
+        if cid in winners
+    )
+    return StandardizedRecord(record.doc_id, record.task, record.anchor, assignments,
+                              tuple(early + overlaps + losers), record.line)
+
+
+def reference_project(predictions: ParadigmPredictions, corpus: Corpus, policy, stray_i: str) -> tuple:
+    """`standardize_predictions` by enumeration: every record against the
+    full, sorted candidate list of its document. A prediction lands on a
+    candidate only when the spans are equal. Per candidate, the
+    highest-confidence prediction wins, ties and unscored records going to
+    the first to arrive; the assignments follow candidate order (start,
+    end, id). The discards come in three runs, each in arrival order:
+    predictions that never reach a span (an unknown id, an unplaceable
+    mention, a dropped stray I tag), spans that are no candidate, and the
+    losing duplicates, candidate by candidate in order of first arrival."""
+    return tuple(
+        _reference_record(r, corpus.get(r.doc_id), enumerate_candidates(corpus.get(r.doc_id), r.task, policy), stray_i)
+        for r in predictions.records
+    )
 
 
 # ---------------------------------------------------------------------------

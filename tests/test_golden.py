@@ -46,6 +46,12 @@ INPUTS = {
         {"span": [8, 9], "label": "End-Position", "confidence": 0.9},
         {"span": [8, 9], "label": "Meet", "confidence": 0.4},
         {"span": [3, 5], "label": "Attack", "confidence": 0.7}]}]),
+    # ED without confidences: one span twice, so the later prediction loses
+    "ed_sp_unscored.jsonl": dump_jsonl([{"doc_id": "doc-resignation", "task": "trigger", "spans": [
+        {"span": [8, 9], "label": "End-Position"}, {"span": [8, 9], "label": "Meet"}]}]),
+    # ED: a candidate id past the last token
+    "ed_cls_unknown.jsonl": dump_jsonl([{"doc_id": "doc-resignation", "task": "trigger", "assignments": [
+        {"candidate_id": "t:99:100", "label": "Attack"}, {"candidate_id": "t:8:9", "label": "End-Position"}]}]),
     # EAE: a hit, a span overlapping a mention, a stray I tag, a wrong role
     "eae_sl.jsonl": dump_jsonl([
         {"doc_id": "doc-resignation", "task": "argument", "anchor": EP,
@@ -80,6 +86,10 @@ CASES = {
          "--output", "ed.std.jsonl"],
         ["standardize", "--corpus", "corpus.jsonl", "--stray_i", "discard", "--predictions", "eae_sl.jsonl",
          "--paradigm", "SL", "--output", "eae.std.jsonl"],
+        ["standardize", "--corpus", "corpus.jsonl", "--predictions", "ed_sp_unscored.jsonl", "--paradigm", "SP",
+         "--output", "ed_unscored.std.jsonl"],
+        ["standardize", "--corpus", "corpus.jsonl", "--predictions", "ed_cls_unknown.jsonl", "--paradigm", "CLS",
+         "--output", "ed_unknown.std.jsonl"],
     ],
     "stats": [
         ["stats", "--corpus", "corpus.jsonl"],

@@ -17,18 +17,22 @@ from eescore.standardize import (
     DISCARD_UNPLACEABLE,
     ArgumentCandidates,
     CandidatePolicy,
-    MatchedPrediction,
     StandardizeOptions,
     TriggerCandidates,
     decode_bio,
     position_cg,
-    resolve_duplicates,
     standardize_predictions,
 )
 
 from corpora import predictions_from, resignation_corpus, resignation_document, simple_doc
 from gen import gold_anchor_table, random_argument_predictions, random_corpus, random_trigger_predictions
-from oracles import enumerate_candidates, occurrences_by_window_scan, reference_bio_decode, to_cls_records
+from oracles import (
+    enumerate_candidates,
+    occurrences_by_window_scan,
+    reference_bio_decode,
+    reference_project,
+    to_cls_records,
+)
 
 ANCHOR = {"trigger": [8, 9], "event_type": "End-Position"}
 
@@ -278,45 +282,48 @@ def test_decode_matches_reference_on_random_tags():
 # duplicate resolution
 
 
+def resolve_on_one_span(entries):
+    """Standardizes one SP record whose (label, confidence) entries all
+    predict the span of mention e1; returns the winning label and the
+    discards as (reason, label), in ledger order."""
+    corpus = resignation_corpus()
+    spans = [{"span": [0, 2], "label": label, **({} if c is None else {"confidence": c})} for label, c in entries]
+    objs = [{"doc_id": "doc-resignation", "task": "argument", "anchor": ANCHOR, "spans": spans}]
+    (record,) = standardize_predictions(predictions_from(objs, "SP", corpus), corpus)
+    (winner,) = record.assignments
+    assert winner.candidate_id == "e1"
+    assert winner.provenance == ("resolved_duplicate" if len(entries) > 1 else "projected")
+    return winner.label, [(d.reason, d.original["label"]) for d in record.discarded]
+
+
 def test_duplicates_tie_goes_to_first_appearing():
-    winners, discards = resolve_duplicates(
-        [MatchedPrediction("c1", "A", 0.7, 0), MatchedPrediction("c1", "B", 0.7, 1)]
-    )
-    assert winners["c1"].label == "A"
-    assert discards[0][1] == DISCARD_DUP_ARRIVAL
+    assert resolve_on_one_span([("A", 0.7), ("B", 0.7)]) == ("A", [(DISCARD_DUP_ARRIVAL, "B")])
 
 
 def test_duplicates_no_confidence_first_appearing():
-    winners, _ = resolve_duplicates(
-        [MatchedPrediction("c1", "A", None, 1), MatchedPrediction("c1", "B", None, 0)]
-    )
-    assert winners["c1"].label == "B"
+    assert resolve_on_one_span([("B", None), ("A", None)]) == ("B", [(DISCARD_DUP_ARRIVAL, "A")])
 
 
 def test_duplicates_singleton():
-    winners, discards = resolve_duplicates([MatchedPrediction("c1", "A", 0.2, 0)])
-    assert winners["c1"].label == "A" and not discards
+    assert resolve_on_one_span([("A", 0.2)]) == ("A", [])
 
 
 def test_duplicates_exhaustive_orderings():
-    # all orderings of 2 and 3 duplicates: winner must be independent of
-    # order when confidences differ, and the first appearing otherwise
-    entries = [("A", 0.9), ("B", 0.5), ("C", 0.7)]
-    for k in (2, 3):
-        for perm in itertools.permutations(entries[:k]):
-            matched = [
-                MatchedPrediction("c", label, conf, idx) for idx, (label, conf) in enumerate(perm)
-            ]
-            winners, discards = resolve_duplicates(matched)
-            assert winners["c"].label == "A"
-            assert len(discards) == k - 1
-    for k in (2, 3):
-        for perm in itertools.permutations([("A", None), ("B", None), ("C", None)][:k]):
-            matched = [
-                MatchedPrediction("c", label, conf, idx) for idx, (label, conf) in enumerate(perm)
-            ]
-            winners, _ = resolve_duplicates(matched)
-            assert winners["c"].label == perm[0][0]
+    # every ordering of 2 and 3 duplicates: with distinct confidences the
+    # winner does not depend on the order; a tie, or no confidences at all,
+    # goes to the first appearing; the losers stay in arrival order
+    for entries in ([("A", 0.9), ("B", 0.5), ("C", 0.7)], [("A", 0.9), ("B", 0.9), ("C", 0.5)],
+                    [("A", None), ("B", None), ("C", None)]):
+        for k in (2, 3):
+            for perm in itertools.permutations(entries[:k]):
+                top = max(c or 0 for _, c in perm)
+                winner = next(label for label, c in perm if (c or 0) == top)
+                losers = [
+                    (DISCARD_DUP_CONFIDENCE if (c or 0) < top else DISCARD_DUP_ARRIVAL, label)
+                    for label, c in perm
+                    if label != winner
+                ]
+                assert resolve_on_one_span(perm) == (winner, losers), perm
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +550,20 @@ def test_order_stability_with_distinct_confidences():
     baseline = run(spans)
     for perm in itertools.permutations(spans):
         assert run(list(perm)) == baseline
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["CLS", "SL", "SP", "CG"]), policies,
+       st.sampled_from(["open_span", "discard"]))
+@settings(max_examples=150, deadline=None)
+def test_projection_equals_reference(seed, paradigm, policy, stray_i):
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, max_tokens=10)
+    for preds in (
+        random_trigger_predictions(rng, corpus, paradigm),
+        random_argument_predictions(rng, corpus, paradigm, gold_anchor_table(corpus)),
+    ):
+        got = standardize_predictions(preds, corpus, policy, StandardizeOptions(stray_i))
+        assert got == reference_project(preds, corpus, policy, stray_i)
 
 
 def test_jobs_do_not_change_output():
