@@ -53,7 +53,6 @@ from .standardize import (
     decode_bio,
     native_predictions,
     position_cg,
-    resolve_duplicates,
     standardize_predictions,
 )
 from .variants import (

@@ -103,11 +103,13 @@ def _load_inputs(args):
 
 
 def _store_entry(args, fingerprint: str):
-    """The store's entry and trigger bytes for the corpus under `fingerprint`."""
+    """The store's entry and trigger bytes for the corpus under `fingerprint`,
+    by `--producer` when one is given."""
     found = TriggerStore(args.store).get(Path(args.corpus).name, fingerprint, args.producer)
     if found is None:
+        by = "" if args.producer is None else f" by producer {args.producer!r}"
         raise ToolkitError(
-            f"no trigger-store entry for corpus {Path(args.corpus).name!r} and the "
+            f"no trigger-store entry{by} for corpus {Path(args.corpus).name!r} and the "
             f"current variant fingerprint {fingerprint[:12]}... (stale or missing entry)"
         )
     return found

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Any
 
 
-def canonical_line(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+def canonical_line(obj: Any, default=None) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=default)
 
 
 def dump_jsonl(objs) -> bytes:

@@ -43,7 +43,9 @@ from .metrics import (
     trigger_items_from,
 )
 from .standardize import (
+    STRAY_I_MODES,
     STRAY_I_OPEN,
+    TRIGGER_POLICIES,
     TRIGGER_POLICY_EVERY_TOKEN,
     CandidatePolicy,
     StandardizedRecord,
@@ -113,22 +115,25 @@ class Protocol:
     eae_paradigm: str | None = None
 
     def __post_init__(self):
+        # a refused value is shown as JSON, as a report spells it (repr for what JSON cannot hold)
         paradigms = (None, *PARADIGMS)
         for name, allowed in (("mode", MODES), ("convention", CONVENTIONS), ("eae_match", EAE_MATCH_MODES),
+                              ("trigger_policy", TRIGGER_POLICIES), ("stray_i", STRAY_I_MODES),
                               ("ed_paradigm", paradigms), ("eae_paradigm", paradigms)):
             if getattr(self, name) not in allowed:
-                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
+                raise ConfigError(f"unknown {name} {canonical_line(getattr(self, name), repr)}")
         if type(self.standardize) is not bool or type(self.k) is not int:
-            raise ConfigError(f"standardize must be a bool and k an int, not {self.standardize!r} and {self.k!r}")
+            raise ConfigError(
+                "standardize must be a bool and k an int, "
+                f"not {canonical_line(self.standardize, repr)} and {canonical_line(self.k, repr)}"
+            )
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
         if not self.standardize and PARADIGM_CG in (self.ed_paradigm, self.eae_paradigm):
             raise ConfigError(
                 "generation predictions cannot be scored without --standardize "
                 "(their mentions carry no positions)"
             )
-        try:
-            self.policy, self.options
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     @property
     def policy(self) -> CandidatePolicy:

@@ -222,67 +222,25 @@ def position_cg(
     a given mention is placed on its k-th occurrence. Returns (placed,
     unplaceable), both carrying the item's arrival index.
     """
-    occurrences: dict[tuple[str, ...], list[Span]] = {}
-    used: dict[tuple[str, ...], int] = {}
+    unused: dict[tuple[str, ...], Iterator[Span]] = {}  # mention -> its occurrences not yet placed
     placed: list[tuple[Span, CgItem, int]] = []
     unplaceable: list[tuple[CgItem, int]] = []
     tokens = doc.tokens
     for idx, item in enumerate(items):
         mention = item.mention
-        if mention not in occurrences:
+        if mention not in unused:
             width = len(mention)
-            occurrences[mention] = [
+            unused[mention] = iter([
                 Span(s, s + width)
                 for s in doc.token_positions.get(mention[0], ())
                 if tokens[s : s + width] == mention
-            ]
-            used[mention] = 0
-        k = used[mention]
-        if k < len(occurrences[mention]):
-            placed.append((occurrences[mention][k], item, idx))
-            used[mention] = k + 1
-        else:
+            ])
+        span = next(unused[mention], None)
+        if span is None:
             unplaceable.append((item, idx))
-    return placed, unplaceable
-
-
-class MatchedPrediction(NamedTuple):
-    """A prediction that strictly matched a candidate, before duplicate
-    resolution. arrival_index is its position in the source record."""
-
-    candidate_id: str
-    label: str
-    confidence: float | None
-    arrival_index: int
-
-
-def resolve_duplicates(
-    matched: Sequence[MatchedPrediction],
-) -> tuple[dict[str, MatchedPrediction], list[tuple[MatchedPrediction, str]]]:
-    """Keeps one prediction per candidate: highest confidence when scores
-    exist (ties to the first appearing), otherwise the first appearing.
-
-    Returns (winner per candidate_id, discarded entries with reasons).
-    """
-    groups: dict[str, list[MatchedPrediction]] = {}
-    for m in matched:
-        groups.setdefault(m.candidate_id, []).append(m)
-    winners: dict[str, MatchedPrediction] = {}
-    discards: list[tuple[MatchedPrediction, str]] = []
-    for cid, group in groups.items():
-        if any(m.confidence is not None for m in group):
-            best = max(group, key=lambda m: (m.confidence, -m.arrival_index))
         else:
-            best = min(group, key=lambda m: m.arrival_index)
-        winners[cid] = best
-        for m in group:
-            if m is best:
-                continue
-            if m.confidence is not None and m.confidence < best.confidence:
-                discards.append((m, DISCARD_DUP_CONFIDENCE))
-            else:
-                discards.append((m, DISCARD_DUP_ARRIVAL))
-    return winners, discards
+            placed.append((span, item, idx))
+    return placed, unplaceable
 
 
 def _decode(
@@ -294,8 +252,8 @@ def _decode(
     """The one place that reads a record's paradigm payload.
 
     Returns the provenance of the record's matches, the discards found
-    while decoding, and the positioned predictions as (arrival index,
-    span, candidate id, label, confidence, original) tuples, where
+    while decoding, and the positioned predictions in arrival order as
+    (span, candidate id, label, confidence, original) tuples, where
     `original` is the JSON description of the prediction and the
     candidate id is None when no candidate has exactly that span. The
     discards are a classification id that names no candidate, a generated
@@ -306,9 +264,7 @@ def _decode(
         located = [(a, candidates.span_of(a.candidate_id)) for a in record.assignments]
         unknown = [Discard(DISCARD_UNKNOWN_CANDIDATE, a.as_dict()) for a, span in located if span is None]
         return PROV_NATIVE, unknown, (
-            (i, span, a.candidate_id, a.label, a.confidence, a.as_dict())
-            for i, (a, span) in enumerate(located)
-            if span is not None
+            (span, a.candidate_id, a.label, a.confidence, a.as_dict()) for a, span in located if span is not None
         )
     if record.tags is not None:
         decoded = decode_bio(record.tags, options.stray_i)
@@ -321,18 +277,17 @@ def _decode(
                 if tag != "O" and t not in covered
             ]
         return PROV_PROJECTED, strays, (
-            (i, span, candidates.id_of(span), label, None, SpanPrediction(span, label).as_dict())
-            for i, (span, label) in enumerate(decoded)
+            (span, candidates.id_of(span), label, None, SpanPrediction(span, label).as_dict())
+            for span, label in decoded
         )
     if record.spans is not None:
         return PROV_PROJECTED, [], (
-            (i, sp.span, candidates.id_of(sp.span), sp.label, sp.confidence, sp.as_dict())
-            for i, sp in enumerate(record.spans)
+            (sp.span, candidates.id_of(sp.span), sp.label, sp.confidence, sp.as_dict()) for sp in record.spans
         )
     placed, unplaceable = position_cg(record.items or (), doc)
     return PROV_POSITIONED, [Discard(DISCARD_UNPLACEABLE, it.as_dict()) for it, _ in unplaceable], (
-        (i, span, candidates.id_of(span), it.label, it.confidence, {**it.as_dict(), "span": span.as_pair()})
-        for span, it, i in placed
+        (span, candidates.id_of(span), it.label, it.confidence, {**it.as_dict(), "span": span.as_pair()})
+        for span, it, _ in placed
     )
 
 
@@ -346,43 +301,36 @@ def _project(
 
     Strict boundary matching: a prediction lands on a candidate only when
     the spans are exactly equal. Generated items are positioned first,
-    then matched; duplicates are resolved last. Conservation holds per
-    record: every input prediction becomes exactly one assignment or one
-    discard.
+    then matched; duplicates are resolved last, the highest confidence
+    winning and ties or unscored records going to the first to arrive.
+    Conservation holds per record: every input prediction becomes exactly
+    one assignment or one discard.
     """
-    matched: list[MatchedPrediction] = []
-    originals: dict[int, dict] = {}  # arrival_index -> JSON description
-    spans: dict[str, Span] = {}  # candidate_id -> span, for every matched candidate
-    provenance_base, discards, decoded = _decode(record, candidates, options, doc)
-    for idx, span, cid, label, confidence, original in decoded:
+    provenance, discards, decoded = _decode(record, candidates, options, doc)
+    groups: dict[str, list[tuple[Assignment, dict]]] = {}  # candidate id -> its predictions, in arrival order
+    for span, cid, label, confidence, original in decoded:
         if cid is None:
             discards.append(Discard(DISCARD_OVERLAP, original))
         else:
-            spans[cid] = span
-            originals[idx] = original
-            matched.append(MatchedPrediction(cid, label, confidence, idx))
+            groups.setdefault(cid, []).append((Assignment(cid, span, label, provenance, confidence), original))
 
-    winners, dup_discards = resolve_duplicates(matched)
-    had_duplicates = {m.candidate_id for m, _ in dup_discards}
-    for m, reason in dup_discards:
-        discards.append(Discard(reason, originals[m.arrival_index]))
-
-    # canonical candidate order: (start, end), ties broken by id
-    assignments = tuple(
-        Assignment(
-            candidate_id=cid,
-            span=spans[cid],
-            label=winners[cid].label,
-            provenance=PROV_RESOLVED_DUPLICATE if cid in had_duplicates else provenance_base,
-            confidence=winners[cid].confidence,
-        )
-        for cid in sorted(winners, key=lambda cid: (spans[cid].start, spans[cid].end, cid))
-    )
+    assignments = []
+    for group in groups.values():
+        # a record's predictions are all scored or all unscored; max keeps the first of equal confidences
+        best, _ = group[0] if group[0][0].confidence is None else max(group, key=lambda p: p[0].confidence)
+        if len(group) > 1:
+            for a, original in group:
+                if a is not best:
+                    reason = DISCARD_DUP_CONFIDENCE if a.confidence != best.confidence else DISCARD_DUP_ARRIVAL
+                    discards.append(Discard(reason, original))
+            best = best._replace(provenance=PROV_RESOLVED_DUPLICATE)
+        assignments.append(best)
+    assignments.sort(key=lambda a: (a.span, a.candidate_id))  # canonical order: (start, end), then id
     return StandardizedRecord(
         doc_id=record.doc_id,
         task=record.task,
         anchor=record.anchor,
-        assignments=assignments,
+        assignments=tuple(assignments),
         discarded=tuple(discards),
         line=record.line,
     )
@@ -445,7 +393,7 @@ def native_predictions(
     for record, candidates, doc in _with_candidates(predictions, corpus, policy):
         provenance, _, decoded = _decode(record, candidates, options, doc)
         assignments = tuple(
-            Assignment(cid, span, label, provenance, confidence) for _, span, cid, label, confidence, _ in decoded
+            Assignment(cid, span, label, provenance, confidence) for span, cid, label, confidence, _ in decoded
         )
         records.append(StandardizedRecord(record.doc_id, record.task, record.anchor, assignments, (), record.line))
     return tuple(records)

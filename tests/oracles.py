@@ -251,7 +251,7 @@ def _reference_record(record: PredictionRecord, doc: Document, candidates, stray
         else:
             matched.append((cid, span, label, confidence, original))
 
-    winners = {}
+    winners = {}  # candidate id -> its assignment
     losers = []
     for cid in dict.fromkeys(m[0] for m in matched):  # candidates by first arrival
         group = [m for m in matched if m[0] == cid]
@@ -259,18 +259,13 @@ def _reference_record(record: PredictionRecord, doc: Document, candidates, stray
         for m in group:
             if m[3] is not None and m[3] > best[3]:
                 best = m
-        winners[cid] = (best, len(group) > 1)
+        winners[cid] = Assignment(cid, best[1], best[2], "resolved_duplicate" if len(group) > 1 else provenance, best[3])
         for m in group:
             if m is not best:
                 late = m[3] is None or m[3] == best[3]
                 losers.append(Discard("duplicate_later_arrival" if late else "duplicate_lower_confidence", m[4]))
 
-    assignments = tuple(
-        Assignment(cid, span, winners[cid][0][2], "resolved_duplicate" if winners[cid][1] else provenance,
-                   winners[cid][0][3])
-        for span, cid in candidates  # sorted by span, then id
-        if cid in winners
-    )
+    assignments = tuple(winners[cid] for _, cid in candidates if cid in winners)  # sorted by span, then id
     return StandardizedRecord(record.doc_id, record.task, record.anchor, assignments,
                               tuple(early + overlaps + losers), record.line)
 

@@ -686,11 +686,11 @@ def test_compare_score_outside_0_1_exits_2(tmp_path, corpus_path, capsys, f1):
 @pytest.mark.parametrize(
     "key, value, error",
     [
-        ("k", b"NaN", "standardize must be a bool and k an int, not True and nan"),
-        ("k", b"1e999", "standardize must be a bool and k an int, not True and inf"),
+        ("k", b"NaN", "standardize must be a bool and k an int, not true and NaN"),
+        ("k", b"1e999", "standardize must be a bool and k an int, not true and Infinity"),
         ("k", b"0", "k must be >= 1"),
-        ("mode", b'"NaN"', "unknown mode 'NaN'"),
-        ("standardize", b'"yes"', "standardize must be a bool and k an int, not 'yes' and 1"),
+        ("mode", b'"NaN"', 'unknown mode "NaN"'),
+        ("standardize", b'"yes"', 'standardize must be a bool and k an int, not "yes" and 1'),
     ],
     ids=["k-nan", "k-1e999", "k-0", "mode-nan", "standardize-yes"],
 )

@@ -119,6 +119,9 @@ CASES = {
          "--output", "missing.jsonl"],
         SCORE + ["--variant", "variant.cfg", *EAE_SL, "--mode", "pipeline", "--store", "store",
                  "--output", "missing.json"],
+        # the store holds this corpus and variant, but nothing by this producer
+        ["trigger-store", "get", "--store", "store", "--corpus", "corpus.jsonl", "--producer", "nobody",
+         "--output", "missing.jsonl"],
     ],
 }
 

@@ -167,6 +167,17 @@ def test_protocol_rejects_each_invalid_field(field, value):
         Protocol(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "fields, error",
+    [({"mode": "NaN"}, 'unknown mode "NaN"'), ({"trigger_policy": "every_span"}, 'unknown trigger_policy "every_span"'),
+     ({"stray_i": None}, "unknown stray_i null"), ({"k": float("nan")}, "k an int, not true and NaN"),
+     ({"mode": b"x"}, 'unknown mode "b\'x\'"'), ({"k": 0, "trigger_policy": "every_span_up_to_k"}, "k must be >= 1")],
+)
+def test_protocol_shows_a_refused_value_as_json(fields, error):
+    with pytest.raises(ConfigError, match=f"{re.escape(error)}$"):
+        Protocol(**fields)
+
+
 @pytest.mark.parametrize("paradigm", ["ed_paradigm", "eae_paradigm"])
 def test_protocol_rejects_generation_without_standardization(paradigm):
     assert Protocol(**{paradigm: "CG"}).standardize is True

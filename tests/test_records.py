@@ -18,7 +18,7 @@ from eescore.ingest import CgItem, ClsAssignment, ParadigmPredictions, Predictio
 from eescore.jsonio import format_report
 from eescore.metrics import ArgumentItem, ConfusionCounts, EvalReport, TriggerItem
 from eescore.pipeline import EvaluationResult, TriggerStoreEntry
-from eescore.standardize import Assignment, Discard, MatchedPrediction, StandardizedRecord
+from eescore.standardize import Assignment, Discard, StandardizedRecord
 from eescore.variants import DatasetStats, VariantReport
 
 TRIGGER = Span(3, 4)
@@ -44,7 +44,6 @@ RECORDS = [
     ASSIGNMENT,
     Discard("overlap_mismatch", {"span": [3, 5], "label": "Attack"}),
     STANDARDIZED,
-    MatchedPrediction("t:3:4", "Attack", 0.5, 0),
     ParadigmPredictions("SL", (PREDICTION,)),
     COUNTS,
     REPORT,
