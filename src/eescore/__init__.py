@@ -48,8 +48,6 @@ from .pipeline import (
     evaluate,
 )
 from .standardize import (
-    CandidatePolicy,
-    StandardizeOptions,
     decode_bio,
     native_predictions,
     position_cg,

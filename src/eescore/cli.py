@@ -51,11 +51,16 @@ def _err(message) -> None:
     print(f"eescore: error: {message}", file=sys.stderr)
 
 
-def _read(path, what: str, load, *args):
-    """`load(path, *args)`, once `path` is known to name a file."""
-    if not os.path.isfile(path):
-        raise ConfigError(f"{what} {path!r} {'is not a file' if os.path.exists(path) else 'does not exist'}")
+def _read(path, what: str, load, *args, kind: str = "file"):
+    """`load(path, *args)`, once `path` is known to name a file, or a directory if `kind` says so."""
+    if not (os.path.isdir if kind == "directory" else os.path.isfile)(path):
+        raise ConfigError(f"{what} {path!r} {f'is not a {kind}' if os.path.exists(path) else 'does not exist'}")
     return load(path, *args)
+
+
+def _store(args) -> TriggerStore:
+    """The trigger store `--store` names, which only `put` may create."""
+    return _read(args.store, "trigger store", TriggerStore, kind="directory")
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +110,7 @@ def _load_inputs(args):
 def _store_entry(args, fingerprint: str):
     """The store's entry and trigger bytes for the corpus under `fingerprint`,
     by `--producer` when one is given."""
-    found = TriggerStore(args.store).get(Path(args.corpus).name, fingerprint, args.producer)
+    found = _store(args).get(Path(args.corpus).name, fingerprint, args.producer)
     if found is None:
         by = "" if args.producer is None else f" by producer {args.producer!r}"
         raise ToolkitError(
@@ -117,15 +122,13 @@ def _store_entry(args, fingerprint: str):
 
 def _protocol(args, **fixed) -> Protocol:
     """The protocol that the flags in `args` select; `fixed` gives what the
-    subcommand does not take as a flag. The --k checks, which name flags,
-    come after the protocol's own checks."""
+    subcommand does not take as a flag. The --k checks that name flags
+    come after the protocol's own, which bound k."""
     flags = {f.name: getattr(args, f.name) for f in fields(Protocol) if f.name != "k" and hasattr(args, f.name)}
     protocol = Protocol(**flags, **fixed)
     if protocol.trigger_policy == TRIGGER_POLICY_SPANS_UP_TO_K:
         if args.k is None:
             raise ConfigError("--k is required with --trigger-policy every_span_up_to_k")
-        if args.k < 1:
-            raise ConfigError("--k must be >= 1")
         return replace(protocol, k=args.k)
     if args.k is not None:
         raise ConfigError("--k only applies to --trigger-policy every_span_up_to_k")
@@ -369,7 +372,7 @@ def cmd_store_get(args) -> int:
 
 
 def cmd_store_list(args) -> int:
-    entries = TriggerStore(args.store).entries()
+    entries = _store(args).entries()
     for e in entries:
         print(f"{e.corpus_id}\t{e.fingerprint[:12]}\t{e.producer}\t{e.file}\t{e.ed_f1 * 100:.1f}")
     return 0

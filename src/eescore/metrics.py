@@ -184,10 +184,6 @@ def score_argument_items(
     convention drops gold arguments of events whose (trigger, type) is
     absent from the trigger context.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    if eae_match not in EAE_MATCH_MODES:
-        raise ValueError(f"unknown matching mode {eae_match!r}")
     _check_docs(corpus, {it.doc_id for it in items})
     key = _argument_key_by_trigger if eae_match == EAE_MATCH_BY_TRIGGER else _argument_key_by_type
     scope = trigger_context.keys if convention == CONVENTION_LEGACY else None

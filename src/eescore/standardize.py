@@ -14,7 +14,6 @@ gives the predictions in their native output space.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import TASK_TRIGGER, Anchor, Corpus, Document, Span
@@ -51,28 +50,20 @@ DISCARD_UNKNOWN_CANDIDATE = "unknown_candidate"
 DISCARD_STRAY_I = "stray_inside_tag"
 
 
-@dataclass(frozen=True)
-class CandidatePolicy:
+class CandidatePolicy(NamedTuple):
     """How trigger candidates are enumerated. Argument candidates are always
-    the entity mentions of the (variant-filtered) document."""
+    the entity mentions of the (variant-filtered) document. Built from a
+    checked protocol by `Protocol.policy`."""
 
     trigger_policy: str = TRIGGER_POLICY_EVERY_TOKEN
     k: int = 1
 
-    def __post_init__(self):
-        if self.trigger_policy not in TRIGGER_POLICIES:
-            raise ValueError(f"unknown trigger policy {self.trigger_policy!r}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
+class StandardizeOptions(NamedTuple):
+    """How predictions are decoded. Built from a checked protocol by
+    `Protocol.options`."""
 
-@dataclass(frozen=True)
-class StandardizeOptions:
     stray_i: str = STRAY_I_OPEN
-
-    def __post_init__(self):
-        if self.stray_i not in STRAY_I_MODES:
-            raise ValueError(f"unknown stray-I mode {self.stray_i!r}")
 
 
 class Assignment(NamedTuple):
@@ -183,8 +174,6 @@ def decode_bio(tags: Sequence[str], stray_i: str = STRAY_I_OPEN) -> list[tuple[S
     >>> decode_bio(["B-Person", "I-Person", "O"])
     [(Span(start=0, end=2), 'Person')]
     """
-    if stray_i not in STRAY_I_MODES:
-        raise ValueError(f"unknown stray-I mode {stray_i!r}")
     spans: list[tuple[Span, str]] = []
     open_start: int | None = None
     open_label: str | None = None

@@ -63,9 +63,12 @@ def _trigger_keys(items):
     return [(it.doc_id, it.span.start, it.span.end, it.label) for it in items]
 
 
-def _argument_keys(items):
+def _argument_keys(items, by_trigger=False):
+    """Keys under `by_event_type`, or under `by_trigger_span` when
+    `by_trigger`, which adds the anchoring trigger span."""
     return [
-        (it.doc_id, it.event_type, it.span.start, it.span.end, it.role) for it in items
+        (it.doc_id, *(it.trigger if by_trigger else ()), it.event_type, it.span.start, it.span.end, it.role)
+        for it in items
     ]
 
 
@@ -75,7 +78,7 @@ def _gold_trigger_keys(corpus):
     ]
 
 
-def _gold_argument_keys(corpus, context=None):
+def _gold_argument_keys(corpus, context=None, by_trigger=False):
     keys = []
     for d in corpus:
         for e in d.events:
@@ -88,7 +91,7 @@ def _gold_argument_keys(corpus, context=None):
                     continue
             for a in e.arguments:
                 span = d.entities_by_id[a.entity_id].span
-                keys.append((d.id, e.event_type, span.start, span.end, a.role))
+                keys.append((d.id, *(e.trigger if by_trigger else ()), e.event_type, span.start, span.end, a.role))
     return keys
 
 
@@ -108,6 +111,8 @@ def oracle_population():
     failures: list[str] = []
     count_mismatches: list[str] = []
     n_records = 0
+    match_modes_differ = 0  # pipeline corpora whose two eae_match modes count differently
+    displace_rng = random.Random(20240103)
     started = time.perf_counter()
 
     for i in range(N_CORPORA):
@@ -155,30 +160,53 @@ def oracle_population():
                     kept.append(PredictedTrigger(Span(s, s + 1), "Hallucinated"))
                 if kept:
                     table[d.id] = tuple(kept)
-            context = TriggerContext(source="ed", triggers=table)
             ctx_anchors = {
                 doc_id: [(t.span, t.event_type) for t in triggers]
                 for doc_id, triggers in table.items()
             }
             eae_pred = random_argument_predictions(rng, corpus, "SP", ctx_anchors)
-            eae_std = standardize_predictions(eae_pred, corpus)
-            keys = _argument_keys(argument_items_from(eae_std))
+            # displaced anchors: a gold event's type at a shifted trigger span, answered
+            # with the event's gold arguments, which match by event type but not by span
+            displaced = []
+            for d in corpus:
+                for e in d.events:
+                    if not e.arguments or len(d.tokens) < 2 or displace_rng.random() < 0.5:
+                        continue
+                    s = (e.trigger.start + displace_rng.randrange(1, len(d.tokens))) % len(d.tokens)
+                    anchor = PredictedTrigger(Span(s, s + 1), e.event_type)
+                    if anchor in table.get(d.id, ()):
+                        continue  # one record per anchor
+                    table[d.id] = table.get(d.id, ()) + (anchor,)
+                    displaced.append({
+                        "doc_id": d.id, "task": "argument",
+                        "anchor": {"trigger": [s, s + 1], "event_type": e.event_type},
+                        "spans": [{"span": list(d.entities_by_id[a.entity_id].span), "label": a.role}
+                                  for a in e.arguments],
+                    })
+            context = TriggerContext(source="ed", triggers=table)
+            items = argument_items_from(standardize_predictions(eae_pred, corpus)) + argument_items_from(
+                standardize_predictions(predictions_from(displaced, "SP", corpus), corpus)
+            )
+            counts = {}
             for convention, scoped in (("modern", None), ("legacy", context)):
-                report = score_argument_items(
-                    corpus, argument_items_from(eae_std), context, convention=convention, mode="pipeline"
-                )
-                expect = brute_force_by_doc(keys, _gold_argument_keys(corpus, scoped))
-                got = (report.counts.tp, report.counts.fp, report.counts.fn)
-                if got != expect:
-                    count_mismatches.append(
-                        f"EAE {convention} pipeline corpus {i}: {got} != {expect}"
+                for eae_match, by_trigger in (("by_event_type", False), ("by_trigger_span", True)):
+                    report = score_argument_items(
+                        corpus, items, context, convention=convention, mode="pipeline", eae_match=eae_match
                     )
+                    got = counts[convention, eae_match] = tuple(report.counts)
+                    expect = brute_force_by_doc(
+                        _argument_keys(items, by_trigger), _gold_argument_keys(corpus, scoped, by_trigger)
+                    )
+                    if got != expect:
+                        count_mismatches.append(f"EAE {convention} {eae_match} pipeline corpus {i}: {got} != {expect}")
+            match_modes_differ += counts["modern", "by_event_type"] != counts["modern", "by_trigger_span"]
 
     elapsed = time.perf_counter() - started
     return {
         "failures": failures,
         "count_mismatches": count_mismatches,
         "n_records": n_records,
+        "match_modes_differ": match_modes_differ,
         "elapsed": elapsed,
     }
 
@@ -186,6 +214,7 @@ def oracle_population():
 def test_criterion_01_oracle_equivalence(oracle_population):
     pop = oracle_population
     assert pop["count_mismatches"] == [], pop["count_mismatches"][:5]
+    assert pop["match_modes_differ"] > 0, "no pipeline corpus tells the two eae_match modes apart"
     assert pop["elapsed"] < 60, f"runtime budget exceeded: {pop['elapsed']:.1f}s"
     _ok(
         f"criterion 1: ED/EAE counts match the brute-force matcher on {N_CORPORA} corpora "

@@ -260,6 +260,14 @@ def test_score_cg_rule_comes_before_the_k_and_input_checks(tmp_path, capsys):
     assert capsys.readouterr().err == CG_WITHOUT_STANDARDIZE
 
 
+def test_score_k_below_1_is_refused_by_the_protocol(tmp_path, corpus_path, capsys):
+    preds = cls_ed_file(tmp_path, corpus_path)
+    code = run(["score", "--corpus", corpus_path, "--ed-predictions", preds, "--ed-paradigm", "CLS",
+                "--trigger-policy", "every_span_up_to_k", "--k", "0", "--output", tmp_path / "r.json"])
+    assert code == 2
+    assert capsys.readouterr().err == "eescore: error: k must be >= 1\n"
+
+
 def test_score_table_output(tmp_path, corpus_path, capsys):
     preds = cls_ed_file(tmp_path, corpus_path)
     table_path = tmp_path / "table.txt"
@@ -719,6 +727,25 @@ def test_a_directory_given_as_an_input_file_is_not_a_file(tmp_path, capsys, argv
     assert capsys.readouterr().err == f"eescore: error: {what} {str(tmp_path)!r} is not a file\n"
     assert run([str(tmp_path / "absent") if a == "{dir}" else a for a in argv]) == 2
     assert capsys.readouterr().err == f"eescore: error: {what} {str(tmp_path / 'absent')!r} does not exist\n"
+
+
+@pytest.mark.parametrize("command", ["list", "get", "score"])
+def test_a_store_that_is_no_directory_is_refused(tmp_path, corpus_path, capsys, command):
+    """Only put creates a store; every reader needs an existing directory."""
+    eae = tmp_path / "eae.jsonl"
+    eae.write_bytes(dump_jsonl([{"doc_id": "doc-resignation", "task": "argument", "anchor": EP_ANCHOR,
+                                 "assignments": [{"candidate_id": "e1", "label": "Person"}]}]))
+    argv = {
+        "list": ["trigger-store", "list"],
+        "get": ["trigger-store", "get", "--corpus", corpus_path, "--output", tmp_path / "t.jsonl"],
+        "score": ["score", "--corpus", corpus_path, "--eae-predictions", eae, "--eae-paradigm", "CLS",
+                  "--mode", "pipeline", "--output", tmp_path / "r.json"],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    for store, problem in ((tmp_path / "absent", "does not exist"), (corpus_path, "is not a directory")):
+        assert run([*argv, "--store", store]) == 2
+        assert capsys.readouterr() == ("", f"eescore: error: trigger store {str(store)!r} {problem}\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("ed_f1", [b"9" * 400, b"NaN", b"1e999", b"1.5"],

@@ -122,6 +122,9 @@ CASES = {
         # the store holds this corpus and variant, but nothing by this producer
         ["trigger-store", "get", "--store", "store", "--corpus", "corpus.jsonl", "--producer", "nobody",
          "--output", "missing.jsonl"],
+        # a store that does not exist is refused before it is read: only put creates one
+        ["trigger-store", "list", "--store", "nosuch"],
+        ["trigger-store", "get", "--store", "nosuch", "--corpus", "corpus.jsonl", "--output", "missing.jsonl"],
     ],
 }
 

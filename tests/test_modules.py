@@ -84,3 +84,30 @@ def test_no_module_imports_a_name_it_never_uses():
                 if bound not in used:
                     offenders.append(f"{path.name}: {bound}")
     assert offenders == []
+
+
+VOCABULARIES = {"MODES", "CONVENTIONS", "EAE_MATCH_MODES", "TRIGGER_POLICIES", "STRAY_I_MODES"}
+
+
+def test_protocol_vocabularies_are_checked_only_by_protocol():
+    """A protocol value is checked once, by `Protocol.__post_init__`. Past
+    its definition and imports, a vocabulary is read only there and as
+    an argparse `choices=`."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Protocol":
+                allowed |= {
+                    id(n) for m in node.body if getattr(m, "name", None) == "__post_init__" for n in ast.walk(m)
+                }
+            elif isinstance(node, ast.keyword) and node.arg == "choices":
+                allowed |= {id(n) for n in ast.walk(node.value)}
+        for node in ast.walk(tree):
+            read = (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in VOCABULARIES) or (
+                isinstance(node, ast.Attribute) and node.attr in VOCABULARIES
+            )
+            if read and id(node) not in allowed:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

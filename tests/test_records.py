@@ -18,7 +18,7 @@ from eescore.ingest import CgItem, ClsAssignment, ParadigmPredictions, Predictio
 from eescore.jsonio import format_report
 from eescore.metrics import ArgumentItem, ConfusionCounts, EvalReport, TriggerItem
 from eescore.pipeline import EvaluationResult, TriggerStoreEntry
-from eescore.standardize import Assignment, Discard, StandardizedRecord
+from eescore.standardize import Assignment, CandidatePolicy, Discard, StandardizedRecord, StandardizeOptions
 from eescore.variants import DatasetStats, VariantReport
 
 TRIGGER = Span(3, 4)
@@ -44,6 +44,8 @@ RECORDS = [
     ASSIGNMENT,
     Discard("overlap_mismatch", {"span": [3, 5], "label": "Attack"}),
     STANDARDIZED,
+    CandidatePolicy(),
+    StandardizeOptions(),
     ParadigmPredictions("SL", (PREDICTION,)),
     COUNTS,
     REPORT,
