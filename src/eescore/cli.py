@@ -58,8 +58,15 @@ def _read(path, what: str, load, *args, kind: str = "file"):
     return load(path, *args)
 
 
-def _store(args) -> TriggerStore:
-    """The trigger store `--store` names, which only `put` may create."""
+def _store(args, create: bool = False) -> TriggerStore:
+    """The trigger store `--store` names; only `put` may create it, where no file is in the way."""
+    if create:
+        try:
+            os.stat(args.store)
+        except FileNotFoundError:
+            return TriggerStore(args.store)
+        except NotADirectoryError:  # a file among its parents
+            raise ConfigError(f"trigger store {args.store!r} is not a directory") from None
     return _read(args.store, "trigger store", TriggerStore, kind="directory")
 
 
@@ -346,13 +353,14 @@ def cmd_compare(args) -> int:
 
 def cmd_store_put(args) -> int:
     protocol = _protocol(args, mode=MODE_PIPELINE)
+    store = _store(args, create=True)
     cfg, corpus = _load_inputs(args)
     fingerprint = corpus_fingerprint(corpus, cfg)
     corpus, _ = apply_variant(corpus, cfg)  # the unvaried corpus is not kept alive
     predictions = _read(args.predictions, "ED prediction file", load_predictions, args.paradigm, corpus)
     result = evaluate(corpus, protocol, ed_pred=predictions)
     trigger_bytes = serialize_trigger_context(result.trigger_context)
-    entry = TriggerStore(args.store).put(
+    entry = store.put(
         corpus_id=Path(args.corpus).name,
         fingerprint=fingerprint,
         producer=args.producer,
@@ -484,7 +492,19 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
+    """Runs `main` and ends the process; it never returns, so a Python
+    caller uses `main`."""
     # The data path builds no reference cycles, so reference counting frees
-    # it all; the cyclic collector would only re-walk every record.
+    # it all; the cyclic collector, and the last collection and per-object
+    # frees of teardown at exit, would only re-walk every record.
     gc.disable()
-    raise SystemExit(main())
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the process started without one
+            sys.stdout.flush()
+    except OSError as exc:  # as main answers a failed write
+        _err(exc)
+        code = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)

@@ -366,11 +366,15 @@ def _parse_assignments(raw, n_tokens: int, line: int, share) -> tuple[ClsAssignm
 
 
 def _parse_tags(raw, n_tokens: int, line: int, share) -> tuple[str, ...]:
-    if not _strings(raw):
+    try:  # each distinct tag once, for its type and its pattern
+        distinct = set(raw) if type(raw) is list else {None}
+    except TypeError:  # an unhashable element is no string
+        distinct = {None}
+    if not set(map(type, distinct)) <= _STR_TYPE:
         raise ParseError("tags must be an array of strings", line)
     if len(raw) != n_tokens:
         raise ParseError(f"tag list has {len(raw)} entries for a {n_tokens}-token document", line)
-    if not all(map(_TAG_RE.fullmatch, set(raw))):  # each distinct tag once
+    if not all(map(_TAG_RE.fullmatch, distinct)):
         i, t = next((i, t) for i, t in enumerate(raw) if not _TAG_RE.fullmatch(t))
         raise ParseError(f"malformed tag {t!r} at position {i}", line)
     return tuple(map(share, raw, raw))

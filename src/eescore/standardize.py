@@ -175,28 +175,19 @@ def decode_bio(tags: Sequence[str], stray_i: str = STRAY_I_OPEN) -> list[tuple[S
     [(Span(start=0, end=2), 'Person')]
     """
     spans: list[tuple[Span, str]] = []
-    open_start: int | None = None
-    open_label: str | None = None
-
-    def close(end: int) -> None:
-        nonlocal open_start, open_label
-        if open_start is not None:
-            spans.append((Span(open_start, end), open_label))
-            open_start = None
-            open_label = None
-
-    for i, tag in enumerate(tags):
+    start = label = None  # the open span
+    for i, tag in enumerate([*tags, "O"]):  # the last O closes the last span
         if tag == "O":
-            close(i)
+            if start is not None:
+                spans.append((Span(start, i), label))
+                start = label = None
             continue
-        prefix, label = tag.split("-", 1)
-        if prefix == "I" and label == open_label:
+        prefix, tag_label = tag.split("-", 1)
+        if prefix == "I" and tag_label == label:
             continue
-        close(i)
-        if prefix == "B" or stray_i == STRAY_I_OPEN:
-            open_start = i
-            open_label = label
-    close(len(tags))
+        if start is not None:
+            spans.append((Span(start, i), label))
+        start, label = (i, tag_label) if prefix == "B" or stray_i == STRAY_I_OPEN else (None, None)
     return spans
 
 

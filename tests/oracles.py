@@ -98,8 +98,9 @@ def brute_force_by_doc(pred_keys, gold_keys) -> tuple[int, int, int]:
     return tp, fp, fn
 
 
-def reference_bio_decode(tags) -> list[tuple[Span, str]]:
-    """Two-pass decoder: rewrite stray I tags as B, then group maximal runs."""
+def reference_bio_decode(tags, stray_i: str = "open_span") -> list[tuple[Span, str]]:
+    """Two-pass decoder: rewrite each stray I tag as B (`open_span`) or as
+    O (`discard`), then group maximal runs."""
     normalized: list[tuple[str, str | None]] = []
     prev_label = None
     for tag in tags:
@@ -110,6 +111,9 @@ def reference_bio_decode(tags) -> list[tuple[Span, str]]:
         prefix, label = tag.split("-", 1)
         if prefix == "I" and prev_label == label:
             normalized.append(("I", label))
+        elif prefix == "I" and stray_i == "discard":
+            normalized.append(("O", None))
+            label = None
         else:
             normalized.append(("B", label))
         prev_label = label

@@ -536,6 +536,83 @@ def test_console_entry_point_subprocess(tmp_path, corpus_path):
     assert json.loads(result.stdout)["token_count"] == 21
 
 
+def _console_env(unbuffered: bool) -> dict:
+    """The environment of a console-script run of this checkout, with
+    Python's output buffering as `unbuffered` says."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+def test_console_script_with_buffered_output_matches_main(tmp_path, corpus_path, capsys, monkeypatch):
+    """The console script ends its process without teardown, so it must
+    flush what `main` printed first: with buffered output, exit codes,
+    stdout, stderr and every written file are those of `main` in-process."""
+    ed = cls_ed_file(tmp_path, corpus_path)
+    eae = tmp_path / "eae.jsonl"
+    eae.write_bytes(dump_jsonl([{"doc_id": "doc-resignation", "task": "argument", "anchor": EP_ANCHOR,
+                                 "tags": _tags(t9="B-Position", t10="I-Position", t11="I-Position")}]))
+    runs = [
+        ["score", "--corpus", corpus_path, "--ed-predictions", ed, "--ed-paradigm", "CLS",
+         "--eae-predictions", eae, "--eae-paradigm", "SL", "--output", "report.json",
+         "--table", "table.txt", "--dump-discards", "discards.jsonl"],
+        ["trigger-store", "put", "--store", "store", "--corpus", corpus_path,
+         "--predictions", ed, "--paradigm", "CLS", "--producer", "p"],
+        ["trigger-store", "put", "--store", "report.json", "--corpus", corpus_path,
+         "--predictions", ed, "--paradigm", "CLS", "--producer", "p"],
+    ]
+    results = {}
+    for where in ("console", "main"):
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)
+        if where == "console":
+            procs = [subprocess.run([sys.executable, "-m", "eescore", *map(str, argv)], capture_output=True,
+                                    env=_console_env(unbuffered=False), timeout=60) for argv in runs]
+            outcomes = [(proc.returncode, proc.stdout, proc.stderr) for proc in procs]
+        else:
+            outcomes = [(run(argv), *(text.encode() for text in capsys.readouterr())) for argv in runs]
+        files = {str(p.relative_to(Path.cwd())): p.read_bytes() for p in sorted(Path.cwd().rglob("*")) if p.is_file()}
+        results[where] = outcomes, files
+    outcomes, files = results["main"]
+    assert [code for code, _, _ in outcomes] == [0, 0, 2]
+    assert files["table.txt"] == outcomes[0][1] and outcomes[1][1].startswith(b"stored ")
+    assert outcomes[2][2] == b"eescore: error: trigger store 'report.json' is not a directory\n"
+    # report, table and ledger; the store's manifest, lock, trigger file and ED report
+    assert len(files) == 7 and b"Position" in files["discards.jsonl"]
+    assert results["console"] == results["main"]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_2(tmp_path, corpus_path, unbuffered):
+    """A write to a stdout whose reader is gone fails, whether inside
+    `main` (unbuffered) or at the console script's final flush."""
+    ed = cls_ed_file(tmp_path, corpus_path)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eescore", "score", "--corpus", str(corpus_path), "--ed-predictions", str(ed),
+             "--ed-paradigm", "CLS", "--output", str(tmp_path / "report.json")],
+            stdout=write, stderr=subprocess.PIPE, env=_console_env(unbuffered), timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, b"eescore: error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
+def test_console_script_started_without_stdout_or_stderr_exits_0(tmp_path, corpus_path, fd):
+    """With file descriptor 1 or 2 closed, Python has no `sys.stdout` or
+    `sys.stderr`: what would go there is dropped, and the final flush
+    skips it."""
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$@" {fd}>&-', "sh", sys.executable, "-m", "eescore", "stats", "--corpus", str(corpus_path)],
+        capture_output=True, env=_console_env(unbuffered=False), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"" if fd == 1 else json.loads(proc.stdout)["token_count"] == 21
+
+
 # runs a score and a put in one interpreter; prints the modules of
 # hashlib (and so of OpenSSL) that they added to the bare interpreter's
 OPENSSL_PROBE = """
@@ -746,6 +823,21 @@ def test_a_store_that_is_no_directory_is_refused(tmp_path, corpus_path, capsys, 
         assert run([*argv, "--store", store]) == 2
         assert capsys.readouterr() == ("", f"eescore: error: trigger store {str(store)!r} {problem}\n")
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_put_refuses_a_store_path_that_a_file_is_in(tmp_path, corpus_path, capsys):
+    """put creates a missing store, parents too, but refuses a file or a
+    path through one before it reads any input, and creates nothing."""
+    argv = ["trigger-store", "put", "--corpus", corpus_path, "--predictions", tmp_path / "absent.jsonl",
+            "--paradigm", "CLS", "--producer", "p"]
+    before = sorted(tmp_path.iterdir())
+    for store in (corpus_path, corpus_path / "sub", corpus_path / "sub" / "store"):
+        assert run([*argv, "--store", store]) == 2
+        assert capsys.readouterr() == ("", f"eescore: error: trigger store {str(store)!r} is not a directory\n")
+    assert sorted(tmp_path.iterdir()) == before
+    argv[argv.index("--predictions") + 1] = cls_ed_file(tmp_path, corpus_path)
+    assert run([*argv, "--store", tmp_path / "new" / "store"]) == 0
+    assert (tmp_path / "new" / "store" / "manifest.json").is_file()
 
 
 @pytest.mark.parametrize("ed_f1", [b"9" * 400, b"NaN", b"1e999", b"1.5"],

@@ -111,3 +111,25 @@ def test_protocol_vocabularies_are_checked_only_by_protocol():
             if read and id(node) not in allowed:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_only_the_console_script_ends_the_process():
+    """`os._exit` ends the process without teardown, so it is called only
+    in `cli.entry_point`: no library function may end a process that
+    embeds the package."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(n)
+            for node in tree.body
+            if path.name == "cli.py" and isinstance(node, ast.FunctionDef) and node.name == "entry_point"
+            for n in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            named = (isinstance(node, ast.Attribute) and node.attr == "_exit") or (
+                isinstance(node, ast.alias) and node.name == "_exit"
+            )
+            if named and id(node) not in allowed:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

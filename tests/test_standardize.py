@@ -278,6 +278,25 @@ def test_decode_matches_reference_on_random_tags():
         assert decode_bio(tags) == reference_bio_decode(tags)
 
 
+@st.composite
+def mostly_o_tags(draw) -> list[str]:
+    """Up to 500 tags, at least 90% of them O: short runs of B and I tags,
+    each after an O run at least nine times its length, the last run
+    sometimes ending the sequence."""
+    tags = []
+    for run in draw(st.lists(st.lists(st.sampled_from(["B-X", "I-X", "B-Y", "I-Y"]), min_size=1, max_size=5),
+                             max_size=10)):
+        tags += ["O"] * draw(st.integers(9 * len(run), 45)) + run
+    return tags + ["O"] * draw(st.sampled_from([0, 1, 500 - len(tags)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mostly_o_tags(), st.sampled_from(["open_span", "discard"]))
+def test_decode_matches_reference_on_long_mostly_o_sequences(tags, stray_i):
+    assert len(tags) <= 500 and tags.count("O") >= 0.9 * len(tags)
+    assert decode_bio(tags, stray_i) == reference_bio_decode(tags, stray_i)
+
+
 # ---------------------------------------------------------------------------
 # duplicate resolution
 
