@@ -48,7 +48,8 @@ from .variants import (
 
 
 def _err(message) -> None:
-    print(f"eescore: error: {message}", file=sys.stderr)
+    if sys.stderr is not None:  # without one, print would write to stdout
+        print(f"eescore: error: {message}", file=sys.stderr)
 
 
 def _read(path, what: str, load, *args, kind: str = "file"):

@@ -106,7 +106,7 @@ class ArgumentItem(NamedTuple):
 
 
 def _match(
-    pred_keys: Sequence[tuple], gold_keys: Sequence[tuple]
+    pred_keys: Iterable[tuple], gold_keys: Iterable[tuple]
 ) -> tuple[ConfusionCounts, dict, ConfusionCounts]:
     """Multiset matching: each gold consumed at most once, no double credit.
 
@@ -143,29 +143,16 @@ def _check_docs(corpus: Corpus, doc_ids: Iterable[str]) -> None:
             raise ValidationError(f"predictions refer to unknown document {doc_id!r}")
 
 
-def _trigger_key(doc_id: str, span: Span, label: str) -> tuple:
-    return (doc_id, span.start, span.end, label)
-
-
 def score_trigger_items(
     corpus: Corpus,
     items: Sequence[TriggerItem],
     mode: str = MODE_GOLD_TRIGGER,
     convention: str = CONVENTION_MODERN,
 ) -> EvalReport:
-    """Scores trigger predictions given as bare (doc, span, label) items."""
+    """Scores trigger predictions given as bare (doc, span, label) items, each its own match key."""
     _check_docs(corpus, {it.doc_id for it in items})
-    pred_keys = [_trigger_key(*it) for it in items]
-    gold_keys = [_trigger_key(d.id, e.trigger, e.event_type) for d in corpus for e in d.events]
-    return EvalReport(TASK_ED, mode, convention, *_match(pred_keys, gold_keys))
-
-
-def _argument_key_by_type(doc_id: str, trigger: Span, event_type: str, span: Span, role: str) -> tuple:
-    return (doc_id, event_type, span.start, span.end, role)
-
-
-def _argument_key_by_trigger(doc_id: str, trigger: Span, event_type: str, span: Span, role: str) -> tuple:
-    return (doc_id, trigger.start, trigger.end, event_type, span.start, span.end, role)
+    gold = [(d.id, e.trigger, e.event_type) for d in corpus for e in d.events]
+    return EvalReport(TASK_ED, mode, convention, *_match(items, gold))
 
 
 def score_argument_items(
@@ -185,17 +172,18 @@ def score_argument_items(
     absent from the trigger context.
     """
     _check_docs(corpus, {it.doc_id for it in items})
-    key = _argument_key_by_trigger if eae_match == EAE_MATCH_BY_TRIGGER else _argument_key_by_type
     scope = trigger_context.keys if convention == CONVENTION_LEGACY else None
-    pred_keys = [key(*it) for it in items]
-    gold_keys = [
-        key(doc.id, ev.trigger, ev.event_type, doc.entities_by_id[arg.entity_id].span, arg.role)
+    gold = (
+        (doc.id, ev.trigger, ev.event_type, doc.entities_by_id[arg.entity_id].span, arg.role)
         for doc in corpus
         for ev in doc.events
         if scope is None or (doc.id, ev.trigger, ev.event_type) in scope
         for arg in ev.arguments
-    ]
-    return EvalReport(TASK_EAE, mode, convention, *_match(pred_keys, gold_keys))
+    )
+    if eae_match != EAE_MATCH_BY_TRIGGER:  # items and gold match without their trigger
+        items = [(d, t, s, r) for d, _, t, s, r in items]
+        gold = [(d, t, s, r) for d, _, t, s, r in gold]
+    return EvalReport(TASK_EAE, mode, convention, *_match(items, gold))
 
 
 def trigger_items_from(standardized: Iterable) -> list[TriggerItem]:

@@ -363,11 +363,14 @@ class TriggerStore:
     def get(
         self, corpus_id: str, fingerprint: str, producer: str | None = None
     ) -> tuple[TriggerStoreEntry, bytes] | None:
-        """Returns (entry, trigger file bytes), or None when no entry matches."""
-        for row in self.entries():
-            if row.fingerprint != fingerprint or row.corpus_id != corpus_id:
-                continue
-            if producer is not None and row.producer != producer:
-                continue
-            return row, self._read(row)
-        return None
+        """Returns (entry, trigger file bytes), or None when no entry matches.
+        Without a producer, entries by more than one producer are a ConfigError."""
+        rows = [row for row in self.entries() if (row.corpus_id, row.fingerprint) == (corpus_id, fingerprint)
+                and producer in (None, row.producer)]
+        producers = list(dict.fromkeys(row.producer for row in rows))
+        if len(producers) > 1:
+            raise ConfigError(
+                f"producers {', '.join(map(repr, producers))} all hold triggers for corpus {corpus_id!r} "
+                f"and fingerprint {fingerprint[:12]}...; choose one with --producer"
+            )
+        return (rows[0], self._read(rows[0])) if rows else None

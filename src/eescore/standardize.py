@@ -95,17 +95,13 @@ def trigger_candidate_id(span: Span) -> str:
 class TriggerCandidates:
     """The trigger candidates of one document, derived instead of enumerated:
     a span is a candidate iff it lies inside one sentence and is at most k
-    tokens long, where `every_token` is k = 1 over one sentence spanning
-    the whole document. Its id is `t:<start>:<end>`, one per span.
+    tokens long, with k = 1 for `every_token`. Its id is `t:<start>:<end>`.
     """
 
     def __init__(self, doc: Document, policy: CandidatePolicy):
-        if policy.trigger_policy == TRIGGER_POLICY_EVERY_TOKEN:
-            self._k, self._starts, self._ends = 1, (0,), (len(doc.tokens),)
-        else:
-            self._k = policy.k
-            self._starts = tuple(s.start for s in doc.sentences)
-            self._ends = tuple(s.end for s in doc.sentences)
+        self._k = 1 if policy.trigger_policy == TRIGGER_POLICY_EVERY_TOKEN else policy.k
+        self._starts = [s.start for s in doc.sentences]
+        self._ends = [s.end for s in doc.sentences]
 
     def __len__(self) -> int:
         """The number of candidates: a sentence of n tokens holds

@@ -10,7 +10,7 @@ and reports what was silently dropped so runs stay comparable.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 from .core import Corpus, Document, EntityMention, EventAnnotation, Span
@@ -26,6 +26,7 @@ MULTI_TOKEN_DROP = "drop_event"
 MULTI_TOKEN_POLICIES = (MULTI_TOKEN_FIRST, MULTI_TOKEN_DROP)
 
 _KIND_FLAGS = {"time": "include_time", "value": "include_value", "pronoun": "include_pronoun"}
+_CHOICES = {"entity_mention_mode": MENTION_MODES, "multi_token_policy": MULTI_TOKEN_POLICIES}
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,9 @@ class VariantConfig:
     multi_token_policy: str = MULTI_TOKEN_FIRST
 
     def __post_init__(self):
-        if self.entity_mention_mode not in MENTION_MODES:
-            raise ValueError(f"unknown entity_mention_mode {self.entity_mention_mode!r}")
-        if self.multi_token_policy not in MULTI_TOKEN_POLICIES:
-            raise ValueError(f"unknown multi_token_policy {self.multi_token_policy!r}")
+        for key, allowed in _CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ValueError(f"unknown {key} {getattr(self, key)!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -143,17 +143,11 @@ def compute_stats(corpus: Corpus, policy: CandidatePolicy = CandidatePolicy()) -
     )
 
 
-_BOOL_KEYS = ("multi_token_triggers", "include_time", "include_value", "include_pronoun")
-_VALUE_KEYS = {
-    "entity_mention_mode": MENTION_MODES,
-    "multi_token_policy": MULTI_TOKEN_POLICIES,
-}
-
-
 def parse_variant_config(text: str) -> VariantConfig:
     """Parses a flat `key = value` config; `#` starts a comment. Unknown
     keys are errors; missing keys default to the identity configuration.
     Lines end at "\n" only, as in every other input file."""
+    bool_keys = {f.name for f in fields(VariantConfig) if type(f.default) is bool}
     values: dict = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -164,17 +158,17 @@ def parse_variant_config(text: str) -> VariantConfig:
         key, _, value = (part.strip() for part in stripped.partition("="))
         if key in values:
             raise ConfigError(f"variant config line {lineno}: duplicate key {key!r}")
-        if key in _BOOL_KEYS:
+        if key in bool_keys:
             lowered = value.lower()
             if lowered not in ("true", "false"):
                 raise ConfigError(
                     f"variant config line {lineno}: {key} must be true or false, got {value!r}"
                 )
             values[key] = lowered == "true"
-        elif key in _VALUE_KEYS:
-            if value not in _VALUE_KEYS[key]:
+        elif key in _CHOICES:
+            if value not in _CHOICES[key]:
                 raise ConfigError(
-                    f"variant config line {lineno}: {key} must be one of {_VALUE_KEYS[key]}, got {value!r}"
+                    f"variant config line {lineno}: {key} must be one of {_CHOICES[key]}, got {value!r}"
                 )
             values[key] = value
         else:

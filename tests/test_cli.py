@@ -215,6 +215,77 @@ def test_score_pipeline_without_triggers_exits_2(delta_paths, tmp_path, capsys):
     assert "--ed-predictions" in err and "--triggers" in err
 
 
+def cls_eae_file(tmp_path):
+    path = tmp_path / "eae_cls.jsonl"
+    path.write_bytes(
+        dump_jsonl([{"doc_id": "doc-resignation", "task": "argument",
+                     "anchor": {"trigger": [8, 9], "event_type": "End-Position"},
+                     "assignments": [{"candidate_id": "e1", "label": "Person"}]}])
+    )
+    return path
+
+
+# argv (with {corpus}, {ed} and {out} filled in) -> the refusal it earns
+FLAG_REFUSALS = [
+    (["stats", "--corpus", "{corpus}", "--trigger-policy", "every_span_up_to_k"],
+     "--k is required with --trigger-policy every_span_up_to_k"),
+    (["stats", "--corpus", "{corpus}", "--k", "2"],
+     "--k only applies to --trigger-policy every_span_up_to_k"),
+    (["score", "--corpus", "{corpus}", "--output", "{out}"],
+     "provide --ed-predictions and/or --eae-predictions"),
+    (["score", "--corpus", "{corpus}", "--ed-predictions", "{ed}", "--output", "{out}"],
+     "--ed-predictions and --ed-paradigm must be given together"),
+    (["score", "--corpus", "{corpus}", "--eae-predictions", "{ed}", "--output", "{out}"],
+     "--eae-predictions and --eae-paradigm must be given together"),
+    (["score", "--corpus", "{corpus}", "--ed-predictions", "{ed}", "--ed-paradigm", "CLS", "--mode", "pipeline",
+      "--triggers", "{ed}", "--store", "{out}", "--output", "{out}"],
+     "--triggers and --store are mutually exclusive"),
+    (["score", "--corpus", "{corpus}", "--ed-predictions", "{ed}", "--ed-paradigm", "CLS", "--triggers", "{ed}",
+      "--output", "{out}"],
+     "--triggers/--store only apply to --mode pipeline"),
+    (["score", "--corpus", "{corpus}", "--eae-predictions", "{ed}", "--eae-paradigm", "CLS", "--mode", "pipeline",
+      "--output", "{out}"],
+     "pipeline mode requires predicted triggers: provide --ed-predictions, --triggers or --store"),
+]
+
+
+@pytest.mark.parametrize("argv, message", FLAG_REFUSALS, ids=[m for _, m in FLAG_REFUSALS])
+def test_flag_refusal_exits_2(tmp_path, corpus_path, capsys, argv, message):
+    paths = {"corpus": corpus_path, "ed": cls_ed_file(tmp_path, corpus_path), "out": tmp_path / "r.json"}
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"eescore: error: {message}\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_compare_reports_without_a_shared_task_exits_2(tmp_path, corpus_path, capsys):
+    ed, eae = tmp_path / "ed.json", tmp_path / "eae.json"
+    assert run(["score", "--corpus", corpus_path, "--ed-predictions", cls_ed_file(tmp_path, corpus_path),
+                "--ed-paradigm", "CLS", "--output", ed]) == 0
+    assert run(["score", "--corpus", corpus_path, "--eae-predictions", cls_eae_file(tmp_path),
+                "--eae-paradigm", "CLS", "--output", eae]) == 0
+    capsys.readouterr()
+    assert run(["compare", ed, eae]) == 2
+    assert capsys.readouterr() == ("", "eescore: error: the two reports share no task to compare\n")
+
+
+def test_multi_token_policy_flag_overrides_the_variant(tmp_path, corpus_path):
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_text("multi_token_triggers = false\n")
+    preds = cls_ed_file(tmp_path, corpus_path)
+    reports = {}
+    for policy in (None, "first_token", "drop_event"):
+        out = tmp_path / f"{policy}.json"
+        flag = [] if policy is None else ["--multi_token_policy", policy]
+        assert run(["score", "--corpus", corpus_path, "--variant", cfg, *flag, "--ed-predictions", preds,
+                    "--ed-paradigm", "CLS", "--output", out]) == 0
+        reports[policy] = json.loads(out.read_text())
+    first, drop = reports["first_token"], reports["drop_event"]
+    assert reports[None] == first  # the variant's own policy is first_token
+    assert first["config"]["variant"]["multi_token_policy"] == "first_token"
+    assert drop["config"]["variant"]["multi_token_policy"] == "drop_event"
+    assert first["fingerprint"] != drop["fingerprint"]
+
+
 def test_score_anchor_outside_context_exits_1(tmp_path, corpus_path):
     eae = tmp_path / "eae.jsonl"
     eae.write_bytes(
@@ -423,18 +494,38 @@ def test_trigger_store_cli_flow(tmp_path, corpus_path, capsys):
     ]
 
     # and the stored triggers drive a pipeline run
-    eae = tmp_path / "eae.jsonl"
-    eae.write_bytes(
-        dump_jsonl([{"doc_id": "doc-resignation", "task": "argument",
-                     "anchor": {"trigger": [8, 9], "event_type": "End-Position"},
-                     "assignments": [{"candidate_id": "e1", "label": "Person"}]}])
-    )
     out = tmp_path / "pipe.json"
-    assert run(["score", "--corpus", corpus_path, "--eae-predictions", eae,
+    assert run(["score", "--corpus", corpus_path, "--eae-predictions", cls_eae_file(tmp_path),
                 "--eae-paradigm", "CLS", "--mode", "pipeline", "--store", store,
                 "--output", out]) == 0
     report = json.loads(out.read_text())
     assert report["eae"]["counts"]["tp"] == 1
+
+
+@pytest.mark.parametrize("command", ["get", "score"])
+def test_a_store_lookup_that_two_producers_match_exits_2(tmp_path, corpus_path, capsys, command):
+    preds = cls_ed_file(tmp_path, corpus_path)
+    store = tmp_path / "store"
+    for producer in ("model-x", "model-y"):
+        assert run(["trigger-store", "put", "--store", store, "--corpus", corpus_path,
+                    "--predictions", preds, "--paradigm", "CLS", "--producer", producer]) == 0
+    fingerprint = json.loads((store / "manifest.json").read_text())[0]["fingerprint"]
+    out = tmp_path / "out"
+    argv = (["trigger-store", "get", "--corpus", corpus_path] if command == "get" else
+            ["score", "--corpus", corpus_path, "--eae-predictions", cls_eae_file(tmp_path), "--eae-paradigm", "CLS",
+             "--mode", "pipeline"]) + ["--store", store, "--output", out]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", (
+        "eescore: error: producers 'model-x', 'model-y' all hold triggers for corpus 'corpus.jsonl' "
+        f"and fingerprint {fingerprint[:12]}...; choose one with --producer\n"
+    ))
+    assert not out.exists()
+    # naming a producer picks its entry
+    assert run(argv + ["--producer", "model-y"]) == 0
+    assert out.exists()
+    if command == "get":
+        assert capsys.readouterr().out.startswith("model-y\t")
 
 
 @pytest.mark.parametrize(
@@ -611,6 +702,17 @@ def test_console_script_started_without_stdout_or_stderr_exits_0(tmp_path, corpu
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == b"" if fd == 1 else json.loads(proc.stdout)["token_count"] == 21
+
+
+def test_an_error_line_never_goes_to_stdout(tmp_path):
+    """Without file descriptor 2, Python has no `sys.stderr`: the error line
+    is dropped instead of falling back to stdout, and the exit code stays 2."""
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "eescore", "stats",
+         "--corpus", str(tmp_path / "absent")],
+        capture_output=True, env=_console_env(unbuffered=False), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"")
 
 
 # runs a score and a put in one interpreter; prints the modules of

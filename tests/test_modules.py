@@ -133,3 +133,19 @@ def test_only_the_console_script_ends_the_process():
             if named and id(node) not in allowed:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_every_literal_cli_refusal_is_tested_verbatim():
+    """Each message that `cli.py` raises as a plain string literal appears
+    verbatim in a test or golden transcript, so no refusal goes unrun."""
+    here = Path(__file__).resolve()
+    tests = [p for p in sorted(here.parent.rglob("*")) if p.suffix in (".py", ".txt") and p != here]
+    corpus = "\n".join(p.read_text(encoding="utf-8") for p in tests)
+    messages = [
+        node.exc.args[0].value
+        for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args
+        and isinstance(node.exc.args[0], ast.Constant) and isinstance(node.exc.args[0].value, str)
+    ]
+    assert messages  # the walk finds them
+    assert [m for m in messages if m not in corpus] == []

@@ -324,8 +324,16 @@ def test_store_multiple_producers(tmp_path):
     assert len(store.entries()) == 2
     got = store.get("corpus.jsonl", fp, producer="model-y")
     assert got is not None and got[0].producer == "model-y"
-    # without a producer filter the first manifest entry wins
-    assert store.get("corpus.jsonl", fp)[0].producer == "model-x"
+    assert store.get("corpus.jsonl", fp, producer="model-x")[0].producer == "model-x"
+    # without a producer filter two producers are ambiguous: the lookup names both
+    with pytest.raises(ConfigError) as info:
+        store.get("corpus.jsonl", fp)
+    assert str(info.value) == (
+        f"producers 'model-x', 'model-y' all hold triggers for corpus 'corpus.jsonl' "
+        f"and fingerprint {fp[:12]}...; choose one with --producer"
+    )
+    # entries of another corpus or fingerprint do not count
+    assert store.get("other.jsonl", fp) is None
 
 
 GOOD_ROW = {"corpus_id": "c.jsonl", "fingerprint": "f" * 64, "producer": "p", "file": "t.jsonl", "ed_f1": 0.5}
