@@ -17,20 +17,19 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+from .core import TriggerContext
 from .errors import ConfigError, ParseError, ToolkitError, ValidationError
-from .ingest import PARADIGMS, load_corpus, load_predictions, load_trigger_file, parse_trigger_file
-from .jsonio import canonical_line, dump_jsonl, format_report, read_json, write_atomic
-from .metrics import CONVENTIONS, EAE_MATCH_MODES, MODE_GOLD_TRIGGER, MODE_PIPELINE, MODES, EvalReport
-from .pipeline import (
-    Protocol,
-    TriggerContext,
-    TriggerStore,
-    corpus_fingerprint,
-    evaluate,
-    is_score,
-    protocol_keys,
+from .ingest import (
+    PARADIGMS,
+    load_corpus,
+    load_predictions,
+    load_trigger_file,
+    parse_trigger_file,
     serialize_trigger_context,
 )
+from .jsonio import canonical_line, dump_jsonl, format_report, read_json, write_atomic
+from .metrics import CONVENTIONS, EAE_MATCH_MODES, MODE_GOLD_TRIGGER, MODE_PIPELINE, MODES, EvalReport
+from .pipeline import Protocol, TriggerStore, corpus_fingerprint, evaluate, is_score, protocol_keys
 from .standardize import (
     STRAY_I_MODES,
     TRIGGER_POLICY_SPANS_UP_TO_K,

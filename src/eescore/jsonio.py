@@ -90,12 +90,15 @@ DECODER = json.JSONDecoder(object_pairs_hook=unique_keys)
 def read_json(path) -> Any:
     """The JSON value in a file. Raises ValueError saying what is wrong when
     the file is not UTF-8, not JSON, repeats a key in an object, or is
-    nested too deeply to parse."""
+    nested too deeply to parse; a bad byte is located by its line, a JSON
+    syntax error by its line and column (lines end at "\n")."""
+    data = Path(path).read_bytes()
     try:
-        return DECODER.decode(Path(path).read_bytes().decode("utf-8"))
-    except UnicodeDecodeError:
-        raise ValueError("not valid UTF-8") from None
+        return DECODER.decode(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {line}: not valid UTF-8") from None
     except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON ({exc.msg})") from None
+        raise ValueError(f"line {exc.lineno} column {exc.colno}: invalid JSON ({exc.msg})") from None
     except RecursionError:
         raise ValueError("nested too deeply") from None

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .core import TASK_ARGUMENT, TASK_TRIGGER, Corpus, TriggerContext
 from .errors import ConfigError, ContextError, StoreError, ValidationError
-from .ingest import (  # noqa: F401 (the trigger-file reader and writer are re-exported)
+from .ingest import (  # noqa: F401 (bench/traced.py imports the trigger-file reader and writer from here)
     PARADIGM_CG,
     PARADIGMS,
     ParadigmPredictions,
@@ -88,8 +88,6 @@ def _require_task(predictions: ParadigmPredictions, task: str, what: str) -> Non
 
 def _check_anchors(predictions: ParadigmPredictions, context: TriggerContext) -> None:
     for record in predictions.records:
-        if record.anchor is None:
-            continue
         if not context.contains(record.doc_id, record.anchor):
             trig = record.anchor.trigger
             raise ContextError(

@@ -43,6 +43,8 @@ class VariantConfig:
         for key, allowed in _CHOICES.items():
             if getattr(self, key) not in allowed:
                 raise ValueError(f"unknown {key} {getattr(self, key)!r}")
+        if self.multi_token_triggers:  # the policy never applies: one dataset, one fingerprint
+            object.__setattr__(self, "multi_token_policy", MULTI_TOKEN_FIRST)
 
     def as_dict(self) -> dict:
         return asdict(self)

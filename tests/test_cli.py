@@ -286,6 +286,22 @@ def test_multi_token_policy_flag_overrides_the_variant(tmp_path, corpus_path):
     assert first["fingerprint"] != drop["fingerprint"]
 
 
+def test_a_multi_token_policy_that_never_applies_leaves_the_report_unchanged(tmp_path, corpus_path, capsys):
+    """With multi-token triggers kept, `drop_event` names the default dataset."""
+    preds = cls_ed_file(tmp_path, corpus_path)
+    reports = []
+    for name, text in (("empty", ""), ("drop", "multi_token_policy = drop_event\n")):
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.json"
+        cfg.write_text(text)
+        assert run(["score", "--corpus", corpus_path, "--variant", cfg, "--ed-predictions", preds,
+                    "--ed-paradigm", "CLS", "--output", out]) == 0
+        reports.append(out)
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    capsys.readouterr()
+    assert run(["compare", *reports]) == 0
+    assert capsys.readouterr().out.count("+0.0") == 3
+
+
 def test_score_anchor_outside_context_exits_1(tmp_path, corpus_path):
     eae = tmp_path / "eae.jsonl"
     eae.write_bytes(
@@ -549,6 +565,27 @@ def test_trigger_store_list_corrupt_manifest_exits_1(tmp_path, capsys, manifest)
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("eescore: error: corrupt manifest")
+
+
+@pytest.mark.parametrize(
+    "raw, fault",
+    [
+        (b'{\n  "fingerprint": "0",\n  "config": {,\n}\n',
+         "line 3 column 14: invalid JSON (Expecting property name enclosed in double quotes)"),
+        (b'[\n\n  "\xff"\n]\n', "line 3: not valid UTF-8"),
+    ],
+    ids=["syntax", "bad-byte"],
+)
+def test_a_json_fault_in_a_manifest_or_report_is_located(tmp_path, capsys, raw, fault):
+    store = tmp_path / "store"
+    store.mkdir()
+    manifest, report = store / "manifest.json", tmp_path / "bad.json"
+    manifest.write_bytes(raw)
+    report.write_bytes(raw)
+    assert run(["trigger-store", "list", "--store", store]) == 1
+    assert capsys.readouterr().err == f"eescore: error: corrupt manifest {manifest}: {fault}\n"
+    assert run(["compare", report, report]) == 2
+    assert capsys.readouterr().err == f"eescore: error: report {report}: {fault}\n"
 
 
 def test_trigger_store_missing_trigger_file_exits_1(tmp_path, corpus_path, capsys):

@@ -193,6 +193,11 @@ def test_prediction_roundtrip_all_paradigms():
             assert serialize_predictions(parse_predictions(data, paradigm, corpus)) == data
 
 
+def test_unknown_paradigm_is_a_value_error():
+    with pytest.raises(ValueError, match=r"^unknown paradigm 'XX'; expected one of \('CLS', 'SL', 'SP', 'CG'\)$"):
+        parse_predictions(b"", "XX", resignation_corpus())
+
+
 def _kept_values(value, out: list) -> list:
     """Every string and span a parse result holds."""
     if type(value) is str or type(value) is Span:

@@ -20,25 +20,38 @@ def test_no_module_imports_a_private_name_from_another():
     assert offenders == []
 
 
-def test_every_export_has_a_caller_outside_tests():
-    """A name the package exports is used by another of its modules or by
-    the benchmark, not only by tests."""
-    init = SRC / "__init__.py"
-    exported = {
-        alias.name
-        for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    callers = [p for p in SRC.glob("*.py") if p != init] + sorted((SRC.parents[1] / "bench").glob("*.py"))
-    used = set()
-    for path in callers:
+def test_the_package_imports_nothing():
+    """Each name has one import path, the module that defines it: the
+    package root re-exports nothing."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+def _defined_names(tree) -> set:
+    """The names a module binds at its top level with `def`, `class` or an assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_name_is_imported_from_the_module_that_defines_it():
+    """A relative import takes each name from the module that defines it,
+    never through another module's imports."""
+    defined = {path.stem: _defined_names(ast.parse(path.read_text(encoding="utf-8"))) for path in SRC.glob("*.py")}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    assert sorted(exported - used) == []
+            if isinstance(node, ast.ImportFrom) and node.level:
+                offenders += [
+                    f"{path.name}: {node.module}.{alias.name}"
+                    for alias in node.names if alias.name not in defined[node.module]
+                ]
+    assert offenders == []
 
 
 def _name(node) -> str:
@@ -63,13 +76,10 @@ def test_every_dataclass_validates_or_caches():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    """Every name a module imports is read somewhere in it. `__init__.py`
-    re-exports by design, and an import whose first line is marked
-    `# noqa: F401` is a deliberate re-export too."""
+    """Every name a module imports is read somewhere in it. An import
+    whose first line is marked `# noqa: F401` is a deliberate re-export."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         source = path.read_text(encoding="utf-8")
         lines = source.splitlines()
         tree = ast.parse(source)
@@ -135,17 +145,25 @@ def test_only_the_console_script_ends_the_process():
     assert offenders == []
 
 
-def test_every_literal_cli_refusal_is_tested_verbatim():
-    """Each message that `cli.py` raises as a plain string literal appears
-    verbatim in a test or golden transcript, so no refusal goes unrun."""
+def test_every_literal_refusal_is_tested_verbatim():
+    """Each message that a module raises as a plain string literal appears
+    verbatim in a string of a test or in a golden transcript, so no
+    refusal goes unrun."""
     here = Path(__file__).resolve()
-    tests = [p for p in sorted(here.parent.rglob("*")) if p.suffix in (".py", ".txt") and p != here]
-    corpus = "\n".join(p.read_text(encoding="utf-8") for p in tests)
+    strings = [p.read_text(encoding="utf-8") for p in sorted(here.parent.rglob("*.txt"))]
+    strings += [
+        node.value
+        for p in sorted(here.parent.rglob("*.py")) if p != here
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    corpus = "\n".join(strings)
     messages = [
-        node.exc.args[0].value
-        for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+        (path.name, node.exc.args[0].value)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args
         and isinstance(node.exc.args[0], ast.Constant) and isinstance(node.exc.args[0].value, str)
     ]
     assert messages  # the walk finds them
-    assert [m for m in messages if m not in corpus] == []
+    assert [(name, m) for name, m in messages if m not in corpus] == []

@@ -185,13 +185,26 @@ def test_protocol_rejects_generation_without_standardization(paradigm):
         Protocol(standardize=False, **{paradigm: "CG"})
 
 
+def test_generation_predictions_have_no_native_output_space():
+    """A protocol that names no paradigm lets CG predictions through to
+    `native_predictions`, which refuses them."""
+    corpus = two_event_corpus()
+    ed = predictions_from(
+        [{"doc_id": "d", "task": "trigger", "items": [{"mention": ["w2"], "label": "A"}]}], "CG", corpus
+    )
+    with pytest.raises(ConfigError) as exc:
+        evaluate(corpus, Protocol(standardize=False), ed_pred=ed)
+    assert str(exc.value) == "generation predictions cannot be scored without standardization"
+
+
 def test_pipeline_without_triggers_is_config_error():
     corpus = two_event_corpus()
     eae = predictions_from(
         cls_argument_objs([((2, 3, "A"), [("e1", "r1")])]), "CLS", corpus
     )
-    with pytest.raises(ConfigError, match="pipeline mode requires"):
+    with pytest.raises(ConfigError) as exc:
         evaluate(corpus, Protocol(mode=MODE_PIPELINE), eae_pred=eae)
+    assert str(exc.value) == "pipeline mode requires ED predictions or a predicted-trigger file/store entry"
 
 
 def test_context_monotonicity_removing_correct_trigger():
@@ -241,6 +254,7 @@ def test_fingerprint_binds_corpus_and_variant():
     corpus = two_event_corpus()
     base = corpus_fingerprint(corpus, VariantConfig())
     assert base == corpus_fingerprint(two_event_corpus(), VariantConfig())
+    assert base == corpus_fingerprint(corpus, VariantConfig(multi_token_policy="drop_event"))  # never applies
     assert base != corpus_fingerprint(corpus, VariantConfig(include_time=False))
     assert base != corpus_fingerprint(resignation_corpus(), VariantConfig())
 

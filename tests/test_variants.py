@@ -8,6 +8,7 @@ from eescore.errors import ConfigError
 from eescore.ingest import serialize_corpus
 from eescore.standardize import CandidatePolicy
 from eescore.variants import (
+    MULTI_TOKEN_POLICIES,
     VariantConfig,
     apply_variant,
     compute_stats,
@@ -177,6 +178,18 @@ def test_variant_config_parsing():
         entity_mention_mode="head",
         multi_token_policy="drop_event",
     )
+
+
+@pytest.mark.parametrize("key", ["entity_mention_mode", "multi_token_policy"])
+def test_variant_config_refuses_an_unknown_choice(key):
+    with pytest.raises(ValueError, match=f"^unknown {key} 'other'$"):
+        VariantConfig(**{key: "other"})
+
+
+def test_multi_token_policy_is_the_default_while_multi_token_triggers_are_kept():
+    for policy in MULTI_TOKEN_POLICIES:
+        assert VariantConfig(multi_token_policy=policy) == VariantConfig()
+    assert VariantConfig(multi_token_triggers=False, multi_token_policy="drop_event").multi_token_policy == "drop_event"
 
 
 def test_variant_config_unknown_key():
