@@ -19,31 +19,12 @@ from pathlib import Path
 
 from .core import TriggerContext
 from .errors import ConfigError, ParseError, ToolkitError, ValidationError
-from .ingest import (
-    PARADIGMS,
-    load_corpus,
-    load_predictions,
-    load_trigger_file,
-    parse_trigger_file,
-    serialize_trigger_context,
-)
+from .ingest import load_corpus, load_predictions, load_trigger_file, parse_trigger_file, serialize_trigger_context
 from .jsonio import canonical_line, dump_jsonl, format_report, read_json, write_atomic
-from .metrics import CONVENTIONS, EAE_MATCH_MODES, MODE_GOLD_TRIGGER, MODE_PIPELINE, MODES, EvalReport
-from .pipeline import Protocol, TriggerStore, corpus_fingerprint, evaluate, is_score, protocol_keys
-from .standardize import (
-    STRAY_I_MODES,
-    TRIGGER_POLICY_SPANS_UP_TO_K,
-    TRIGGER_POLICIES,
-    serialize_standardized,
-    standardize_predictions,
-)
-from .variants import (
-    MULTI_TOKEN_POLICIES,
-    VariantConfig,
-    apply_variant,
-    compute_stats,
-    load_variant_config,
-)
+from .metrics import MODE_GOLD_TRIGGER, MODE_PIPELINE, EvalReport
+from .pipeline import PROTOCOL_CHOICES, Protocol, TriggerStore, corpus_fingerprint, evaluate, is_score, protocol_keys
+from .standardize import TRIGGER_POLICY_SPANS_UP_TO_K, serialize_standardized, standardize_predictions
+from .variants import VARIANT_CHOICES, VariantConfig, apply_variant, compute_stats, load_variant_config
 
 
 def _err(message) -> None:
@@ -74,29 +55,29 @@ def _store(args, create: bool = False) -> TriggerStore:
 # shared flags
 
 
+def _flag(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    """Declares `flag` once under both spellings, `--a-b` and `--a_b`; the
+    spelling given first names the dest. A flag named after a protocol
+    field defaults to the protocol's value."""
+    name = flag[2:].replace("-", "_")
+    p.add_argument(*dict.fromkeys((flag, "--" + name, "--" + name.replace("_", "-"))),
+                   default=getattr(Protocol, name, None), **kwargs)
+
+
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True, help="corpus JSONL file")
     p.add_argument("--variant", help="preprocessing-variant config file (default: keep everything)")
-    p.add_argument(
-        "--multi_token_policy",
-        choices=MULTI_TOKEN_POLICIES,
-        help="override the variant's multi-token trigger handling",
-    )
+    _flag(p, "--multi_token_policy", choices=VARIANT_CHOICES["multi_token_policy"],
+          help="override the variant's multi-token trigger handling")
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--trigger-policy",
-        choices=TRIGGER_POLICIES,
-        default=Protocol.trigger_policy,
-        help="trigger candidate enumeration",
-    )
+    _flag(p, "--trigger-policy", choices=PROTOCOL_CHOICES["trigger_policy"], help="trigger candidate enumeration")
     p.add_argument("--k", type=int, help="max span length for every_span_up_to_k")
 
 
 def _add_standardize_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--stray_i", choices=STRAY_I_MODES, default=Protocol.stray_i,
-                   help="how to decode a stray I tag")
+    _flag(p, "--stray_i", choices=PROTOCOL_CHOICES["stray_i"], help="how to decode a stray I tag")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility and ignored: scoring runs in one thread")
 
@@ -130,13 +111,14 @@ def _store_entry(args, fingerprint: str):
 def _protocol(args, **fixed) -> Protocol:
     """The protocol that the flags in `args` select; `fixed` gives what the
     subcommand does not take as a flag. The --k checks that name flags
-    come after the protocol's own, which bound k."""
+    come after the protocol's own, which bound k; they read the flag, as
+    the protocol spells spans up to 1 token as `every_token`."""
     flags = {f.name: getattr(args, f.name) for f in fields(Protocol) if f.name != "k" and hasattr(args, f.name)}
     protocol = Protocol(**flags, **fixed)
-    if protocol.trigger_policy == TRIGGER_POLICY_SPANS_UP_TO_K:
+    if args.trigger_policy == TRIGGER_POLICY_SPANS_UP_TO_K:
         if args.k is None:
             raise ConfigError("--k is required with --trigger-policy every_span_up_to_k")
-        return replace(protocol, k=args.k)
+        return Protocol(**flags, k=args.k, **fixed)
     if args.k is not None:
         raise ConfigError("--k only applies to --trigger-policy every_span_up_to_k")
     return protocol
@@ -408,13 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p_score)
     _add_policy_flags(p_score)
     _add_standardize_flags(p_score)
-    p_score.add_argument("--ed-predictions", help="trigger prediction JSONL")
-    p_score.add_argument("--ed-paradigm", choices=PARADIGMS)
-    p_score.add_argument("--eae-predictions", help="argument prediction JSONL")
-    p_score.add_argument("--eae-paradigm", choices=PARADIGMS)
-    p_score.add_argument("--mode", choices=MODES, default=Protocol.mode)
-    p_score.add_argument("--convention", choices=CONVENTIONS, default=Protocol.convention)
-    p_score.add_argument("--eae_match", choices=EAE_MATCH_MODES, default=Protocol.eae_match)
+    _flag(p_score, "--ed-predictions", help="trigger prediction JSONL")
+    _flag(p_score, "--ed-paradigm", choices=PROTOCOL_CHOICES["ed_paradigm"][1:])
+    _flag(p_score, "--eae-predictions", help="argument prediction JSONL")
+    _flag(p_score, "--eae-paradigm", choices=PROTOCOL_CHOICES["eae_paradigm"][1:])
+    _flag(p_score, "--mode", choices=PROTOCOL_CHOICES["mode"])
+    _flag(p_score, "--convention", choices=PROTOCOL_CHOICES["convention"])
+    _flag(p_score, "--eae_match", choices=PROTOCOL_CHOICES["eae_match"])
     p_score.add_argument("--triggers", help="predicted-trigger JSONL for pipeline mode")
     p_score.add_argument("--store", help="trigger-store directory for pipeline mode")
     p_score.add_argument("--producer", help="trigger-store producer to use")
@@ -424,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=Protocol.standardize,
         help="project predictions onto the candidate space before scoring",
     )
-    p_score.add_argument("--dump-discards", dest="dump_discards",
-                         help="write the discard ledger JSONL here")
+    _flag(p_score, "--dump-discards", help="write the discard ledger JSONL here")
     p_score.add_argument("--output", required=True, help="report JSON path")
     p_score.add_argument("--table", help="also write the plain-text table here")
     p_score.set_defaults(func=cmd_score)
@@ -435,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_flags(p_std)
     _add_standardize_flags(p_std)
     p_std.add_argument("--predictions", required=True)
-    p_std.add_argument("--paradigm", choices=PARADIGMS, required=True)
+    p_std.add_argument("--paradigm", choices=PROTOCOL_CHOICES["ed_paradigm"][1:], required=True)
     p_std.add_argument("--output", required=True, help="standardized JSONL path")
     p_std.set_defaults(func=cmd_standardize)
 
@@ -454,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_standardize_flags(p_put)
     p_put.add_argument("--store", required=True)
     p_put.add_argument("--predictions", required=True, help="trigger prediction JSONL")
-    p_put.add_argument("--paradigm", choices=PARADIGMS, required=True)
+    p_put.add_argument("--paradigm", choices=PROTOCOL_CHOICES["ed_paradigm"][1:], required=True)
     p_put.add_argument("--producer", required=True, help="name of the producing model/run")
     p_put.set_defaults(func=cmd_store_put)
 

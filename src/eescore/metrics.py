@@ -25,15 +25,12 @@ TASK_EAE = "EAE"
 
 MODE_GOLD_TRIGGER = "gold_trigger"
 MODE_PIPELINE = "pipeline"
-MODES = (MODE_GOLD_TRIGGER, MODE_PIPELINE)
 
 CONVENTION_MODERN = "modern"
 CONVENTION_LEGACY = "legacy"
-CONVENTIONS = (CONVENTION_MODERN, CONVENTION_LEGACY)
 
 EAE_MATCH_BY_TYPE = "by_event_type"
 EAE_MATCH_BY_TRIGGER = "by_trigger_span"
-EAE_MATCH_MODES = (EAE_MATCH_BY_TYPE, EAE_MATCH_BY_TRIGGER)
 
 
 class ConfusionCounts(NamedTuple):

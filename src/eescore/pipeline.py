@@ -14,7 +14,7 @@ from __future__ import annotations
 import fcntl
 import os
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,12 +30,12 @@ from .ingest import (  # noqa: F401 (bench/traced.py imports the trigger-file re
 )
 from .jsonio import canonical_line, format_report, read_json, write_atomic
 from .metrics import (
+    CONVENTION_LEGACY,
     CONVENTION_MODERN,
-    CONVENTIONS,
+    EAE_MATCH_BY_TRIGGER,
     EAE_MATCH_BY_TYPE,
-    EAE_MATCH_MODES,
     MODE_GOLD_TRIGGER,
-    MODES,
+    MODE_PIPELINE,
     EvalReport,
     argument_items_from,
     score_argument_items,
@@ -43,10 +43,10 @@ from .metrics import (
     trigger_items_from,
 )
 from .standardize import (
-    STRAY_I_MODES,
+    STRAY_I_DISCARD,
     STRAY_I_OPEN,
-    TRIGGER_POLICIES,
     TRIGGER_POLICY_EVERY_TOKEN,
+    TRIGGER_POLICY_SPANS_UP_TO_K,
     CandidatePolicy,
     StandardizedRecord,
     StandardizeOptions,
@@ -97,10 +97,24 @@ def _check_anchors(predictions: ParadigmPredictions, context: TriggerContext) ->
             )
 
 
+# each protocol field's allowed values, its default first; `k` is an int >= 1 and `standardize` a bool
+PROTOCOL_CHOICES = {
+    "mode": (MODE_GOLD_TRIGGER, MODE_PIPELINE),
+    "convention": (CONVENTION_MODERN, CONVENTION_LEGACY),
+    "eae_match": (EAE_MATCH_BY_TYPE, EAE_MATCH_BY_TRIGGER),
+    "trigger_policy": (TRIGGER_POLICY_EVERY_TOKEN, TRIGGER_POLICY_SPANS_UP_TO_K),
+    "stray_i": (STRAY_I_OPEN, STRAY_I_DISCARD),
+    "ed_paradigm": (None, *PARADIGMS),
+    "eae_paradigm": (None, *PARADIGMS),
+}
+
+
 @dataclass(frozen=True)
 class Protocol:
     """The settings that decide what a score measures, with the CLI's
-    defaults: two scores can be read side by side only under one protocol."""
+    defaults: two scores can be read side by side only under one protocol.
+    One candidate space has one spelling: spans up to 1 token are
+    `every_token`, whose `k` is 1."""
 
     mode: str = MODE_GOLD_TRIGGER
     convention: str = CONVENTION_MODERN
@@ -114,10 +128,7 @@ class Protocol:
 
     def __post_init__(self):
         # a refused value is shown as JSON, as a report spells it (repr for what JSON cannot hold)
-        paradigms = (None, *PARADIGMS)
-        for name, allowed in (("mode", MODES), ("convention", CONVENTIONS), ("eae_match", EAE_MATCH_MODES),
-                              ("trigger_policy", TRIGGER_POLICIES), ("stray_i", STRAY_I_MODES),
-                              ("ed_paradigm", paradigms), ("eae_paradigm", paradigms)):
+        for name, allowed in PROTOCOL_CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {canonical_line(getattr(self, name), repr)}")
         if type(self.standardize) is not bool or type(self.k) is not int:
@@ -127,6 +138,9 @@ class Protocol:
             )
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        if self.k == 1 or self.trigger_policy == TRIGGER_POLICY_EVERY_TOKEN:
+            object.__setattr__(self, "trigger_policy", TRIGGER_POLICY_EVERY_TOKEN)
+            object.__setattr__(self, "k", 1)
         if not self.standardize and PARADIGM_CG in (self.ed_paradigm, self.eae_paradigm):
             raise ConfigError(
                 "generation predictions cannot be scored without --standardize "
@@ -166,8 +180,10 @@ def evaluate(
     rejected: they indicate the experiment answered triggers it was never
     given. A protocol without standardization scores the predictions in
     their native output space (`native_predictions`), which has no
-    discard ledger.
+    discard ledger; each file's paradigm is bound into the protocol, which
+    refuses generation output there.
     """
+    protocol = replace(protocol, ed_paradigm=ed_pred and ed_pred.paradigm, eae_paradigm=eae_pred and eae_pred.paradigm)
     mode, convention, standardize = protocol.mode, protocol.convention, protocol.standardize
     policy, options = protocol.policy, protocol.options
     output_space = standardize_predictions if standardize else native_predictions

@@ -17,23 +17,14 @@ from bisect import bisect_right
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import TASK_TRIGGER, Anchor, Corpus, Document, Span
-from .errors import ConfigError
-from .ingest import (
-    PARADIGM_CG,
-    CgItem,
-    ParadigmPredictions,
-    PredictionRecord,
-    SpanPrediction,
-)
+from .ingest import CgItem, ParadigmPredictions, PredictionRecord, SpanPrediction
 from .jsonio import dump_jsonl
 
 TRIGGER_POLICY_EVERY_TOKEN = "every_token"
 TRIGGER_POLICY_SPANS_UP_TO_K = "every_span_up_to_k"
-TRIGGER_POLICIES = (TRIGGER_POLICY_EVERY_TOKEN, TRIGGER_POLICY_SPANS_UP_TO_K)
 
 STRAY_I_OPEN = "open_span"
 STRAY_I_DISCARD = "discard"
-STRAY_I_MODES = (STRAY_I_OPEN, STRAY_I_DISCARD)
 
 # provenance of a standardized assignment
 PROV_NATIVE = "native"
@@ -361,10 +352,9 @@ def native_predictions(
     resolved: every prediction with a span is kept, in arrival order,
     whether or not a candidate has that span and however often the span
     repeats. Nothing is discarded. Not defined for generation output,
-    whose mentions have no positions without standardization.
+    whose mentions have no positions without standardization: `evaluate`'s
+    protocol refuses it.
     """
-    if predictions.paradigm == PARADIGM_CG:
-        raise ConfigError("generation predictions cannot be scored without standardization")
     records = []
     for record, candidates, doc in _with_candidates(predictions, corpus, policy):
         provenance, _, decoded = _decode(record, candidates, options, doc)

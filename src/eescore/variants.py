@@ -19,14 +19,15 @@ from .standardize import CandidatePolicy, TriggerCandidates
 
 MENTION_MODE_HEAD = "head"
 MENTION_MODE_FULL = "full"
-MENTION_MODES = (MENTION_MODE_HEAD, MENTION_MODE_FULL)
-
 MULTI_TOKEN_FIRST = "first_token"
 MULTI_TOKEN_DROP = "drop_event"
-MULTI_TOKEN_POLICIES = (MULTI_TOKEN_FIRST, MULTI_TOKEN_DROP)
 
 _KIND_FLAGS = {"time": "include_time", "value": "include_value", "pronoun": "include_pronoun"}
-_CHOICES = {"entity_mention_mode": MENTION_MODES, "multi_token_policy": MULTI_TOKEN_POLICIES}
+# each choice field's allowed values, its default first
+VARIANT_CHOICES = {
+    "entity_mention_mode": (MENTION_MODE_FULL, MENTION_MODE_HEAD),
+    "multi_token_policy": (MULTI_TOKEN_FIRST, MULTI_TOKEN_DROP),
+}
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,9 @@ class VariantConfig:
     multi_token_policy: str = MULTI_TOKEN_FIRST
 
     def __post_init__(self):
-        for key, allowed in _CHOICES.items():
+        for key, allowed in VARIANT_CHOICES.items():
             if getattr(self, key) not in allowed:
-                raise ValueError(f"unknown {key} {getattr(self, key)!r}")
+                raise ConfigError(f"unknown {key} {getattr(self, key)!r}")
         if self.multi_token_triggers:  # the policy never applies: one dataset, one fingerprint
             object.__setattr__(self, "multi_token_policy", MULTI_TOKEN_FIRST)
 
@@ -149,7 +150,7 @@ def parse_variant_config(text: str) -> VariantConfig:
     """Parses a flat `key = value` config; `#` starts a comment. Unknown
     keys are errors; missing keys default to the identity configuration.
     Lines end at "\n" only, as in every other input file."""
-    bool_keys = {f.name for f in fields(VariantConfig) if type(f.default) is bool}
+    kinds = {f.name: type(f.default) for f in fields(VariantConfig)}
     values: dict = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -160,21 +161,20 @@ def parse_variant_config(text: str) -> VariantConfig:
         key, _, value = (part.strip() for part in stripped.partition("="))
         if key in values:
             raise ConfigError(f"variant config line {lineno}: duplicate key {key!r}")
-        if key in bool_keys:
+        if key not in kinds:
+            raise ConfigError(f"variant config line {lineno}: unknown key {key!r}")
+        if kinds[key] is bool:
             lowered = value.lower()
             if lowered not in ("true", "false"):
                 raise ConfigError(
                     f"variant config line {lineno}: {key} must be true or false, got {value!r}"
                 )
-            values[key] = lowered == "true"
-        elif key in _CHOICES:
-            if value not in _CHOICES[key]:
-                raise ConfigError(
-                    f"variant config line {lineno}: {key} must be one of {_CHOICES[key]}, got {value!r}"
-                )
-            values[key] = value
-        else:
-            raise ConfigError(f"variant config line {lineno}: unknown key {key!r}")
+            value = lowered == "true"
+        try:  # the config refuses a value outside its choices
+            VariantConfig(**{key: value})
+        except ConfigError as exc:
+            raise ConfigError(f"variant config line {lineno}: {exc}") from None
+        values[key] = value
     return VariantConfig(**values)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -300,6 +301,84 @@ def test_a_multi_token_policy_that_never_applies_leaves_the_report_unchanged(tmp
     capsys.readouterr()
     assert run(["compare", *reports]) == 0
     assert capsys.readouterr().out.count("+0.0") == 3
+
+
+def test_a_variant_choice_outside_its_table_names_the_line(corpus_path, tmp_path, capsys):
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_text("entity_mention_mode = Head\n")
+    assert run(["stats", "--corpus", corpus_path, "--variant", cfg]) == 2
+    assert capsys.readouterr() == ("", "eescore: error: variant config line 1: unknown entity_mention_mode 'Head'\n")
+
+
+def test_spans_up_to_1_token_are_the_every_token_protocol(tmp_path, corpus_path, capsys):
+    """`every_span_up_to_k` with `--k 1` has the candidates of `every_token`:
+    both runs write one report, and `compare` reads them as one protocol."""
+    preds = tmp_path / "ed_sp.jsonl"
+    preds.write_bytes(dump_jsonl([{"doc_id": "doc-resignation", "task": "trigger", "spans": [
+        {"span": [8, 9], "label": "End-Position"}, {"span": [16, 18], "label": "Meet"}]}]))
+    reports = []
+    for policy in ([], ["--trigger-policy", "every_span_up_to_k", "--k", "1"]):
+        out = tmp_path / f"{len(policy)}.json"
+        assert run(["score", "--corpus", corpus_path, *policy, "--ed-predictions", preds,
+                    "--ed-paradigm", "SP", "--output", out]) == 0
+        reports.append(out)
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    capsys.readouterr()
+    assert run(["compare", *reports]) == 0
+    assert capsys.readouterr().out.count("+0.0") == 3
+
+
+def _parsers(parser, path=()):
+    """(subcommand path, parser) for the top parser and every subcommand under it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, (*path, name))
+
+
+def test_every_parser_renders_its_help(capsys):
+    """argparse formats help text only when asked for it, so a bad
+    `choices=` or `help=` shows only at `--help`."""
+    paths = [path for path, _ in _parsers(cli.build_parser())]
+    assert len(paths) == 9  # the top parser, 5 subcommands and 3 trigger-store subcommands
+    for path in paths:
+        assert run([*path, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(" ".join(("usage: eescore", *path)))
+
+
+def test_every_multi_word_flag_takes_both_spellings():
+    """`--a-b` and `--a_b` are option strings of one option, so one dest.
+    argparse derives `--no-standardize` itself, in one spelling."""
+    missing = []
+    for path, parser in _parsers(cli.build_parser()):
+        for action in parser._actions:
+            for option in action.option_strings:
+                if not option.startswith("--") or (
+                    isinstance(action, argparse.BooleanOptionalAction) and option.startswith("--no-")
+                ):
+                    continue
+                name = option[2:]
+                missing += [f"{' '.join(path)} {other}"
+                            for other in ("--" + name.replace("_", "-"), "--" + name.replace("-", "_"))
+                            if other not in action.option_strings]
+    assert missing == []
+
+
+def test_score_reads_every_flag_in_either_spelling(tmp_path, corpus_path):
+    preds = cls_ed_file(tmp_path, corpus_path)
+    flags = ["--corpus", corpus_path, "--multi_token_policy", "first_token", "--ed-predictions", preds,
+             "--ed-paradigm", "CLS", "--trigger-policy", "every_span_up_to_k", "--k", "2", "--stray_i", "discard",
+             "--convention", "legacy", "--eae_match", "by_trigger_span"]
+    swapped = ["--" + a[2:].translate(str.maketrans("-_", "_-")) if str(a).startswith("--") else a for a in flags]
+    assert "--trigger_policy" in swapped and "--stray-i" in swapped
+    outputs = []
+    for i, argv in enumerate((flags, swapped)):
+        out, ledger = tmp_path / f"{i}.json", tmp_path / f"{i}.jsonl"
+        assert run(["score", *argv, "--dump-discards" if i else "--dump_discards", ledger, "--output", out]) == 0
+        outputs.append((out.read_bytes(), ledger.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_score_anchor_outside_context_exits_1(tmp_path, corpus_path):

@@ -337,6 +337,39 @@ def test_mixed_confidence_rejected():
         parse_predictions(dump_jsonl([record]), "SP", corpus)
 
 
+DOC = {"id": "d", "tokens": [], "sentences": [], "entities": [], "events": []}
+TRIGGER = {"doc_id": "doc-resignation", "task": "trigger"}
+ANCHOR = {"trigger": [8, 9], "event_type": "End-Position"}
+
+# (prediction paradigm, or None for a corpus; the input; the refusal it earns on line 1)
+LITERAL_REFUSALS = [
+    (None, b"[]", "record must be a JSON object"),
+    (None, b"[" * 100000, "invalid JSON (nested too deeply)"),
+    (None, dump_jsonl([dict(DOC, tokens="abc")]), "tokens must be an array of strings"),
+    (None, dump_jsonl([dict(DOC, sentences={})]), "sentences must be an array"),
+    ("SP", dump_jsonl([dict(TRIGGER, spans=[{"span": [0, 1], "label": "A", "confidence": "0.5"}])]),
+     "confidence must be a number"),
+    ("SP", dump_jsonl([dict(TRIGGER, spans=[{"span": [0, 1], "label": "A", "confidence": 0.5},
+                                           {"span": [1, 2], "label": "B"}])]),
+     "record mixes scored and unscored predictions"),
+    ("SL", dump_jsonl([{"doc_id": "doc-resignation", "task": "argument", "anchor": [8, 9], "tags": ["O"] * 21}]),
+     "anchor must be an object"),
+    ("SL", dump_jsonl([dict(TRIGGER, tags="O" * 21)]), "tags must be an array of strings"),
+    ("SL", dump_jsonl([dict(TRIGGER, anchor=ANCHOR, tags=["O"] * 21)]),
+     "anchor is only allowed when task is 'argument'"),
+]
+
+
+@pytest.mark.parametrize("paradigm, data, message", LITERAL_REFUSALS, ids=[m for *_, m in LITERAL_REFUSALS])
+def test_each_literal_refusal_is_raised_with_its_line(paradigm, data, message):
+    with pytest.raises(ParseError) as exc:
+        if paradigm is None:
+            parse_corpus(data)
+        else:
+            parse_predictions(data, paradigm, resignation_corpus())
+    assert str(exc.value) == f"line 1: {message}"
+
+
 def test_duplicate_record_per_anchor_rejected():
     corpus = resignation_corpus()
     record = {"doc_id": "doc-resignation", "task": "trigger", "tags": ["O"] * 21}

@@ -1,9 +1,13 @@
-"""Module boundaries of the package, checked on its source."""
+"""Module boundaries of the package, checked on its source, and the benchmark's use of it."""
 
 import ast
+import importlib
 from pathlib import Path
 
+from eescore.cli import build_parser
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "eescore"
+BENCH = SRC.parent.parent / "bench"
 
 
 def test_no_module_imports_a_private_name_from_another():
@@ -96,29 +100,31 @@ def test_no_module_imports_a_name_it_never_uses():
     assert offenders == []
 
 
-VOCABULARIES = {"MODES", "CONVENTIONS", "EAE_MATCH_MODES", "TRIGGER_POLICIES", "STRAY_I_MODES"}
+# each settings record's vocabulary table -> the record that owns it
+VOCABULARIES = {"PROTOCOL_CHOICES": "Protocol", "VARIANT_CHOICES": "VariantConfig"}
 
 
 def test_protocol_vocabularies_are_checked_only_by_protocol():
-    """A protocol value is checked once, by `Protocol.__post_init__`. Past
-    its definition and imports, a vocabulary is read only there and as
-    an argparse `choices=`."""
+    """A setting's value is checked once, by its record's `__post_init__`.
+    Past its definition and imports, a vocabulary table is read only
+    there and as an argparse `choices=`."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = set()
+        allowed = {name: set() for name in VOCABULARIES}
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name == "Protocol":
-                allowed |= {
-                    id(n) for m in node.body if getattr(m, "name", None) == "__post_init__" for n in ast.walk(m)
-                }
-            elif isinstance(node, ast.keyword) and node.arg == "choices":
-                allowed |= {id(n) for n in ast.walk(node.value)}
+            for name, owner in VOCABULARIES.items():
+                if isinstance(node, ast.keyword) and node.arg == "choices":
+                    allowed[name] |= {id(n) for n in ast.walk(node.value)}
+                elif isinstance(node, ast.ClassDef) and node.name == owner:
+                    allowed[name] |= {
+                        id(n) for m in node.body if getattr(m, "name", None) == "__post_init__" for n in ast.walk(m)
+                    }
         for node in ast.walk(tree):
-            read = (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in VOCABULARIES) or (
-                isinstance(node, ast.Attribute) and node.attr in VOCABULARIES
+            name = node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else (
+                node.attr if isinstance(node, ast.Attribute) else None
             )
-            if read and id(node) not in allowed:
+            if name in VOCABULARIES and id(node) not in allowed[name]:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 
@@ -148,12 +154,13 @@ def test_only_the_console_script_ends_the_process():
 def test_every_literal_refusal_is_tested_verbatim():
     """Each message that a module raises as a plain string literal appears
     verbatim in a string of a test or in a golden transcript, so no
-    refusal goes unrun."""
+    refusal goes unrun. The reference parser in `oracles.py` repeats the
+    messages it mirrors, so its strings do not count."""
     here = Path(__file__).resolve()
     strings = [p.read_text(encoding="utf-8") for p in sorted(here.parent.rglob("*.txt"))]
     strings += [
         node.value
-        for p in sorted(here.parent.rglob("*.py")) if p != here
+        for p in sorted(here.parent.rglob("*.py")) if p not in (here, here.parent / "oracles.py")
         for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     ]
@@ -167,3 +174,42 @@ def test_every_literal_refusal_is_tested_verbatim():
     ]
     assert messages  # the walk finds them
     assert [(name, m) for name, m in messages if m not in corpus] == []
+
+
+def _assigns(node, names) -> bool:
+    return isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id in names for t in node.targets)
+
+
+def test_bench_uses_only_what_the_package_has():
+    """The benchmark runs the package from its files, so a change that
+    breaks it fails here too: every name `bench/` imports from an
+    `eescore` module (`run.py`'s set-up probe included) is there, every
+    workload's argv parses, and every `args.<name>` that `traced.py`
+    reads is a dest of the parser. The bench files are read, not
+    imported: `tests/gen.py` would shadow `bench/gen.py`."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(BENCH.glob("*.py"))}
+    probe = next(node.value for node in trees["run.py"].body if _assigns(node, {"SETUP_PROBE"}))
+    trees["run.py SETUP_PROBE"] = ast.parse(ast.literal_eval(probe))
+    imported = [
+        (where, node.module, alias.name)
+        for where, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("eescore.") for alias in node.names
+    ]
+    assert {"traced.py", "run.py SETUP_PROBE"} <= {where for where, _, _ in imported}
+    assert [i for i in imported if not hasattr(importlib.import_module(i[1]), i[2])] == []
+
+    # the workload argv, from the definitions of SCORE_ARGS, PUT_ARGS and put_args alone
+    gen = [node for node in trees["gen.py"].body
+           if _assigns(node, {"SCORE_ARGS", "PUT_ARGS"}) or getattr(node, "name", None) == "put_args"]
+    workloads: dict = {}
+    exec(compile(ast.Module(gen, type_ignores=[]), str(BENCH / "gen.py"), "exec"), workloads)
+    fill = {"{store}": "store", "{producer}": "p"}
+    dests = set()
+    for workload, score in workloads["SCORE_ARGS"].items():
+        for argv in (score, workloads["put_args"](workload)):
+            dests |= vars(build_parser().parse_args([fill.get(a, a) for a in argv])).keys()
+
+    read = {node.attr for node in ast.walk(trees["traced.py"])
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    assert "trigger_policy" in read
+    assert read - dests == set()

@@ -23,7 +23,7 @@ from eescore.pipeline import (
     parse_trigger_file,
     serialize_trigger_context,
 )
-from eescore.variants import MENTION_MODES, MULTI_TOKEN_POLICIES, VariantConfig
+from eescore.variants import VARIANT_CHOICES, VariantConfig
 
 from corpora import predictions_from, resignation_corpus, simple_doc
 from gen import random_corpus
@@ -178,6 +178,13 @@ def test_protocol_shows_a_refused_value_as_json(fields, error):
         Protocol(**fields)
 
 
+def test_protocol_spells_one_candidate_space_once():
+    """Spans up to 1 token are the `every_token` candidates, whose k is 1."""
+    assert Protocol(trigger_policy="every_span_up_to_k", k=1) == Protocol()
+    assert Protocol(k=3).k == 1
+    assert Protocol(trigger_policy="every_span_up_to_k", k=3).k == 3
+
+
 @pytest.mark.parametrize("paradigm", ["ed_paradigm", "eae_paradigm"])
 def test_protocol_rejects_generation_without_standardization(paradigm):
     assert Protocol(**{paradigm: "CG"}).standardize is True
@@ -186,15 +193,18 @@ def test_protocol_rejects_generation_without_standardization(paradigm):
 
 
 def test_generation_predictions_have_no_native_output_space():
-    """A protocol that names no paradigm lets CG predictions through to
-    `native_predictions`, which refuses them."""
+    """A protocol that names no paradigm still refuses CG predictions:
+    `evaluate` binds each file's paradigm into it."""
     corpus = two_event_corpus()
-    ed = predictions_from(
-        [{"doc_id": "d", "task": "trigger", "items": [{"mention": ["w2"], "label": "A"}]}], "CG", corpus
-    )
-    with pytest.raises(ConfigError) as exc:
-        evaluate(corpus, Protocol(standardize=False), ed_pred=ed)
-    assert str(exc.value) == "generation predictions cannot be scored without standardization"
+    ed = [{"doc_id": "d", "task": "trigger", "items": [{"mention": ["w2"], "label": "A"}]}]
+    eae = [{"doc_id": "d", "task": "argument", "anchor": {"trigger": [2, 3], "event_type": "A"},
+            "items": [{"mention": ["w0"], "label": "r1"}]}]
+    for task, records in (("ed_pred", ed), ("eae_pred", eae)):
+        with pytest.raises(ConfigError) as exc:
+            evaluate(corpus, Protocol(standardize=False), **{task: predictions_from(records, "CG", corpus)})
+        assert str(exc.value) == (
+            "generation predictions cannot be scored without --standardize (their mentions carry no positions)"
+        )
 
 
 def test_pipeline_without_triggers_is_config_error():
@@ -262,8 +272,7 @@ def test_fingerprint_binds_corpus_and_variant():
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
-    cfg=st.builds(VariantConfig, entity_mention_mode=st.sampled_from(MENTION_MODES),
-                  multi_token_policy=st.sampled_from(MULTI_TOKEN_POLICIES)),
+    cfg=st.builds(VariantConfig, **{key: st.sampled_from(allowed) for key, allowed in VARIANT_CHOICES.items()}),
 )
 def test_fingerprint_is_hashlib_sha256_of_corpus_and_variant(seed, cfg):
     """The built-in SHA-256 the fingerprint uses gives hashlib's digest."""

@@ -8,7 +8,7 @@ from eescore.errors import ConfigError
 from eescore.ingest import serialize_corpus
 from eescore.standardize import CandidatePolicy
 from eescore.variants import (
-    MULTI_TOKEN_POLICIES,
+    VARIANT_CHOICES,
     VariantConfig,
     apply_variant,
     compute_stats,
@@ -182,12 +182,19 @@ def test_variant_config_parsing():
 
 @pytest.mark.parametrize("key", ["entity_mention_mode", "multi_token_policy"])
 def test_variant_config_refuses_an_unknown_choice(key):
-    with pytest.raises(ValueError, match=f"^unknown {key} 'other'$"):
+    with pytest.raises(ConfigError, match=f"^unknown {key} 'other'$"):
         VariantConfig(**{key: "other"})
 
 
+def test_variant_config_file_refuses_a_choice_with_its_line():
+    """The parser leaves the choice to `VariantConfig` and adds the line."""
+    with pytest.raises(ConfigError) as exc:
+        parse_variant_config("include_time = false\nmulti_token_policy = drop\n")
+    assert str(exc.value) == "variant config line 2: unknown multi_token_policy 'drop'"
+
+
 def test_multi_token_policy_is_the_default_while_multi_token_triggers_are_kept():
-    for policy in MULTI_TOKEN_POLICIES:
+    for policy in VARIANT_CHOICES["multi_token_policy"]:
         assert VariantConfig(multi_token_policy=policy) == VariantConfig()
     assert VariantConfig(multi_token_triggers=False, multi_token_policy="drop_event").multi_token_policy == "drop_event"
 
