@@ -15,6 +15,7 @@ import gc
 import os
 import sys
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .core import TriggerContext
@@ -53,6 +54,18 @@ def _store(args, create: bool = False) -> TriggerStore:
 
 # ---------------------------------------------------------------------------
 # shared flags
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Shows an option's argument once, after all of its spellings: `--a-b, --a_b {x,y}`."""
+
+    def _format_action_invocation(self, action) -> str:
+        if not action.option_strings or action.nargs == 0:
+            return super()._format_action_invocation(action)
+        return f"{', '.join(action.option_strings)} {self._format_args(action, action.dest.upper())}"
+
+
+_parser = partial(argparse.ArgumentParser, formatter_class=_HelpFormatter)
 
 
 def _flag(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
@@ -266,10 +279,11 @@ def cmd_standardize(args) -> int:
 _SCORES = ("precision", "recall", "f1")
 
 
-def _load_report(path) -> dict:
+def _load_report(path) -> tuple[dict, Protocol]:
     """A score report whose fingerprint is a string, whose config holds
     every protocol key, and whose "ed" and "eae" are each null or carry
-    precision, recall and f1 as numbers in [0, 1]."""
+    precision, recall and f1 as numbers in [0, 1]; with the protocol that
+    its config spells."""
     try:
         obj = _read(path, "report file", read_json)
     except ValueError as exc:
@@ -283,7 +297,7 @@ def _load_report(path) -> dict:
         if key not in config:
             raise ConfigError(f"report {path}: config lacks {key!r}")
     try:
-        Protocol(**{key: config[key] for key in protocol_keys()})
+        protocol = Protocol(**{key: config[key] for key in protocol_keys()})
     except ConfigError as exc:
         raise ConfigError(f"report {path}: {exc}") from None
     for task in ("ed", "eae"):
@@ -292,22 +306,22 @@ def _load_report(path) -> dict:
             isinstance(scores, dict) and all(is_score(scores.get(m)) for m in _SCORES)
         ):
             raise ConfigError(f"report {path}: {task!r} lacks {', '.join(_SCORES)} as numbers in [0, 1]")
-    return obj
+    return obj, protocol
 
 
 def cmd_compare(args) -> int:
-    a = _load_report(args.report_a)
-    b = _load_report(args.report_b)
+    a, protocol_a = _load_report(args.report_a)
+    b, protocol_b = _load_report(args.report_b)
     if a["fingerprint"] != b["fingerprint"]:
         raise ConfigError(
             "reports were produced from different corpus/variant fingerprints: "
             f"{a['fingerprint'][:12]}... vs {b['fingerprint'][:12]}..."
         )
-    ca, cb = a["config"], b["config"]
     # prediction paths, the store and the producer are provenance; the
-    # corpus and the variant are bound by the fingerprint
-    for key in protocol_keys(ca):
-        va, vb = canonical_line(ca[key]), canonical_line(cb[key])
+    # corpus and the variant are bound by the fingerprint; a protocol is
+    # compared as `Protocol` spells it (spans up to 1 token are `every_token`)
+    for key in protocol_keys(a["config"]):
+        va, vb = canonical_line(getattr(protocol_a, key)), canonical_line(getattr(protocol_b, key))
         if va != vb:
             raise ConfigError(f"reports were produced under different protocols: {key} is {va} vs {vb}")
     rows = []
@@ -373,12 +387,12 @@ def cmd_store_list(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _parser(
         prog="eescore",
         description="Deterministic event-extraction evaluation: preprocessing variants, "
         "output standardization, gold-trigger and pipeline scoring.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_parser)
 
     p_stats = sub.add_parser("stats", help="dataset statistics under a preprocessing variant")
     _add_corpus_flags(p_stats)
@@ -427,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_store = sub.add_parser("trigger-store", help="manage off-the-shelf predicted triggers")
-    store_sub = p_store.add_subparsers(dest="store_command", required=True)
+    store_sub = p_store.add_subparsers(dest="store_command", required=True, parser_class=_parser)
 
     p_put = store_sub.add_parser("put", help="score ED predictions and store the triggers")
     _add_corpus_flags(p_put)

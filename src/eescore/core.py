@@ -11,7 +11,8 @@ be built, and `validate_document` reports what is wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -101,6 +102,8 @@ class Document:
 @dataclass(frozen=True)
 class Corpus:
     documents: tuple[Document, ...]
+    # what the parser fed a SHA-256 of these documents; no __init__ argument, so `replace` drops it
+    hash_state: object = field(init=False, compare=False, repr=False, default=None)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -199,6 +202,10 @@ def validate_document(doc: Document) -> list[str]:
 
     seen_entity_ids: set[str] = set()
     for i, m in enumerate(doc.entities):
+        (start, end), (head_start, head_end) = m.span, m.head_span
+        if 0 <= start <= head_start < head_end <= end <= n and m.kind in ENTITY_KINDS and m.id not in seen_entity_ids:
+            seen_entity_ids.add(m.id)  # nothing to report, without a call per check
+            continue
         if m.kind not in ENTITY_KINDS:
             out.append(f"unknown entity kind {m.kind!r} at entities[{i}]")
         span_ok = _check_span(m.span, n, "entities[{}].span", i, out)
@@ -209,13 +216,16 @@ def validate_document(doc: Document) -> list[str]:
             out.append(f"duplicate entity id {m.id} at entities[{i}]")
         seen_entity_ids.add(m.id)
 
+    # in a partition, only the last sentence to start at or before a span's start can hold it
+    starts = [s.start for s in doc.sentences] if partition_ok else ()
     seen_event_ids: set[str] = set()
     for i, ev in enumerate(doc.events):
         if ev.id in seen_event_ids:
             out.append(f"duplicate event id {ev.id} at events[{i}]")
         seen_event_ids.add(ev.id)
         if _check_span(ev.trigger, n, "events[{}].trigger", i, out):
-            within = any(span_contains(s, ev.trigger) for s in doc.sentences)
+            within = (ev.trigger.end <= doc.sentences[bisect_right(starts, ev.trigger.start) - 1].end if starts
+                      else any(span_contains(s, ev.trigger) for s in doc.sentences))
             if doc.sentences and not within:
                 out.append(f"trigger span crosses sentence boundary at events[{i}].trigger")
         seen_args: set[tuple[str, str]] = set()

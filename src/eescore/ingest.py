@@ -5,10 +5,14 @@ prediction, conditional generation) and the predicted-trigger file.
 All formats are JSONL: one record per line, UTF-8. Parsing is total over
 the error channel: malformed input raises ParseError/ValidationError with
 a locator, never an uncontrolled exception. Fields are checked in a fixed
-order and the first fault is reported; an object that repeats a key is
-malformed. A canonically formatted corpus
-(sorted keys, no extra whitespace) round-trips byte-identically through
-serialize_corpus.
+order and the first fault is reported; an object that repeats a key, or a
+string with an unpaired surrogate (`"\\ud800"`, no UTF-8 text), is malformed.
+A canonically formatted corpus (sorted keys, no extra whitespace)
+round-trips byte-identically through serialize_corpus. The corpus parser
+makes the one pass over each line: it decodes and checks the line, builds
+its records and feeds the line's canonical form to the corpus's SHA-256.
+A line equal to its canonical form cannot repeat a key; any other line is
+decoded again, with the duplicate-key check.
 """
 
 from __future__ import annotations
@@ -33,7 +37,16 @@ from .core import (
     validate_document,
 )
 from .errors import ParseError, ValidationError
-from .jsonio import DECODER, dump_jsonl
+from .jsonio import DECODER, canonical_line, dump_jsonl
+
+# the interpreter's built-in SHA-256 gives hashlib's digest without loading OpenSSL
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 PARADIGM_CLS = "CLS"
 PARADIGM_SL = "SL"
@@ -52,7 +65,13 @@ PAYLOAD_FIELD = {
 # matched against the whole tag: "O\n" is malformed
 _TAG_RE = re.compile(r"O|[BI]-.+")
 _STR_TYPE = frozenset((str,))
-_new_span = partial(tuple.__new__, Span)  # Span(*pair) without a Python-level __new__
+_PLAIN_DECODER = json.JSONDecoder()  # keeps the last of repeated keys: only for lines shown to repeat none
+# each record built from its field values without a Python-level __new__
+_new_span = partial(tuple.__new__, Span)
+_new_entity = partial(tuple.__new__, EntityMention)
+_new_argument = partial(tuple.__new__, Argument)
+_new_event = partial(tuple.__new__, EventAnnotation)
+_new_anchor = partial(tuple.__new__, Anchor)
 
 # the objects whose keys are not the fields of one record type
 _DOCUMENT_FIELDS = frozenset(("id", "tokens", "sentences", "entities", "events"))
@@ -122,6 +141,7 @@ _TRIGGER_FIELDS = frozenset(PredictedTrigger._fields)
 _ASSIGNMENT_FIELDS = frozenset(ClsAssignment._fields)
 _PREDICTION_FIELDS = frozenset(SpanPrediction._fields)
 _ITEM_FIELDS = frozenset(CgItem._fields)
+_new_prediction = partial(tuple.__new__, SpanPrediction)
 
 
 def _iter_lines(stream: Stream) -> Iterator[tuple[int, str]]:
@@ -132,11 +152,13 @@ def _iter_lines(stream: Stream) -> Iterator[tuple[int, str]]:
     also breaks on, and the canonical writer emits them raw.
     """
     text = stream.read() if hasattr(stream, "read") else stream
-    if isinstance(text, (bytes, bytearray)):
-        try:
+    try:
+        if isinstance(text, (bytes, bytearray)):
             text = text.decode("utf-8")  # the bytes are dropped from here on
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc}") from None
+        elif not text.isascii():
+            text.encode("utf-8")  # text that never was UTF-8 may hold a surrogate
+    except UnicodeError as exc:
+        raise ParseError(f"input is not valid UTF-8: {exc}") from None
     # one line at a time: the text is held once, not again as a list of lines
     start, i = 0, 1
     while start <= len(text):
@@ -152,10 +174,15 @@ def _iter_lines(stream: Stream) -> Iterator[tuple[int, str]]:
 def _load_object(raw: str, line: int) -> dict:
     try:
         obj = DECODER.decode(raw)
+        # a surrogate may be escaped, but so is a valid pair: encoding tells ("\\" is found by memchr)
+        if "\\" in raw and ("\\ud" in raw or "\\uD" in raw):
+            canonical_line(obj).encode("utf-8")
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON ({exc.msg})", line) from None
     except RecursionError:
         raise ParseError("invalid JSON (nested too deeply)", line) from None
+    except UnicodeEncodeError:
+        raise ParseError("a string holds an unpaired surrogate, which UTF-8 cannot encode", line) from None
     except ValueError as exc:  # a duplicate key, or an integer too long to convert
         raise ParseError(str(exc), line) from None
     if type(obj) is not dict:
@@ -251,12 +278,20 @@ def _check_uniform_confidence(predictions: list, line: int) -> None:
 
 
 def parse_corpus(stream: Stream) -> Corpus:
-    """Parses a JSONL corpus, validating every document invariant."""
+    """Parses a JSONL corpus, validating every document invariant and hashing it as it goes."""
     docs: list[Document] = []
     seen: dict[str, int] = {}
     share = {}.setdefault
+    hash_state = sha256()
     for line, raw in _iter_lines(stream):
-        obj = _load_object(raw, line)
+        try:  # a dict re-encodes with each key once: a line equal to its canonical form repeats none
+            obj = _PLAIN_DECODER.decode(raw)
+            text = canonical_line(obj)
+            hash_state.update((text + "\n").encode("utf-8"))
+        except (ValueError, RecursionError):  # not JSON, or an unpaired surrogate: refused just below
+            text = None
+        if text != raw or type(obj) is not dict:
+            obj = _load_object(raw, line)
         _reject_extras(obj, _DOCUMENT_FIELDS, line)
         doc_id = _text(obj, "id", line, share)
         if doc_id in seen:
@@ -274,44 +309,51 @@ def parse_corpus(stream: Stream) -> Corpus:
             raise ParseError("sentences must be an array", line)
         sentence_spans = tuple([_decode_span(s, "sentences[{}]", line, share, i) for i, s in enumerate(sentences)])
 
-        entities = tuple([
-            EntityMention(
-                id=_text(e, "id", line, share, "entities[{}].id", i),
-                span=_decode_span(_require(e, "span", line), "entities[{}].span", line, share, i),
-                head_span=_decode_span(_require(e, "head_span", line), "entities[{}].head_span", line, share, i),
-                kind=_text(e, "kind", line, share, "entities[{}].kind", i),
-            )
-            for i, e in _objects(_require(obj, "entities", line), "entities", _ENTITY_FIELDS, line)
-        ])
+        # each record is checked inline and built from its values; on a fault the field checks raise in order
+        entities = []
+        for i, e in _objects(_require(obj, "entities", line), "entities", _ENTITY_FIELDS, line):
+            eid, span, head, kind = e.get("id"), e.get("span"), e.get("head_span"), e.get("kind")
+            if not (type(eid) is type(kind) is str and type(span) is type(head) is list and len(span) == len(head) == 2
+                    and type(span[0]) is type(span[1]) is type(head[0]) is type(head[1]) is int):
+                _text(e, "id", line, share, "entities[{}].id", i)
+                _decode_span(_require(e, "span", line), "entities[{}].span", line, share, i)
+                _decode_span(_require(e, "head_span", line), "entities[{}].head_span", line, share, i)
+                _text(e, "kind", line, share, "entities[{}].kind", i)
+            span, head = _new_span(span), _new_span(head)
+            entities.append(_new_entity((share(eid, eid), share(span, span), share(head, head), share(kind, kind))))
 
         events = []
         for i, ev in _objects(_require(obj, "events", line), "events", _EVENT_FIELDS, line):
-            raw_args = _require(ev, "arguments", line)
-            args = tuple([
-                Argument(entity_id=_text(a, "entity_id", line, share), role=_text(a, "role", line, share))
-                for _, a in _objects(raw_args, "events[{}].arguments", _ARGUMENT_FIELDS, line, i)
-            ])
-            events.append(
-                EventAnnotation(
-                    id=_text(ev, "id", line, share, "events[{}].id", i),
-                    event_type=_text(ev, "type", line, share, "events[{}].type", i),
-                    trigger=_decode_span(_require(ev, "trigger", line), "events[{}].trigger", line, share, i),
-                    arguments=args,
-                )
-            )
+            args = []
+            for _, a in _objects(_require(ev, "arguments", line), "events[{}].arguments", _ARGUMENT_FIELDS, line, i):
+                entity_id, role = a.get("entity_id"), a.get("role")
+                if not (type(entity_id) is type(role) is str):
+                    _text(a, "entity_id", line, share)
+                    _text(a, "role", line, share)
+                args.append(_new_argument((share(entity_id, entity_id), share(role, role))))
+            eid, event_type, trigger = ev.get("id"), ev.get("type"), ev.get("trigger")
+            if not (type(eid) is type(event_type) is str and type(trigger) is list and len(trigger) == 2
+                    and type(trigger[0]) is type(trigger[1]) is int):
+                _text(ev, "id", line, share, "events[{}].id", i)
+                _text(ev, "type", line, share, "events[{}].type", i)
+                _decode_span(_require(ev, "trigger", line), "events[{}].trigger", line, share, i)
+            trigger = _new_span(trigger)
+            events.append(_new_event((share(eid, eid), share(event_type, event_type), share(trigger, trigger), tuple(args))))
 
         doc = Document(
             id=doc_id,
             tokens=tuple(map(share, tokens, tokens)),
             sentences=sentence_spans,
-            entities=entities,
+            entities=tuple(entities),
             events=tuple(events),
         )
         violations = validate_document(doc)
         if violations:
             raise ValidationError(f"document {doc_id!r}: " + "; ".join(violations))
         docs.append(doc)
-    return Corpus(documents=tuple(docs))
+    corpus = Corpus(documents=tuple(docs))
+    object.__setattr__(corpus, "hash_state", hash_state)
+    return corpus
 
 
 def _document_to_obj(doc: Document) -> dict:
@@ -339,6 +381,12 @@ def serialize_corpus(corpus: Corpus) -> bytes:
     return dump_jsonl(_document_to_obj(d) for d in corpus)
 
 
+def corpus_hash(corpus: Corpus):
+    """A SHA-256 fed `serialize_corpus(corpus)`: for a parsed corpus, a copy of the one fed each checked
+    line's canonical form (just what `_document_to_obj` renders of it); else a new one."""
+    return sha256(serialize_corpus(corpus)) if corpus.hash_state is None else corpus.hash_state.copy()
+
+
 # ---------------------------------------------------------------------------
 # predictions
 
@@ -348,7 +396,7 @@ def _parse_anchor(obj, n_tokens: int, line: int, share) -> Anchor:
         raise ParseError("anchor must be an object", line)
     _reject_extras(obj, _ANCHOR_FIELDS, line)
     trigger = _decode_span(_require(obj, "trigger", line), "anchor.trigger", line, share, n_tokens=n_tokens)
-    return Anchor(trigger=trigger, event_type=_text(obj, "event_type", line, share, "anchor.event_type"))
+    return _new_anchor((trigger, _text(obj, "event_type", line, share, "anchor.event_type")))
 
 
 def _parse_assignments(raw, n_tokens: int, line: int, share) -> tuple[ClsAssignment, ...]:
@@ -381,14 +429,17 @@ def _parse_tags(raw, n_tokens: int, line: int, share) -> tuple[str, ...]:
 
 
 def _parse_spans(raw, n_tokens: int, line: int, share) -> tuple[SpanPrediction, ...]:
-    out = [
-        SpanPrediction(
-            span=_decode_span(_require(s, "span", line), "spans[{}].span", line, share, i, n_tokens),
-            label=_text(s, "label", line, share),
-            confidence=_confidence(s, line),
-        )
-        for i, s in _objects(raw, "spans", _PREDICTION_FIELDS, line)
-    ]
+    out = []
+    for i, s in _objects(raw, "spans", _PREDICTION_FIELDS, line):  # checked inline, as corpus records are
+        span, label, c = s.get("span"), s.get("label"), s.get("confidence")
+        if not (type(span) is list and len(span) == 2 and type(span[0]) is type(span[1]) is int
+                and 0 <= span[0] < span[1] <= n_tokens and type(label) is str
+                and (len(s) == 2 if c is None else type(c) in (float, int) and 0 <= c <= 1)):
+            _decode_span(_require(s, "span", line), "spans[{}].span", line, share, i, n_tokens)
+            _text(s, "label", line, share)
+            _confidence(s, line)
+        span = _new_span(span)
+        out.append(_new_prediction((share(span, span), share(label, label), c)))
     _check_uniform_confidence(out, line)
     return tuple(out)
 

@@ -17,7 +17,8 @@ from typing import Any
 
 
 def canonical_line(obj: Any, default=None) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=default)
+    """`obj` as one canonical JSON line; it must hold no reference cycle, which goes unchecked."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=default, check_circular=False)
 
 
 def dump_jsonl(objs) -> bytes:
@@ -28,14 +29,14 @@ def _format_value(value: Any, indent: int) -> str:
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return json.dumps(value, ensure_ascii=False)
+        return _encode_scalar(value)
     if isinstance(value, float):
         return f"{value:.6f}"
     if isinstance(value, dict):
         if not value:
             return "{}"
         parts = [
-            f"{inner}{json.dumps(str(k), ensure_ascii=False)}: {_format_value(v, indent + 2)}"
+            f"{inner}{_encode_scalar(str(k))}: {_format_value(v, indent + 2)}"
             for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
@@ -83,8 +84,10 @@ def unique_keys(pairs: list) -> dict:
     return obj
 
 
-# one decoder for every read: json.loads(s, **hooks) builds a new one per call
+# one decoder for every read and one encoder for every report scalar: json.loads(s, **hooks) and
+# json.dumps(value, **options) build a new one per call
 DECODER = json.JSONDecoder(object_pairs_hook=unique_keys)
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def read_json(path) -> Any:

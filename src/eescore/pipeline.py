@@ -24,8 +24,8 @@ from .ingest import (  # noqa: F401 (bench/traced.py imports the trigger-file re
     PARADIGM_CG,
     PARADIGMS,
     ParadigmPredictions,
+    corpus_hash,
     parse_trigger_file,
-    serialize_corpus,
     serialize_trigger_context,
 )
 from .jsonio import canonical_line, format_report, read_json, write_atomic
@@ -54,15 +54,6 @@ from .standardize import (
     standardize_predictions,
 )
 from .variants import VariantConfig
-
-# the interpreter's built-in SHA-256 gives hashlib's digest without loading OpenSSL
-try:
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10, 3.11
-    except ImportError:
-        from hashlib import sha256
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +215,9 @@ def evaluate(
 
 
 def corpus_fingerprint(corpus: Corpus, cfg: VariantConfig) -> str:
-    """Binds a corpus's content to a preprocessing-variant configuration."""
-    h = sha256()
-    h.update(serialize_corpus(corpus))
+    """Binds a corpus's content to a preprocessing-variant configuration
+    (a parsed corpus was hashed as it was read: see `corpus_hash`)."""
+    h = corpus_hash(corpus)
     h.update(canonical_line(cfg.as_dict()).encode("utf-8"))
     return h.hexdigest()
 

@@ -14,7 +14,9 @@ gives the predictions in their native output space.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator, NamedTuple, Sequence
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import TASK_TRIGGER, Anchor, Corpus, Document, Span
 from .ingest import CgItem, ParadigmPredictions, PredictionRecord, SpanPrediction
@@ -63,6 +65,10 @@ class Assignment(NamedTuple):
     label: str
     provenance: str
     confidence: float | None = None
+
+
+_new_assignment = partial(tuple.__new__, Assignment)  # Assignment(*fields) without a Python-level __new__
+_span_then_id = itemgetter(1, 0)  # an assignment's canonical sort key: (span, candidate id)
 
 
 class Discard(NamedTuple):
@@ -221,17 +227,17 @@ def _decode(
     Returns the provenance of the record's matches, the discards found
     while decoding, and the positioned predictions in arrival order as
     (span, candidate id, label, confidence, original) tuples, where
-    `original` is the JSON description of the prediction and the
-    candidate id is None when no candidate has exactly that span. The
-    discards are a classification id that names no candidate, a generated
-    mention with no occurrence left and, under `--stray_i discard`, a
-    stray I tag that was dropped.
+    `original()` renders the JSON description of the prediction (only a
+    discard needs it) and the candidate id is None when no candidate has
+    exactly that span. The discards are a classification id that names no
+    candidate, a generated mention with no occurrence left and, under
+    `--stray_i discard`, a stray I tag that was dropped.
     """
     if record.assignments is not None:
         located = [(a, candidates.span_of(a.candidate_id)) for a in record.assignments]
         unknown = [Discard(DISCARD_UNKNOWN_CANDIDATE, a.as_dict()) for a, span in located if span is None]
         return PROV_NATIVE, unknown, (
-            (span, a.candidate_id, a.label, a.confidence, a.as_dict()) for a, span in located if span is not None
+            (span, a.candidate_id, a.label, a.confidence, a.as_dict) for a, span in located if span is not None
         )
     if record.tags is not None:
         decoded = decode_bio(record.tags, options.stray_i)
@@ -244,16 +250,17 @@ def _decode(
                 if tag != "O" and t not in covered
             ]
         return PROV_PROJECTED, strays, (
-            (span, candidates.id_of(span), label, None, SpanPrediction(span, label).as_dict())
+            (span, candidates.id_of(span), label, None, lambda span=span, label=label: SpanPrediction(span, label).as_dict())
             for span, label in decoded
         )
     if record.spans is not None:
         return PROV_PROJECTED, [], (
-            (sp.span, candidates.id_of(sp.span), sp.label, sp.confidence, sp.as_dict()) for sp in record.spans
+            (sp.span, candidates.id_of(sp.span), sp.label, sp.confidence, sp.as_dict) for sp in record.spans
         )
     placed, unplaceable = position_cg(record.items or (), doc)
     return PROV_POSITIONED, [Discard(DISCARD_UNPLACEABLE, it.as_dict()) for it, _ in unplaceable], (
-        (span, candidates.id_of(span), it.label, it.confidence, {**it.as_dict(), "span": span.as_pair()})
+        (span, candidates.id_of(span), it.label, it.confidence,
+         lambda it=it, span=span: {**it.as_dict(), "span": span.as_pair()})
         for span, it, _ in placed
     )
 
@@ -274,33 +281,27 @@ def _project(
     one assignment or one discard.
     """
     provenance, discards, decoded = _decode(record, candidates, options, doc)
-    groups: dict[str, list[tuple[Assignment, dict]]] = {}  # candidate id -> its predictions, in arrival order
+    groups: dict[str, list[tuple[Assignment, Callable[[], dict]]]] = {}  # candidate id -> its predictions, in arrival order
     for span, cid, label, confidence, original in decoded:
         if cid is None:
-            discards.append(Discard(DISCARD_OVERLAP, original))
+            discards.append(Discard(DISCARD_OVERLAP, original()))
         else:
-            groups.setdefault(cid, []).append((Assignment(cid, span, label, provenance, confidence), original))
+            groups.setdefault(cid, []).append((_new_assignment((cid, span, label, provenance, confidence)), original))
 
     assignments = []
     for group in groups.values():
-        # a record's predictions are all scored or all unscored; max keeps the first of equal confidences
-        best, _ = group[0] if group[0][0].confidence is None else max(group, key=lambda p: p[0].confidence)
+        best = group[0][0]
         if len(group) > 1:
+            # a record's predictions are all scored or all unscored; max keeps the first of equal confidences
+            best = best if best.confidence is None else max(group, key=lambda p: p[0].confidence)[0]
             for a, original in group:
                 if a is not best:
                     reason = DISCARD_DUP_CONFIDENCE if a.confidence != best.confidence else DISCARD_DUP_ARRIVAL
-                    discards.append(Discard(reason, original))
+                    discards.append(Discard(reason, original()))
             best = best._replace(provenance=PROV_RESOLVED_DUPLICATE)
         assignments.append(best)
-    assignments.sort(key=lambda a: (a.span, a.candidate_id))  # canonical order: (start, end), then id
-    return StandardizedRecord(
-        doc_id=record.doc_id,
-        task=record.task,
-        anchor=record.anchor,
-        assignments=tuple(assignments),
-        discarded=tuple(discards),
-        line=record.line,
-    )
+    assignments.sort(key=_span_then_id)  # canonical order: (start, end), then id
+    return StandardizedRecord(record.doc_id, record.task, record.anchor, tuple(assignments), tuple(discards), record.line)
 
 
 def _with_candidates(

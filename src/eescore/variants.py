@@ -110,7 +110,9 @@ def _apply_document(doc: Document, cfg: VariantConfig) -> tuple[Document, int, i
 
 def apply_variant(corpus: Corpus, cfg: VariantConfig) -> tuple[Corpus, VariantReport]:
     """Pure transformation; idempotent, and the identity configuration
-    returns a deeply equal corpus. Trigger-only events are legal and kept."""
+    returns the corpus itself. Trigger-only events are legal and kept."""
+    if cfg == VariantConfig():
+        return corpus, VariantReport()
     docs = []
     removed_arguments = 0
     reduced_triggers = 0

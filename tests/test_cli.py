@@ -339,13 +339,20 @@ def _parsers(parser, path=()):
 
 def test_every_parser_renders_its_help(capsys):
     """argparse formats help text only when asked for it, so a bad
-    `choices=` or `help=` shows only at `--help`."""
-    paths = [path for path, _ in _parsers(cli.build_parser())]
-    assert len(paths) == 9  # the top parser, 5 subcommands and 3 trigger-store subcommands
-    for path in paths:
+    `choices=` or `help=` shows only at `--help`. An option's line names
+    each of its spellings and then its argument, so each choice set once."""
+    parsers = list(_parsers(cli.build_parser()))
+    assert len(parsers) == 9  # the top parser, 5 subcommands and 3 trigger-store subcommands
+    for path, parser in parsers:
         assert run([*path, "--help"]) == 0
         out = capsys.readouterr().out
         assert out.startswith(" ".join(("usage: eescore", *path)))
+        for action in parser._actions:
+            if action.choices and action.option_strings:
+                choices = "{" + ",".join(action.choices) + "}"
+                start = action.option_strings[0] + (", " if action.option_strings[1:] else " ")
+                line = next((line for line in out.splitlines() if line.lstrip().startswith(start)), "")
+                assert line.strip() == f"{', '.join(action.option_strings)} {choices}"
 
 
 def test_every_multi_word_flag_takes_both_spellings():
@@ -470,6 +477,49 @@ def test_dump_discards_ledger(tmp_path, corpus_path):
     ]
 
 
+def test_compare_reads_a_report_as_its_protocol(tmp_path, corpus_path, capsys):
+    """A report that spells the `every_token` candidate space as
+    `every_span_up_to_k` with `k` 1, as reports written before `Protocol`
+    spelled it once do, compares with the default run's report."""
+    preds = tmp_path / "ed_sp.jsonl"
+    preds.write_bytes(dump_jsonl([{"doc_id": "doc-resignation", "task": "trigger", "spans": [
+        {"span": [8, 9], "label": "End-Position"}, {"span": [16, 18], "label": "Meet"}]}]))
+    out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["score", "--corpus", corpus_path, "--ed-predictions", preds, "--ed-paradigm", "SP",
+                "--output", out_a]) == 0
+    report = json.loads(out_a.read_text())
+    assert (report["config"]["trigger_policy"], report["config"]["k"]) == ("every_token", 1)
+    out_b.write_text(json.dumps(dict(report, config=dict(report["config"], trigger_policy="every_span_up_to_k"))))
+    capsys.readouterr()
+    assert run(["compare", out_a, out_b]) == 0
+    assert capsys.readouterr() == ("Task        ΔP      ΔR     ΔF1\nED        +0.0    +0.0    +0.0\n", "")
+
+
+@pytest.mark.parametrize("command, where, code", [
+    ("score", "corpus", 2), ("score", "predictions", 1), ("put", "corpus", 2), ("standardize", "predictions", 1),
+])
+def test_an_unpaired_surrogate_is_refused_not_a_traceback(tmp_path, corpus_path, capsys, command, where, code):
+    """A corpus token `"\\ud800"` or a label `"\\udc00"` decodes, but no
+    report, store file or ledger could hold it as UTF-8."""
+    corpus, preds = tmp_path / "c.jsonl", tmp_path / "sp.jsonl"
+    label = "\udc00" if where == "predictions" else "End-Position"
+    preds.write_text(json.dumps({"doc_id": "doc-resignation", "task": "trigger",
+                                 "spans": [{"span": [8, 9], "label": label}]}) + "\n")
+    data = corpus_path.read_bytes()
+    assert data.count(b'"Elon"') == 1
+    corpus.write_bytes(data.replace(b'"Elon"', b'"\\ud800"') if where == "corpus" else data)
+    argv = {
+        "score": ["score", "--ed-predictions", preds, "--ed-paradigm", "SP", "--output", tmp_path / "r.json"],
+        "put": ["trigger-store", "put", "--store", tmp_path / "store", "--predictions", preds, "--paradigm", "SP",
+                "--producer", "p"],
+        "standardize": ["standardize", "--predictions", preds, "--paradigm", "SP", "--output", tmp_path / "s.jsonl"],
+    }[command]
+    assert run([*argv, "--corpus", corpus]) == code
+    prefix = f"corpus {corpus}: " if where == "corpus" else ""
+    assert capsys.readouterr() == ("", f"eescore: error: {prefix}line 1: a string holds an unpaired surrogate, "
+                                       "which UTF-8 cannot encode\n")
+
+
 def test_compare_identical_reports_all_zero(tmp_path, corpus_path, capsys):
     preds = cls_ed_file(tmp_path, corpus_path)
     out = tmp_path / "r.json"
@@ -520,6 +570,11 @@ def test_report_config_holds_the_default_protocol(tmp_path, corpus_path):
     assert {key: config[key] for key in protocol_keys()} == asdict(Protocol(ed_paradigm="CLS"))
 
 
+# a candidate space is its trigger policy and k read together (spans up to
+# 1 token are `every_token`): what both reports hold to change one of them
+SHARED_CONFIG = {"trigger_policy": {"k": 2}, "k": {"trigger_policy": "every_span_up_to_k", "k": 3}}
+
+
 @pytest.mark.parametrize("key, value", PROTOCOL_CHANGES, ids=[key for key, _ in PROTOCOL_CHANGES])
 def test_compare_different_protocol_exits_2(tmp_path, corpus_path, capsys, key, value):
     preds = cls_ed_file(tmp_path, corpus_path)
@@ -527,6 +582,8 @@ def test_compare_different_protocol_exits_2(tmp_path, corpus_path, capsys, key, 
     assert run(["score", "--corpus", corpus_path, "--ed-predictions", preds,
                 "--ed-paradigm", "CLS", "--no-standardize", "--output", out_a]) == 0
     report = json.loads(out_a.read_text())
+    report["config"].update(SHARED_CONFIG.get(key, {}))
+    out_a.write_text(json.dumps(report))
     out_b.write_text(json.dumps(dict(report, config=dict(report["config"], **{key: value}))))
     capsys.readouterr()
     assert run(["compare", out_a, out_b]) == 2
@@ -1160,6 +1217,7 @@ def test_data_path_leaves_no_cyclic_garbage(tmp_path):
     _cyclic_garbage(tmp_path / "warm-up", documents[:1])  # first-call caches
     one = _cyclic_garbage(tmp_path / "one", documents[:1])
     many = _cyclic_garbage(tmp_path / "many", documents)
-    assert [o for o in one + many if type(o).__module__.startswith("eescore")] == []
-    # what is left is the argument parser's, the same at any corpus size
+    # what is left is the argument parser's (its help formatters included), the same at any corpus size
+    assert [o for o in one + many
+            if type(o).__module__.startswith("eescore") and not isinstance(o, argparse.HelpFormatter)] == []
     assert len(one) == len(many)

@@ -445,13 +445,72 @@ def test_sl_first_malformed_tag_is_reported():
         b'{"id": "d", "id": "e", "tokens": [], "sentences": [], "entities": [], "events": []}',
         b'{"id": "d", "tokens": ["a"], "sentences": [[0, 1]], "events": [], '
         b'"entities": [{"id": "m", "kind": "entity", "span": [0, 1], "head_span": [0, 1], "kind": "value"}]}',
+        b'{"entities":[],"events":[],"id":"d","id":"e","sentences":[],"tokens":[]}',
+        b'{"entities":[{"head_span":[0,1],"id":"m","kind":"entity","kind":"value","span":[0,1]}],'
+        b'"events":[],"id":"d","sentences":[[0,1]],"tokens":["a"]}',
     ],
-    ids=["document", "entity"],
+    ids=["document", "entity", "document-otherwise-canonical", "entity-otherwise-canonical"],
 )
 def test_corpus_repeated_key_is_a_parse_error(raw):
     good = dump_jsonl([{"id": "c", "tokens": [], "sentences": [], "entities": [], "events": []}])
     with pytest.raises(ParseError, match=r"^line 2: duplicate key '(id|kind)'$"):
         parse_corpus(good + raw)
+
+
+UNPAIRED_SURROGATE = "a string holds an unpaired surrogate, which UTF-8 cannot encode"
+
+
+def _ascii_line(obj, canonical: bool = True) -> bytes:
+    """One JSONL line whose strings are escaped to ASCII: a lone surrogate as `\\udXXX`."""
+    if canonical:
+        return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+    return (json.dumps(obj) + "\n").encode("ascii")
+
+
+GOOD_DOC = {"id": "c", "tokens": ["a"], "sentences": [[0, 1]], "entities": [], "events": []}
+
+
+@pytest.mark.parametrize(
+    "reader, data, line",
+    [
+        ("corpus", _ascii_line(GOOD_DOC) + _ascii_line(dict(GOOD_DOC, id="d", tokens=["\ud800"])), 2),
+        ("corpus", _ascii_line(dict(GOOD_DOC, tokens=["a\udfff"]), canonical=False), 1),
+        ("corpus", _ascii_line({"\udc00": 1, **GOOD_DOC}), 1),
+        ("corpus", _ascii_line(dict(GOOD_DOC, tokens=["\ude00\ud83d"])), 1),  # a pair in the wrong order
+        ("SP", _ascii_line(dict(TRIGGER, spans=[{"span": [8, 9], "label": "\udc00"}])), 1),
+        ("CLS", _ascii_line(dict(TRIGGER, assignments=[{"candidate_id": "t:8:9", "label": "A\udbff"}]))
+         .replace(b"\\udbff", b"\\uDBFF"), 1),  # JSON escapes are case-blind
+        ("CG", _ascii_line(dict(TRIGGER, items=[{"mention": ["\ud800"], "label": "A"}])), 1),
+        ("SL", _ascii_line(dict(TRIGGER, tags=["O"] * 20 + ["B-\ud800"]), canonical=False), 1),
+        ("triggers", _ascii_line({"doc_id": "doc-resignation", "triggers": [{"span": [8, 9], "event_type": "\ud800"}]}), 1),
+    ],
+    ids=["corpus-canonical", "corpus", "corpus-key", "corpus-reversed-pair", "SP", "CLS", "CG", "SL", "triggers"],
+)
+def test_an_unpaired_surrogate_is_refused_with_its_line(reader, data, line):
+    """JSON may escape a lone UTF-16 surrogate, which decodes to a string
+    that no UTF-8 file can hold: every reader refuses it."""
+    with pytest.raises(ParseError) as exc:
+        if reader == "corpus":
+            parse_corpus(data)
+        elif reader == "triggers":
+            parse_trigger_file(data, resignation_corpus(), source="file")
+        else:
+            parse_predictions(data, reader, resignation_corpus())
+    assert str(exc.value) == f"line {line}: {UNPAIRED_SURROGATE}"
+
+
+def test_an_escaped_surrogate_pair_is_one_character():
+    data = _ascii_line(dict(GOOD_DOC, tokens=["\U0001F600"]))
+    assert b"\\ud83d\\ude00" in data
+    assert parse_corpus(data).get("c").tokens == ("\U0001F600",)
+    preds = parse_predictions(_ascii_line(dict(TRIGGER, spans=[{"span": [8, 9], "label": "\U0001F600"}])), "SP",
+                              resignation_corpus())
+    assert preds.records[0].spans[0].label == "\U0001F600"
+
+
+def test_a_surrogate_in_text_that_never_was_utf8_is_refused():
+    with pytest.raises(ParseError, match="^input is not valid UTF-8: 'utf-8' codec can't encode character"):
+        parse_corpus(json.dumps(dict(GOOD_DOC, tokens=["\ud800"]), ensure_ascii=False))
 
 
 def test_prediction_repeated_key_is_a_parse_error():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from eescore.core import Argument, Corpus, EntityMention, EventAnnotation, PredictedTrigger, Span
 from eescore.errors import ConfigError, ContextError, StoreError
-from eescore.ingest import serialize_corpus
+from eescore.ingest import parse_corpus, serialize_corpus
 from eescore.jsonio import canonical_line
 from eescore.metrics import MODE_GOLD_TRIGGER, MODE_PIPELINE
 from eescore.pipeline import (
@@ -23,7 +24,7 @@ from eescore.pipeline import (
     parse_trigger_file,
     serialize_trigger_context,
 )
-from eescore.variants import VARIANT_CHOICES, VariantConfig
+from eescore.variants import VARIANT_CHOICES, VariantConfig, apply_variant
 
 from corpora import predictions_from, resignation_corpus, simple_doc
 from gen import random_corpus
@@ -269,16 +270,66 @@ def test_fingerprint_binds_corpus_and_variant():
     assert base != corpus_fingerprint(resignation_corpus(), VariantConfig())
 
 
+def _shuffled(value, rng: random.Random):
+    """`value` with the keys of every object in a random order."""
+    if isinstance(value, dict):
+        items = list(value.items())
+        rng.shuffle(items)
+        return {key: _shuffled(v, rng) for key, v in items}
+    return [_shuffled(v, rng) for v in value] if isinstance(value, list) else value
+
+
+def noncanonical_rendering(corpus: Corpus, rng: random.Random) -> bytes:
+    """The corpus as JSONL that no canonical writer emits: keys shuffled,
+    spaces after ":" and ",", non-ASCII and "/" escaped, "\r\n" line ends
+    and blank lines."""
+    lines = []
+    for line in serialize_corpus(corpus).decode("utf-8").split("\n")[:-1]:  # a token may hold U+2028
+        text = json.dumps(_shuffled(json.loads(line), rng), ensure_ascii=True).replace("/", "\\/")
+        lines += [text] + [""] * rng.randint(0, 1)
+    return "\r\n".join(lines).encode("utf-8")
+
+
+def _with_escapable_tokens(corpus: Corpus, rng: random.Random) -> Corpus:
+    """The corpus with some tokens that a JSON writer may escape."""
+    return Corpus(documents=tuple(
+        dataclasses.replace(d, tokens=tuple(rng.choice((t, "é", "a/b", "\u2028", '"')) for t in d.tokens))
+        for d in corpus
+    ))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
     cfg=st.builds(VariantConfig, **{key: st.sampled_from(allowed) for key, allowed in VARIANT_CHOICES.items()}),
 )
 def test_fingerprint_is_hashlib_sha256_of_corpus_and_variant(seed, cfg):
-    """The built-in SHA-256 the fingerprint uses gives hashlib's digest."""
-    corpus = random_corpus(random.Random(seed))
-    data = serialize_corpus(corpus) + canonical_line(cfg.as_dict()).encode("utf-8")
-    assert corpus_fingerprint(corpus, cfg) == hashlib.sha256(data).hexdigest()
+    """The fingerprint is hashlib's SHA-256 of the canonical corpus and the
+    config line, whether the corpus was built in code, parsed from
+    canonical bytes (and hashed as it was read), or parsed from a
+    rendering whose lines are not canonical."""
+    rng = random.Random(seed)
+    corpus = _with_escapable_tokens(random_corpus(rng), rng)
+    data = serialize_corpus(corpus)
+    want = hashlib.sha256(data + canonical_line(cfg.as_dict()).encode("utf-8")).hexdigest()
+    for kind in (corpus, parse_corpus(data), parse_corpus(noncanonical_rendering(corpus, rng))):
+        assert kind == corpus
+        assert corpus_fingerprint(kind, cfg) == want
+
+
+def test_a_new_corpus_from_a_parsed_one_hashes_its_own_documents():
+    """The hash that the parser fed belongs to the parsed documents: a
+    corpus made from them by `replace` or by a variant hashes its own."""
+    parsed = parse_corpus(serialize_corpus(resignation_corpus()))
+    assert parsed.hash_state is not None
+    cfg = VariantConfig(include_value=False, entity_mention_mode="head")
+    for derived in (dataclasses.replace(parsed, documents=parsed.documents[:0]),
+                    dataclasses.replace(parsed, documents=two_event_corpus().documents),
+                    apply_variant(parsed, cfg)[0]):
+        assert derived.hash_state is None
+        data = serialize_corpus(derived) + canonical_line(cfg.as_dict()).encode("utf-8")
+        assert corpus_fingerprint(derived, cfg) == hashlib.sha256(data).hexdigest()
+    assert corpus_fingerprint(apply_variant(parsed, cfg)[0], cfg) != corpus_fingerprint(parsed, cfg)
 
 
 def ed_report_for(corpus):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from eescore import cli
 from eescore.errors import ConfigError, ToolkitError
-from eescore.pipeline import TriggerStore
+from eescore.pipeline import Protocol, TriggerStore
 from eescore.variants import VariantConfig, load_variant_config, parse_variant_config
 
 from test_cli_totality import MANIFEST, REPORT, _valid_files
@@ -120,11 +120,14 @@ def _check_manifest(data: bytes) -> None:
 
 
 def _check_report(data: bytes) -> None:
-    """A report whose scores are scores, or a ConfigError; `compare` exits
-    0 or 2, and 2 for a report the reader rejects."""
+    """A report whose scores are scores, with its protocol, or a
+    ConfigError; `compare` exits 0 or 2, and 2 for a report the reader
+    rejects."""
     got, codes = _read_report(data)
-    assert isinstance(got, (dict, ConfigError)), got
-    if isinstance(got, dict):
+    assert isinstance(got, (tuple, ConfigError)), got
+    if isinstance(got, tuple):
+        got, protocol = got
+        assert isinstance(got, dict) and isinstance(protocol, Protocol)
         scores = [got[task] for task in ("ed", "eae") if got.get(task) is not None]
         assert all(_is_score(s[m]) for s in scores for m in ("precision", "recall", "f1"))
     assert codes <= {0, 2}

@@ -21,6 +21,7 @@ from eescore.standardize import (
     TriggerCandidates,
     decode_bio,
     position_cg,
+    serialize_standardized,
     standardize_predictions,
 )
 
@@ -582,7 +583,11 @@ def test_projection_equals_reference(seed, paradigm, policy, stray_i):
         random_argument_predictions(rng, corpus, paradigm, gold_anchor_table(corpus)),
     ):
         got = standardize_predictions(preds, corpus, policy, StandardizeOptions(stray_i))
-        assert got == reference_project(preds, corpus, policy, stray_i)
+        want = reference_project(preds, corpus, policy, stray_i)
+        assert got == want
+        # an original is rendered only for a discard: a plain object, the bytes the reference renders up front
+        assert all(type(d.original) is dict for record in got for d in record.discarded)
+        assert serialize_standardized(got) == serialize_standardized(want)
 
 
 def test_jobs_do_not_change_output():
