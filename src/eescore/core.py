@@ -202,10 +202,6 @@ def validate_document(doc: Document) -> list[str]:
 
     seen_entity_ids: set[str] = set()
     for i, m in enumerate(doc.entities):
-        (start, end), (head_start, head_end) = m.span, m.head_span
-        if 0 <= start <= head_start < head_end <= end <= n and m.kind in ENTITY_KINDS and m.id not in seen_entity_ids:
-            seen_entity_ids.add(m.id)  # nothing to report, without a call per check
-            continue
         if m.kind not in ENTITY_KINDS:
             out.append(f"unknown entity kind {m.kind!r} at entities[{i}]")
         span_ok = _check_span(m.span, n, "entities[{}].span", i, out)

@@ -10,9 +10,8 @@ string with an unpaired surrogate (`"\\ud800"`, no UTF-8 text), is malformed.
 A canonically formatted corpus (sorted keys, no extra whitespace)
 round-trips byte-identically through serialize_corpus. The corpus parser
 makes the one pass over each line: it decodes and checks the line, builds
-its records and feeds the line's canonical form to the corpus's SHA-256.
-A line equal to its canonical form cannot repeat a key; any other line is
-decoded again, with the duplicate-key check.
+its records and feeds the canonical form of the decoded line to the
+corpus's SHA-256, however the line itself is formatted.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ PAYLOAD_FIELD = {
 # matched against the whole tag: "O\n" is malformed
 _TAG_RE = re.compile(r"O|[BI]-.+")
 _STR_TYPE = frozenset((str,))
-_PLAIN_DECODER = json.JSONDecoder()  # keeps the last of repeated keys: only for lines shown to repeat none
 # each record built from its field values without a Python-level __new__
 _new_span = partial(tuple.__new__, Span)
 _new_entity = partial(tuple.__new__, EntityMention)
@@ -284,14 +282,9 @@ def parse_corpus(stream: Stream) -> Corpus:
     share = {}.setdefault
     hash_state = sha256()
     for line, raw in _iter_lines(stream):
-        try:  # a dict re-encodes with each key once: a line equal to its canonical form repeats none
-            obj = _PLAIN_DECODER.decode(raw)
-            text = canonical_line(obj)
-            hash_state.update((text + "\n").encode("utf-8"))
-        except (ValueError, RecursionError):  # not JSON, or an unpaired surrogate: refused just below
-            text = None
-        if text != raw or type(obj) is not dict:
-            obj = _load_object(raw, line)
+        obj = _load_object(raw, line)
+        # a value just decoded from JSON holds no reference cycle: its encoding need not look for one
+        hash_state.update((canonical_line(obj, check_circular=False) + "\n").encode("utf-8"))
         _reject_extras(obj, _DOCUMENT_FIELDS, line)
         doc_id = _text(obj, "id", line, share)
         if doc_id in seen:
@@ -309,42 +302,35 @@ def parse_corpus(stream: Stream) -> Corpus:
             raise ParseError("sentences must be an array", line)
         sentence_spans = tuple([_decode_span(s, "sentences[{}]", line, share, i) for i, s in enumerate(sentences)])
 
-        # each record is checked inline and built from its values; on a fault the field checks raise in order
-        entities = []
-        for i, e in _objects(_require(obj, "entities", line), "entities", _ENTITY_FIELDS, line):
-            eid, span, head, kind = e.get("id"), e.get("span"), e.get("head_span"), e.get("kind")
-            if not (type(eid) is type(kind) is str and type(span) is type(head) is list and len(span) == len(head) == 2
-                    and type(span[0]) is type(span[1]) is type(head[0]) is type(head[1]) is int):
-                _text(e, "id", line, share, "entities[{}].id", i)
-                _decode_span(_require(e, "span", line), "entities[{}].span", line, share, i)
-                _decode_span(_require(e, "head_span", line), "entities[{}].head_span", line, share, i)
-                _text(e, "kind", line, share, "entities[{}].kind", i)
-            span, head = _new_span(span), _new_span(head)
-            entities.append(_new_entity((share(eid, eid), share(span, span), share(head, head), share(kind, kind))))
+        entities = tuple([
+            _new_entity((
+                _text(e, "id", line, share, "entities[{}].id", i),
+                _decode_span(_require(e, "span", line), "entities[{}].span", line, share, i),
+                _decode_span(_require(e, "head_span", line), "entities[{}].head_span", line, share, i),
+                _text(e, "kind", line, share, "entities[{}].kind", i),
+            ))
+            for i, e in _objects(_require(obj, "entities", line), "entities", _ENTITY_FIELDS, line)
+        ])
 
         events = []
         for i, ev in _objects(_require(obj, "events", line), "events", _EVENT_FIELDS, line):
-            args = []
-            for _, a in _objects(_require(ev, "arguments", line), "events[{}].arguments", _ARGUMENT_FIELDS, line, i):
-                entity_id, role = a.get("entity_id"), a.get("role")
-                if not (type(entity_id) is type(role) is str):
-                    _text(a, "entity_id", line, share)
-                    _text(a, "role", line, share)
-                args.append(_new_argument((share(entity_id, entity_id), share(role, role))))
-            eid, event_type, trigger = ev.get("id"), ev.get("type"), ev.get("trigger")
-            if not (type(eid) is type(event_type) is str and type(trigger) is list and len(trigger) == 2
-                    and type(trigger[0]) is type(trigger[1]) is int):
-                _text(ev, "id", line, share, "events[{}].id", i)
-                _text(ev, "type", line, share, "events[{}].type", i)
-                _decode_span(_require(ev, "trigger", line), "events[{}].trigger", line, share, i)
-            trigger = _new_span(trigger)
-            events.append(_new_event((share(eid, eid), share(event_type, event_type), share(trigger, trigger), tuple(args))))
+            raw_args = _require(ev, "arguments", line)
+            args = tuple([
+                _new_argument((_text(a, "entity_id", line, share), _text(a, "role", line, share)))
+                for _, a in _objects(raw_args, "events[{}].arguments", _ARGUMENT_FIELDS, line, i)
+            ])
+            events.append(_new_event((
+                _text(ev, "id", line, share, "events[{}].id", i),
+                _text(ev, "type", line, share, "events[{}].type", i),
+                _decode_span(_require(ev, "trigger", line), "events[{}].trigger", line, share, i),
+                args,
+            )))
 
         doc = Document(
             id=doc_id,
             tokens=tuple(map(share, tokens, tokens)),
             sentences=sentence_spans,
-            entities=tuple(entities),
+            entities=entities,
             events=tuple(events),
         )
         violations = validate_document(doc)
@@ -429,17 +415,14 @@ def _parse_tags(raw, n_tokens: int, line: int, share) -> tuple[str, ...]:
 
 
 def _parse_spans(raw, n_tokens: int, line: int, share) -> tuple[SpanPrediction, ...]:
-    out = []
-    for i, s in _objects(raw, "spans", _PREDICTION_FIELDS, line):  # checked inline, as corpus records are
-        span, label, c = s.get("span"), s.get("label"), s.get("confidence")
-        if not (type(span) is list and len(span) == 2 and type(span[0]) is type(span[1]) is int
-                and 0 <= span[0] < span[1] <= n_tokens and type(label) is str
-                and (len(s) == 2 if c is None else type(c) in (float, int) and 0 <= c <= 1)):
-            _decode_span(_require(s, "span", line), "spans[{}].span", line, share, i, n_tokens)
-            _text(s, "label", line, share)
-            _confidence(s, line)
-        span = _new_span(span)
-        out.append(_new_prediction((share(span, span), share(label, label), c)))
+    out = [
+        _new_prediction((
+            _decode_span(_require(s, "span", line), "spans[{}].span", line, share, i, n_tokens),
+            _text(s, "label", line, share),
+            _confidence(s, line),
+        ))
+        for i, s in _objects(raw, "spans", _PREDICTION_FIELDS, line)
+    ]
     _check_uniform_confidence(out, line)
     return tuple(out)
 

@@ -16,9 +16,10 @@ from pathlib import Path
 from typing import Any
 
 
-def canonical_line(obj: Any, default=None) -> str:
-    """`obj` as one canonical JSON line; it must hold no reference cycle, which goes unchecked."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=default, check_circular=False)
+def canonical_line(obj: Any, default=None, check_circular: bool = True) -> str:
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=default, check_circular=check_circular
+    )
 
 
 def dump_jsonl(objs) -> bytes:

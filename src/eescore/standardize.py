@@ -14,8 +14,6 @@ gives the predictions in their native output space.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import partial
-from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import TASK_TRIGGER, Anchor, Corpus, Document, Span
@@ -65,10 +63,6 @@ class Assignment(NamedTuple):
     label: str
     provenance: str
     confidence: float | None = None
-
-
-_new_assignment = partial(tuple.__new__, Assignment)  # Assignment(*fields) without a Python-level __new__
-_span_then_id = itemgetter(1, 0)  # an assignment's canonical sort key: (span, candidate id)
 
 
 class Discard(NamedTuple):
@@ -286,7 +280,7 @@ def _project(
         if cid is None:
             discards.append(Discard(DISCARD_OVERLAP, original()))
         else:
-            groups.setdefault(cid, []).append((_new_assignment((cid, span, label, provenance, confidence)), original))
+            groups.setdefault(cid, []).append((Assignment(cid, span, label, provenance, confidence), original))
 
     assignments = []
     for group in groups.values():
@@ -300,8 +294,15 @@ def _project(
                     discards.append(Discard(reason, original()))
             best = best._replace(provenance=PROV_RESOLVED_DUPLICATE)
         assignments.append(best)
-    assignments.sort(key=_span_then_id)  # canonical order: (start, end), then id
-    return StandardizedRecord(record.doc_id, record.task, record.anchor, tuple(assignments), tuple(discards), record.line)
+    assignments.sort(key=lambda a: (a.span, a.candidate_id))  # canonical order: (start, end), then id
+    return StandardizedRecord(
+        doc_id=record.doc_id,
+        task=record.task,
+        anchor=record.anchor,
+        assignments=tuple(assignments),
+        discarded=tuple(discards),
+        line=record.line,
+    )
 
 
 def _with_candidates(
