@@ -22,9 +22,12 @@ from .core import TriggerContext
 from .errors import ConfigError, ParseError, ToolkitError, ValidationError
 from .ingest import load_corpus, load_predictions, load_trigger_file, parse_trigger_file, serialize_trigger_context
 from .jsonio import canonical_line, dump_jsonl, format_report, read_json, write_atomic
-from .metrics import MODE_GOLD_TRIGGER, MODE_PIPELINE, EvalReport
-from .pipeline import PROTOCOL_CHOICES, Protocol, TriggerStore, corpus_fingerprint, evaluate, is_score, protocol_keys
-from .standardize import TRIGGER_POLICY_SPANS_UP_TO_K, serialize_standardized, standardize_predictions
+from .metrics import EvalReport
+from .pipeline import TriggerStore, corpus_fingerprint, evaluate
+from .protocol import (
+    MODE_GOLD_TRIGGER, MODE_PIPELINE, PROTOCOL_CHOICES, TRIGGER_POLICY_SPANS_UP_TO_K, Protocol, is_score, protocol_keys,
+)
+from .standardize import serialize_standardized, standardize_predictions
 from .variants import VARIANT_CHOICES, VariantConfig, apply_variant, compute_stats, load_variant_config
 
 
@@ -317,9 +320,8 @@ def cmd_compare(args) -> int:
             "reports were produced from different corpus/variant fingerprints: "
             f"{a['fingerprint'][:12]}... vs {b['fingerprint'][:12]}..."
         )
-    # prediction paths, the store and the producer are provenance; the
-    # corpus and the variant are bound by the fingerprint; a protocol is
-    # compared as `Protocol` spells it (spans up to 1 token are `every_token`)
+    # prediction paths, the store and the producer are provenance; the corpus and the
+    # variant are bound by the fingerprint; a protocol is compared as `Protocol` spells it
     for key in protocol_keys(a["config"]):
         va, vb = canonical_line(getattr(protocol_a, key)), canonical_line(getattr(protocol_b, key))
         if va != vb:
@@ -414,12 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--triggers", help="predicted-trigger JSONL for pipeline mode")
     p_score.add_argument("--store", help="trigger-store directory for pipeline mode")
     p_score.add_argument("--producer", help="trigger-store producer to use")
-    p_score.add_argument(
-        "--standardize",
-        action=argparse.BooleanOptionalAction,
-        default=Protocol.standardize,
-        help="project predictions onto the candidate space before scoring",
-    )
+    _flag(p_score, "--standardize", action=argparse.BooleanOptionalAction,
+          help="project predictions onto the candidate space before scoring")
     _flag(p_score, "--dump-discards", help="write the discard ledger JSONL here")
     p_score.add_argument("--output", required=True, help="report JSON path")
     p_score.add_argument("--table", help="also write the plain-text table here")
@@ -467,6 +465,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_non_utf8(parser: argparse.ArgumentParser, args) -> None:
+    """Reports, ledgers and the manifest spell paths in UTF-8: an argument that UTF-8 cannot encode (it
+    drops a surrogate) is refused, by the name its usage shows, before anything is read or written."""
+    for action in parser._actions:
+        value = getattr(args, action.dest, None)
+        if isinstance(value, str) and value.encode("utf-8", "ignore").decode("utf-8") != value:
+            raise ConfigError(f"argument {(action.option_strings or [action.dest])[0]}: {value!r} is not UTF-8 text")
+        for sub in action.choices.values() if isinstance(action.choices, dict) else ():  # a subcommand's parser
+            _refuse_non_utf8(sub, args)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -474,6 +483,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _refuse_non_utf8(parser, args)
         return args.func(args)
     except ConfigError as exc:
         _err(exc)

@@ -11,7 +11,6 @@ be built, and `validate_document` reports what is wrong.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -212,17 +211,13 @@ def validate_document(doc: Document) -> list[str]:
             out.append(f"duplicate entity id {m.id} at entities[{i}]")
         seen_entity_ids.add(m.id)
 
-    # in a partition, only the last sentence to start at or before a span's start can hold it
-    starts = [s.start for s in doc.sentences] if partition_ok else ()
     seen_event_ids: set[str] = set()
     for i, ev in enumerate(doc.events):
         if ev.id in seen_event_ids:
             out.append(f"duplicate event id {ev.id} at events[{i}]")
         seen_event_ids.add(ev.id)
         if _check_span(ev.trigger, n, "events[{}].trigger", i, out):
-            within = (ev.trigger.end <= doc.sentences[bisect_right(starts, ev.trigger.start) - 1].end if starts
-                      else any(span_contains(s, ev.trigger) for s in doc.sentences))
-            if doc.sentences and not within:
+            if doc.sentences and not any(span_contains(s, ev.trigger) for s in doc.sentences):
                 out.append(f"trigger span crosses sentence boundary at events[{i}].trigger")
         seen_args: set[tuple[str, str]] = set()
         for j, arg in enumerate(ev.arguments):

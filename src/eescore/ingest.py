@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from functools import partial
-from typing import IO, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple
 
 from .core import (
     TASK_ARGUMENT,
@@ -37,6 +37,7 @@ from .core import (
 )
 from .errors import ParseError, ValidationError
 from .jsonio import DECODER, canonical_line, dump_jsonl
+from .protocol import PARADIGM_CG, PARADIGM_CLS, PARADIGM_SL, PARADIGM_SP, PARADIGMS
 
 # the interpreter's built-in SHA-256 gives hashlib's digest without loading OpenSSL
 try:
@@ -46,12 +47,6 @@ except ImportError:
         from _sha256 import sha256  # Python 3.10, 3.11
     except ImportError:
         from hashlib import sha256
-
-PARADIGM_CLS = "CLS"
-PARADIGM_SL = "SL"
-PARADIGM_SP = "SP"
-PARADIGM_CG = "CG"
-PARADIGMS = (PARADIGM_CLS, PARADIGM_SL, PARADIGM_SP, PARADIGM_CG)
 
 # payload field per paradigm; exactly one must be present per record
 PAYLOAD_FIELD = {
@@ -76,8 +71,6 @@ _DOCUMENT_FIELDS = frozenset(("id", "tokens", "sentences", "entities", "events")
 _EVENT_FIELDS = frozenset(("id", "type", "trigger", "arguments"))
 _RECORD_FIELDS = frozenset(("doc_id", "task", "anchor"))  # plus the paradigm's payload field
 _TRIGGER_FILE_FIELDS = frozenset(("doc_id", "triggers"))
-
-Stream = Union[bytes, str, IO]
 
 
 def _with_confidence(obj: dict, confidence: float | None) -> dict:
@@ -142,20 +135,16 @@ _ITEM_FIELDS = frozenset(CgItem._fields)
 _new_prediction = partial(tuple.__new__, SpanPrediction)
 
 
-def _iter_lines(stream: Stream) -> Iterator[tuple[int, str]]:
-    """Yields (line number, line) for every non-blank line.
+def _iter_lines(data: bytes) -> Iterator[tuple[int, str]]:
+    """Yields (line number, line) for every non-blank line of UTF-8 `data`.
 
     Lines end at "\n" only (a "\r" before it is dropped): JSON strings may
     hold U+2028, U+0085, "\f" and the other characters `str.splitlines`
     also breaks on, and the canonical writer emits them raw.
     """
-    text = stream.read() if hasattr(stream, "read") else stream
     try:
-        if isinstance(text, (bytes, bytearray)):
-            text = text.decode("utf-8")  # the bytes are dropped from here on
-        elif not text.isascii():
-            text.encode("utf-8")  # text that never was UTF-8 may hold a surrogate
-    except UnicodeError as exc:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
     # one line at a time: the text is held once, not again as a list of lines
     start, i = 0, 1
@@ -275,13 +264,13 @@ def _check_uniform_confidence(predictions: list, line: int) -> None:
 # corpus
 
 
-def parse_corpus(stream: Stream) -> Corpus:
+def parse_corpus(data: bytes) -> Corpus:
     """Parses a JSONL corpus, validating every document invariant and hashing it as it goes."""
     docs: list[Document] = []
     seen: dict[str, int] = {}
     share = {}.setdefault
     hash_state = sha256()
-    for line, raw in _iter_lines(stream):
+    for line, raw in _iter_lines(data):
         obj = _load_object(raw, line)
         # a value just decoded from JSON holds no reference cycle: its encoding need not look for one
         hash_state.update((canonical_line(obj, check_circular=False) + "\n").encode("utf-8"))
@@ -448,7 +437,7 @@ _PAYLOAD_PARSERS = {
 }
 
 
-def parse_predictions(stream: Stream, paradigm: str, corpus: Corpus) -> ParadigmPredictions:
+def parse_predictions(data: bytes, paradigm: str, corpus: Corpus) -> ParadigmPredictions:
     """Parses one paradigm's prediction file, cross-validated against the corpus.
 
     Generation-order of CG items is preserved exactly. Labels outside the
@@ -462,7 +451,7 @@ def parse_predictions(stream: Stream, paradigm: str, corpus: Corpus) -> Paradigm
     records: list[PredictionRecord] = []
     seen: dict[tuple, int] = {}
     share = {}.setdefault
-    for line, raw in _iter_lines(stream):
+    for line, raw in _iter_lines(data):
         obj = _load_object(raw, line)
         _reject_extras(obj, allowed, line)
 
@@ -498,12 +487,12 @@ def parse_predictions(stream: Stream, paradigm: str, corpus: Corpus) -> Paradigm
 # predicted triggers
 
 
-def parse_trigger_file(stream: Stream, corpus: Corpus, source: str) -> TriggerContext:
+def parse_trigger_file(data: bytes, corpus: Corpus, source: str) -> TriggerContext:
     """Parses a predicted-trigger file (one line per document) into a trigger context."""
     table: dict = {}
     seen: dict[str, int] = {}
     share = {}.setdefault
-    for line, raw in _iter_lines(stream):
+    for line, raw in _iter_lines(data):
         obj = _load_object(raw, line)
         _reject_extras(obj, _TRIGGER_FILE_FIELDS, line)
         doc_id = _text(obj, "doc_id", line, share)
@@ -546,14 +535,14 @@ def serialize_trigger_context(context: TriggerContext) -> bytes:
 
 def load_corpus(path) -> Corpus:
     with open(path, "rb") as f:
-        return parse_corpus(f)
+        return parse_corpus(f.read())
 
 
 def load_predictions(path, paradigm: str, corpus: Corpus) -> ParadigmPredictions:
     with open(path, "rb") as f:
-        return parse_predictions(f, paradigm, corpus)
+        return parse_predictions(f.read(), paradigm, corpus)
 
 
 def load_trigger_file(path, corpus: Corpus) -> TriggerContext:
     with open(path, "rb") as f:
-        return parse_trigger_file(f, corpus, source=str(path))
+        return parse_trigger_file(f.read(), corpus, source=str(path))

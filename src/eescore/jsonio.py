@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from pathlib import Path
 from typing import Any
@@ -89,16 +90,27 @@ def unique_keys(pairs: list) -> dict:
 # json.dumps(value, **options) build a new one per call
 DECODER = json.JSONDecoder(object_pairs_hook=unique_keys)
 _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+# a string of a valid JSON text: outside its strings, JSON has no quote or backslash
+_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
 def read_json(path) -> Any:
-    """The JSON value in a file. Raises ValueError saying what is wrong when
-    the file is not UTF-8, not JSON, repeats a key in an object, or is
-    nested too deeply to parse; a bad byte is located by its line, a JSON
-    syntax error by its line and column (lines end at "\n")."""
+    """The JSON value in a file. Raises ValueError saying what is wrong when the
+    file is not UTF-8 or JSON, repeats a key, holds an unpaired surrogate or is
+    nested too deeply to parse; a bad byte or surrogate is located by its line,
+    a JSON syntax error by its line and column (lines end at "\n")."""
     data = Path(path).read_bytes()
     try:
-        return DECODER.decode(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        obj = DECODER.decode(text)
+        # a surrogate may be escaped, but so is a valid pair: encoding tells ("\\" is found by memchr)
+        if "\\" in text and ("\\ud" in text or "\\uD" in text):
+            for string in _STRING_RE.finditer(text):  # no JSON string spans a line
+                DECODER.decode(string[0]).encode("utf-8")
+        return obj
+    except UnicodeEncodeError:  # `string` holds the surrogate
+        line = text.count("\n", 0, string.start()) + 1
+        raise ValueError(f"line {line}: a string holds an unpaired surrogate, which UTF-8 cannot encode") from None
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"line {line}: not valid UTF-8") from None

@@ -19,18 +19,11 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import NIL_LABEL, TASK_ARGUMENT, TASK_TRIGGER, Corpus, Span
 from .errors import ValidationError
+from .protocol import CONVENTION_LEGACY, CONVENTION_MODERN, EAE_MATCH_BY_TRIGGER, EAE_MATCH_BY_TYPE, MODE_GOLD_TRIGGER
+from .protocol import MODE_PIPELINE  # noqa: F401 (bench/traced.py imports it from here)
 
 TASK_ED = "ED"
 TASK_EAE = "EAE"
-
-MODE_GOLD_TRIGGER = "gold_trigger"
-MODE_PIPELINE = "pipeline"
-
-CONVENTION_MODERN = "modern"
-CONVENTION_LEGACY = "legacy"
-
-EAE_MATCH_BY_TYPE = "by_event_type"
-EAE_MATCH_BY_TRIGGER = "by_trigger_span"
 
 
 class ConfusionCounts(NamedTuple):

@@ -14,45 +14,18 @@ from __future__ import annotations
 import fcntl
 import os
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
 from .core import TASK_ARGUMENT, TASK_TRIGGER, Corpus, TriggerContext
 from .errors import ConfigError, ContextError, StoreError, ValidationError
-from .ingest import (  # noqa: F401 (bench/traced.py imports the trigger-file reader and writer from here)
-    PARADIGM_CG,
-    PARADIGMS,
-    ParadigmPredictions,
-    corpus_hash,
-    parse_trigger_file,
-    serialize_trigger_context,
-)
+from .ingest import ParadigmPredictions, corpus_hash
+from .ingest import parse_trigger_file, serialize_trigger_context  # noqa: F401 (bench/traced.py imports them from here)
 from .jsonio import canonical_line, format_report, read_json, write_atomic
-from .metrics import (
-    CONVENTION_LEGACY,
-    CONVENTION_MODERN,
-    EAE_MATCH_BY_TRIGGER,
-    EAE_MATCH_BY_TYPE,
-    MODE_GOLD_TRIGGER,
-    MODE_PIPELINE,
-    EvalReport,
-    argument_items_from,
-    score_argument_items,
-    score_trigger_items,
-    trigger_items_from,
-)
-from .standardize import (
-    STRAY_I_DISCARD,
-    STRAY_I_OPEN,
-    TRIGGER_POLICY_EVERY_TOKEN,
-    TRIGGER_POLICY_SPANS_UP_TO_K,
-    CandidatePolicy,
-    StandardizedRecord,
-    StandardizeOptions,
-    native_predictions,
-    standardize_predictions,
-)
+from .metrics import EvalReport, argument_items_from, score_argument_items, score_trigger_items, trigger_items_from
+from .protocol import MODE_GOLD_TRIGGER, Protocol, is_score
+from .standardize import StandardizedRecord, native_predictions, standardize_predictions
 from .variants import VariantConfig
 
 
@@ -86,73 +59,6 @@ def _check_anchors(predictions: ParadigmPredictions, context: TriggerContext) ->
                 f"([{trig.start}, {trig.end}], {record.anchor.event_type!r}), which is not in the "
                 f"trigger context ({context.source}); the predictions answer a trigger that was never given"
             )
-
-
-# each protocol field's allowed values, its default first; `k` is an int >= 1 and `standardize` a bool
-PROTOCOL_CHOICES = {
-    "mode": (MODE_GOLD_TRIGGER, MODE_PIPELINE),
-    "convention": (CONVENTION_MODERN, CONVENTION_LEGACY),
-    "eae_match": (EAE_MATCH_BY_TYPE, EAE_MATCH_BY_TRIGGER),
-    "trigger_policy": (TRIGGER_POLICY_EVERY_TOKEN, TRIGGER_POLICY_SPANS_UP_TO_K),
-    "stray_i": (STRAY_I_OPEN, STRAY_I_DISCARD),
-    "ed_paradigm": (None, *PARADIGMS),
-    "eae_paradigm": (None, *PARADIGMS),
-}
-
-
-@dataclass(frozen=True)
-class Protocol:
-    """The settings that decide what a score measures, with the CLI's
-    defaults: two scores can be read side by side only under one protocol.
-    One candidate space has one spelling: spans up to 1 token are
-    `every_token`, whose `k` is 1."""
-
-    mode: str = MODE_GOLD_TRIGGER
-    convention: str = CONVENTION_MODERN
-    eae_match: str = EAE_MATCH_BY_TYPE
-    trigger_policy: str = TRIGGER_POLICY_EVERY_TOKEN
-    k: int = 1
-    stray_i: str = STRAY_I_OPEN
-    standardize: bool = True
-    ed_paradigm: str | None = None
-    eae_paradigm: str | None = None
-
-    def __post_init__(self):
-        # a refused value is shown as JSON, as a report spells it (repr for what JSON cannot hold)
-        for name, allowed in PROTOCOL_CHOICES.items():
-            if getattr(self, name) not in allowed:
-                raise ConfigError(f"unknown {name} {canonical_line(getattr(self, name), repr)}")
-        if type(self.standardize) is not bool or type(self.k) is not int:
-            raise ConfigError(
-                "standardize must be a bool and k an int, "
-                f"not {canonical_line(self.standardize, repr)} and {canonical_line(self.k, repr)}"
-            )
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.k == 1 or self.trigger_policy == TRIGGER_POLICY_EVERY_TOKEN:
-            object.__setattr__(self, "trigger_policy", TRIGGER_POLICY_EVERY_TOKEN)
-            object.__setattr__(self, "k", 1)
-        if not self.standardize and PARADIGM_CG in (self.ed_paradigm, self.eae_paradigm):
-            raise ConfigError(
-                "generation predictions cannot be scored without --standardize "
-                "(their mentions carry no positions)"
-            )
-
-    @property
-    def policy(self) -> CandidatePolicy:
-        return CandidatePolicy(self.trigger_policy, self.k)
-
-    @property
-    def options(self) -> StandardizeOptions:
-        return StandardizeOptions(self.stray_i)
-
-
-def protocol_keys(config: dict | None = None) -> tuple[str, ...]:
-    """The report-config keys that `compare` checks: every `Protocol` field,
-    but each paradigm has its own native output space, so the paradigms
-    only count when `config` was scored without standardization."""
-    native = config is None or config["standardize"] is not True
-    return tuple(f.name for f in fields(Protocol) if native or not f.name.endswith("_paradigm"))
 
 
 def evaluate(
@@ -242,11 +148,6 @@ _MANIFEST_FIELDS = {
     "file": str,
     "ed_f1": (int, float),
 }
-
-
-def is_score(value) -> bool:
-    """True for a JSON number in [0, 1], so not for a bool, NaN or infinity."""
-    return type(value) in (int, float) and 0 <= value <= 1
 
 
 def _manifest_entry(row, where: str) -> TriggerStoreEntry:

@@ -19,12 +19,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .core import TASK_TRIGGER, Anchor, Corpus, Document, Span
 from .ingest import CgItem, ParadigmPredictions, PredictionRecord, SpanPrediction
 from .jsonio import dump_jsonl
-
-TRIGGER_POLICY_EVERY_TOKEN = "every_token"
-TRIGGER_POLICY_SPANS_UP_TO_K = "every_span_up_to_k"
-
-STRAY_I_OPEN = "open_span"
-STRAY_I_DISCARD = "discard"
+from .protocol import STRAY_I_DISCARD, STRAY_I_OPEN, CandidatePolicy, StandardizeOptions
+from .protocol import TRIGGER_POLICY_SPANS_UP_TO_K  # noqa: F401 (bench/traced.py imports it from here)
 
 # provenance of a standardized assignment
 PROV_NATIVE = "native"
@@ -39,22 +35,6 @@ DISCARD_DUP_ARRIVAL = "duplicate_later_arrival"
 DISCARD_UNPLACEABLE = "unplaceable_mention"
 DISCARD_UNKNOWN_CANDIDATE = "unknown_candidate"
 DISCARD_STRAY_I = "stray_inside_tag"
-
-
-class CandidatePolicy(NamedTuple):
-    """How trigger candidates are enumerated. Argument candidates are always
-    the entity mentions of the (variant-filtered) document. Built from a
-    checked protocol by `Protocol.policy`."""
-
-    trigger_policy: str = TRIGGER_POLICY_EVERY_TOKEN
-    k: int = 1
-
-
-class StandardizeOptions(NamedTuple):
-    """How predictions are decoded. Built from a checked protocol by
-    `Protocol.options`."""
-
-    stray_i: str = STRAY_I_OPEN
 
 
 class Assignment(NamedTuple):
@@ -85,12 +65,12 @@ def trigger_candidate_id(span: Span) -> str:
 
 class TriggerCandidates:
     """The trigger candidates of one document, derived instead of enumerated:
-    a span is a candidate iff it lies inside one sentence and is at most k
-    tokens long, with k = 1 for `every_token`. Its id is `t:<start>:<end>`.
+    a span is a candidate iff it lies inside one sentence and is at most
+    `policy.k` tokens long. Its id is `t:<start>:<end>`.
     """
 
     def __init__(self, doc: Document, policy: CandidatePolicy):
-        self._k = 1 if policy.trigger_policy == TRIGGER_POLICY_EVERY_TOKEN else policy.k
+        self._k = policy.k
         self._starts = [s.start for s in doc.sentences]
         self._ends = [s.end for s in doc.sentences]
 

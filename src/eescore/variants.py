@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 from .core import Corpus, Document, EntityMention, EventAnnotation, Span
 from .errors import ConfigError
-from .standardize import CandidatePolicy, TriggerCandidates
+from .protocol import CandidatePolicy
+from .standardize import TriggerCandidates
 
 MENTION_MODE_HEAD = "head"
 MENTION_MODE_FULL = "full"

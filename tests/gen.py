@@ -17,7 +17,8 @@ from eescore.core import (
     EventAnnotation,
     Span,
 )
-from eescore.standardize import CandidatePolicy, trigger_candidate_id
+from eescore.protocol import CandidatePolicy
+from eescore.standardize import trigger_candidate_id
 
 from corpora import predictions_from
 from oracles import enumerate_candidates, validate_corpus

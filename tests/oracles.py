@@ -38,19 +38,8 @@ from eescore.core import (
     span_contains,
 )
 from eescore.errors import ParseError, ValidationError
-from eescore.ingest import (
-    PARADIGM_CG,
-    PARADIGM_CLS,
-    PARADIGM_SL,
-    PARADIGM_SP,
-    PARADIGMS,
-    PAYLOAD_FIELD,
-    CgItem,
-    ClsAssignment,
-    ParadigmPredictions,
-    PredictionRecord,
-    SpanPrediction,
-)
+from eescore.ingest import PAYLOAD_FIELD, CgItem, ClsAssignment, ParadigmPredictions, PredictionRecord, SpanPrediction
+from eescore.protocol import PARADIGM_CG, PARADIGM_CLS, PARADIGM_SL, PARADIGM_SP, PARADIGMS
 from eescore.standardize import Assignment, Discard, StandardizedRecord
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from eescore import cli
 from eescore.core import PredictedTrigger, Span, TriggerContext
-from eescore.ingest import PARADIGMS, serialize_corpus
+from eescore.ingest import serialize_corpus
 from eescore.jsonio import dump_jsonl
 from eescore.metrics import (
     argument_items_from,
@@ -17,12 +17,9 @@ from eescore.metrics import (
     score_trigger_items,
     trigger_items_from,
 )
-from eescore.pipeline import Protocol, evaluate
-from eescore.standardize import (
-    CandidatePolicy,
-    decode_bio,
-    standardize_predictions,
-)
+from eescore.pipeline import evaluate
+from eescore.protocol import PARADIGMS, CandidatePolicy, Protocol
+from eescore.standardize import decode_bio, standardize_predictions
 from eescore.variants import VariantConfig, apply_variant, compute_stats
 
 from corpora import (

@@ -3,8 +3,10 @@ import gc
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 
 from dataclasses import asdict
 from pathlib import Path
@@ -15,7 +17,7 @@ from eescore import cli
 from eescore.core import Corpus
 from eescore.ingest import serialize_corpus
 from eescore.jsonio import dump_jsonl
-from eescore.pipeline import Protocol, protocol_keys
+from eescore.protocol import Protocol, protocol_keys
 
 from corpora import (
     delta_corpus,
@@ -520,6 +522,29 @@ def test_an_unpaired_surrogate_is_refused_not_a_traceback(tmp_path, corpus_path,
                                        "which UTF-8 cannot encode\n")
 
 
+@pytest.mark.parametrize("command", ["score", "put", "compare"])
+def test_a_path_that_is_not_utf8_is_refused_before_anything_is_written(tmp_path, corpus_path, command):
+    """A path given as bytes that are not UTF-8 reaches Python with a
+    surrogate, which no report, ledger or manifest could spell. The error
+    names the argument as its usage does."""
+    corpus = tmp_path / os.fsdecode(b"c\xff.jsonl")
+    corpus.write_bytes(corpus_path.read_bytes())
+    preds = cls_ed_file(tmp_path, corpus_path)
+    argv, name = {
+        "score": (["score", "--corpus", corpus, "--ed-predictions", preds, "--ed-paradigm", "CLS",
+                   "--output", tmp_path / "r.json", "--dump-discards", tmp_path / "d.jsonl"], "--corpus"),
+        "put": (["trigger-store", "put", "--store", tmp_path / "store", "--corpus", corpus,
+                 "--predictions", preds, "--paradigm", "CLS", "--producer", "p"], "--corpus"),
+        "compare": (["compare", corpus, preds, "--output", tmp_path / "delta.txt"], "report_a"),
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    proc = subprocess.run([sys.executable, "-m", "eescore", *map(os.fsencode, argv)], capture_output=True,
+                          env=_console_env(unbuffered=False), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == f"eescore: error: argument {name}: {str(corpus)!r} is not UTF-8 text\n".encode()
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_compare_identical_reports_all_zero(tmp_path, corpus_path, capsys):
     preds = cls_ed_file(tmp_path, corpus_path)
     out = tmp_path / "r.json"
@@ -709,8 +734,12 @@ def test_trigger_store_list_corrupt_manifest_exits_1(tmp_path, capsys, manifest)
         (b'{\n  "fingerprint": "0",\n  "config": {,\n}\n',
          "line 3 column 14: invalid JSON (Expecting property name enclosed in double quotes)"),
         (b'[\n\n  "\xff"\n]\n', "line 3: not valid UTF-8"),
+        (b'[\n  {\n    "corpus_id": "c\\ud800",\n    "file": "t.jsonl"\n  }\n]\n',
+         "line 3: a string holds an unpaired surrogate, which UTF-8 cannot encode"),
+        (b'{\n  "config": {"\\\\ud800": "\\ud83d\\ude00"},\n  "fingerprint": "\\uDC00"\n}\n',
+         "line 3: a string holds an unpaired surrogate, which UTF-8 cannot encode"),
     ],
-    ids=["syntax", "bad-byte"],
+    ids=["syntax", "bad-byte", "surrogate", "surrogate-after-a-pair"],
 )
 def test_a_json_fault_in_a_manifest_or_report_is_located(tmp_path, capsys, raw, fault):
     store = tmp_path / "store"
@@ -903,6 +932,88 @@ codes = [
 ]
 print(codes, sorted({"hashlib", "_hashlib"} & (set(sys.modules) - bare)))
 """
+
+
+def _put_argv(store, corpus_path, preds, producer) -> list:
+    return ["trigger-store", "put", "--store", str(store), "--corpus", str(corpus_path), "--predictions", str(preds),
+            "--paradigm", "CLS", "--producer", producer]
+
+
+# runs the CLI on argv[1:] in a process that waits 0.1 s after each read of
+# a store's manifest, so concurrent puts all read it before any writes it
+SLOW_MANIFEST_READ = """
+import sys, time
+from eescore import cli, pipeline
+read = pipeline.TriggerStore.entries
+def read_then_wait(self):
+    rows = read(self)
+    time.sleep(0.1)
+    return rows
+pipeline.TriggerStore.entries = read_then_wait
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_concurrent_put_processes_keep_every_entry(tmp_path, corpus_path, capsys):
+    """The manifest lock serializes `put`s across processes, not only threads."""
+    preds = cls_ed_file(tmp_path, corpus_path)
+    producers = [f"model-{i}" for i in range(4)]
+    procs = [subprocess.Popen([sys.executable, "-c", SLOW_MANIFEST_READ,
+                               *_put_argv(tmp_path / "store", corpus_path, preds, p)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_console_env(unbuffered=False))
+             for p in producers]
+    assert [(proc.communicate(timeout=60)[1], proc.returncode) for proc in procs] == [(b"", 0)] * 4
+    assert run(["trigger-store", "list", "--store", tmp_path / "store"]) == 0
+    assert sorted(line.split("\t")[2] for line in capsys.readouterr().out.splitlines()) == producers
+
+
+# runs the CLI on argv[2:] and kills its own process with SIGKILL at the
+# argv[1]-th call of os.replace, the step that puts a written file in place
+KILLED_AT_A_RENAME = """
+import os, signal, sys
+from eescore import cli
+calls, replace = [], os.replace
+def replace_or_die(src, dst):
+    if len(calls) == int(sys.argv[1]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    calls.append(dst)
+    replace(src, dst)
+os.replace = replace_or_die
+cli.main(sys.argv[2:])
+"""
+
+
+@pytest.mark.parametrize("kill", ["0.0s", "0.05s", "rename-0", "rename-1", "rename-2"])
+def test_a_killed_put_leaves_a_store_that_works(tmp_path, corpus_path, capsys, kill):
+    """A `put` killed with SIGKILL, after a fixed delay or just before its
+    trigger file, its ED report or the manifest is renamed into place,
+    leaves at most stray files: `list` reads the store, the same `put`
+    succeeds again and `get` returns what an uninterrupted `put` stores."""
+    preds = cls_ed_file(tmp_path, corpus_path)
+    put = _put_argv(tmp_path / "store", corpus_path, preds, "p")
+    get = ["trigger-store", "get", "--corpus", corpus_path, "--producer", "p"]
+    assert run(_put_argv(tmp_path / "reference", corpus_path, preds, "p")) == 0
+    assert run([*get, "--store", tmp_path / "reference", "--output", tmp_path / "want.jsonl"]) == 0
+    env = _console_env(unbuffered=False)
+    if kill.endswith("s"):
+        proc = subprocess.Popen([sys.executable, "-m", "eescore", *put], stdout=subprocess.DEVNULL, env=env)
+        time.sleep(float(kill[:-1]))
+        proc.kill()
+        proc.wait(timeout=60)
+    else:
+        proc = subprocess.run([sys.executable, "-c", KILLED_AT_A_RENAME, kill.split("-")[1], *put],
+                              capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (-signal.SIGKILL, b"")
+        # killed between writing a file and renaming it: the manifest, renamed last, is not there yet
+        names = [path.name for path in (tmp_path / "store").iterdir()]
+        assert "manifest.json" not in names and [name.endswith(".tmp") for name in names].count(True) == 1
+    if (tmp_path / "store").exists():
+        assert run(["trigger-store", "list", "--store", tmp_path / "store"]) == 0
+    assert run(put) == 0
+    assert run([*get, "--store", tmp_path / "store", "--output", tmp_path / "got.jsonl"]) == 0
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    assert len(json.loads((tmp_path / "store" / "manifest.json").read_bytes())) == 1
+    capsys.readouterr()
 
 
 def test_score_and_put_never_load_hashlib(tmp_path, corpus_path):

@@ -1,4 +1,3 @@
-import io
 import json
 import random
 import re
@@ -10,15 +9,9 @@ from hypothesis import strategies as st
 
 from eescore.core import Span
 from eescore.errors import ParseError, ToolkitError, ValidationError
-from eescore.ingest import (
-    PARADIGMS,
-    _iter_lines,
-    parse_corpus,
-    parse_predictions,
-    parse_trigger_file,
-    serialize_corpus,
-)
+from eescore.ingest import _iter_lines, parse_corpus, parse_predictions, parse_trigger_file, serialize_corpus
 from eescore.jsonio import dump_jsonl
+from eescore.protocol import PARADIGMS
 
 from corpora import resignation_corpus, resignation_document
 from gen import gold_anchor_table, random_argument_predictions, random_corpus, random_trigger_predictions
@@ -131,8 +124,7 @@ def test_crlf_lines_keep_their_numbers():
 def test_iter_lines_splits_on_newline_only(parts):
     text = "".join(parts)
     want = [(i, l.removesuffix("\r")) for i, l in enumerate(text.split("\n"), 1) if l.removesuffix("\r").strip()]
-    for stream in (text, text.encode("utf-8"), io.BytesIO(text.encode("utf-8"))):
-        assert list(_iter_lines(stream)) == want
+    assert list(_iter_lines(text.encode("utf-8"))) == want
 
 
 def _parsers():
@@ -506,11 +498,6 @@ def test_an_escaped_surrogate_pair_is_one_character():
     preds = parse_predictions(_ascii_line(dict(TRIGGER, spans=[{"span": [8, 9], "label": "\U0001F600"}])), "SP",
                               resignation_corpus())
     assert preds.records[0].spans[0].label == "\U0001F600"
-
-
-def test_a_surrogate_in_text_that_never_was_utf8_is_refused():
-    with pytest.raises(ParseError, match="^input is not valid UTF-8: 'utf-8' codec can't encode character"):
-        parse_corpus(json.dumps(dict(GOOD_DOC, tokens=["\ud800"]), ensure_ascii=False))
 
 
 def test_prediction_repeated_key_is_a_parse_error():

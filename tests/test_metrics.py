@@ -25,7 +25,8 @@ from eescore.metrics import (
     score_trigger_items,
     trigger_items_from,
 )
-from eescore.standardize import CandidatePolicy, standardize_predictions
+from eescore.protocol import CandidatePolicy
+from eescore.standardize import standardize_predictions
 
 from corpora import resignation_corpus, simple_doc
 from gen import (

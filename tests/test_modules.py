@@ -2,9 +2,13 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from eescore.cli import build_parser
+from eescore.protocol import PROTOCOL_CHOICES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "eescore"
 BENCH = SRC.parent.parent / "bench"
@@ -56,6 +60,46 @@ def test_every_name_is_imported_from_the_module_that_defines_it():
                     for alias in node.names if alias.name not in defined[node.module]
                 ]
     assert offenders == []
+
+
+# the names that `protocol` alone defines: the protocol's vocabulary and the records built on it
+PROTOCOL_NAMES = {
+    "MODE_GOLD_TRIGGER", "MODE_PIPELINE", "CONVENTION_MODERN", "CONVENTION_LEGACY",
+    "EAE_MATCH_BY_TYPE", "EAE_MATCH_BY_TRIGGER", "TRIGGER_POLICY_EVERY_TOKEN", "TRIGGER_POLICY_SPANS_UP_TO_K",
+    "STRAY_I_OPEN", "STRAY_I_DISCARD", "PARADIGM_CLS", "PARADIGM_SL", "PARADIGM_SP", "PARADIGM_CG", "PARADIGMS",
+    "CandidatePolicy", "StandardizeOptions", "PROTOCOL_CHOICES", "Protocol", "protocol_keys", "is_score",
+}
+
+
+def test_the_protocol_vocabulary_is_defined_only_in_protocol():
+    """What a score measures is stated once: no other module spells a
+    protocol value as a string or binds one of `protocol`'s names at its
+    top level; each imports them from `protocol`."""
+    values = {value for allowed in PROTOCOL_CHOICES.values() for value in allowed if isinstance(value, str)}
+    assert PROTOCOL_NAMES <= _defined_names(ast.parse((SRC / "protocol.py").read_text(encoding="utf-8")))
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "protocol.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}: {name}" for name in sorted(_defined_names(tree) & PROTOCOL_NAMES)]
+        offenders += [
+            f"{path.name}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in values
+        ]
+    assert offenders == []
+
+
+def test_protocol_loads_only_errors_and_jsonio():
+    """A reader of protocols does not load the data path: in a fresh
+    interpreter, `eescore.protocol` brings in no other module of the
+    package than `errors` and `jsonio`."""
+    probe = "import sys, eescore.protocol; print(*sorted(m for m in sys.modules if m.startswith('eescore.')))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["eescore.errors", "eescore.jsonio", "eescore.protocol"]
 
 
 def _name(node) -> str:

@@ -14,9 +14,7 @@ from eescore.core import Argument, Corpus, EntityMention, EventAnnotation, Predi
 from eescore.errors import ConfigError, ContextError, StoreError
 from eescore.ingest import parse_corpus, serialize_corpus
 from eescore.jsonio import canonical_line
-from eescore.metrics import MODE_GOLD_TRIGGER, MODE_PIPELINE
 from eescore.pipeline import (
-    Protocol,
     TriggerContext,
     TriggerStore,
     corpus_fingerprint,
@@ -24,6 +22,7 @@ from eescore.pipeline import (
     parse_trigger_file,
     serialize_trigger_context,
 )
+from eescore.protocol import MODE_GOLD_TRIGGER, MODE_PIPELINE, Protocol
 from eescore.variants import VARIANT_CHOICES, VariantConfig, apply_variant
 
 from corpora import predictions_from, resignation_corpus, simple_doc
@@ -456,6 +455,15 @@ def test_good_manifest_row_loads(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps([GOOD_ROW, dict(GOOD_ROW, ed_f1=1)]))
     entries = TriggerStore(tmp_path).entries()
     assert [e._asdict() for e in entries] == [GOOD_ROW, dict(GOOD_ROW, ed_f1=1)]
+
+
+def test_an_escaped_surrogate_pair_in_a_manifest_is_one_character(tmp_path):
+    """A valid pair and an escaped backslash before "ud800" pass the check
+    that refuses an unpaired surrogate."""
+    row = dict(GOOD_ROW, corpus_id="c\U0001F600\\ud800.jsonl")
+    (tmp_path / "manifest.json").write_text(json.dumps([row]))
+    assert "\\ud83d\\ude00" in (tmp_path / "manifest.json").read_text()
+    assert [e._asdict() for e in TriggerStore(tmp_path).entries()] == [row]
 
 
 def test_concurrent_puts_keep_every_entry(tmp_path, monkeypatch):

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from eescore import cli
 from eescore.errors import ConfigError, ToolkitError
-from eescore.pipeline import Protocol, TriggerStore
+from eescore.pipeline import TriggerStore
+from eescore.protocol import Protocol
 from eescore.variants import VariantConfig, load_variant_config, parse_variant_config
 
 from test_cli_totality import MANIFEST, REPORT, _valid_files

@@ -18,7 +18,8 @@ from eescore.ingest import CgItem, ClsAssignment, ParadigmPredictions, Predictio
 from eescore.jsonio import format_report
 from eescore.metrics import ArgumentItem, ConfusionCounts, EvalReport, TriggerItem
 from eescore.pipeline import EvaluationResult, TriggerStoreEntry
-from eescore.standardize import Assignment, CandidatePolicy, Discard, StandardizedRecord, StandardizeOptions
+from eescore.protocol import CandidatePolicy, StandardizeOptions
+from eescore.standardize import Assignment, Discard, StandardizedRecord
 from eescore.variants import DatasetStats, VariantReport
 
 TRIGGER = Span(3, 4)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from eescore.core import Corpus, Document, EntityMention, Span
 from eescore.ingest import CgItem, ParadigmPredictions
+from eescore.protocol import CandidatePolicy, StandardizeOptions
 from eescore.standardize import (
     DISCARD_DUP_ARRIVAL,
     DISCARD_DUP_CONFIDENCE,
@@ -16,8 +17,6 @@ from eescore.standardize import (
     DISCARD_UNKNOWN_CANDIDATE,
     DISCARD_UNPLACEABLE,
     ArgumentCandidates,
-    CandidatePolicy,
-    StandardizeOptions,
     TriggerCandidates,
     decode_bio,
     position_cg,

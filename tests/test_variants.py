@@ -6,7 +6,7 @@ import pytest
 from eescore.core import Argument, Corpus, EntityMention, EventAnnotation, Span
 from eescore.errors import ConfigError
 from eescore.ingest import serialize_corpus
-from eescore.standardize import CandidatePolicy
+from eescore.protocol import CandidatePolicy
 from eescore.variants import (
     VARIANT_CHOICES,
     VariantConfig,
