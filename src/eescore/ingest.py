@@ -17,8 +17,12 @@ corpus's SHA-256, however the line itself is formatted.
 from __future__ import annotations
 
 import json
+import os
 import re
+import sys
+from contextlib import suppress
 from functools import partial
+from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -36,8 +40,13 @@ from .core import (
     validate_document,
 )
 from .errors import ParseError, ValidationError
-from .jsonio import DECODER, canonical_line, dump_jsonl
+from .jsonio import DECODER, canonical_line, dump_jsonl, write_atomic
 from .protocol import PARADIGM_CG, PARADIGM_CLS, PARADIGM_SL, PARADIGM_SP, PARADIGMS
+
+try:  # pickle's C core, without the pure-Python pickler that `import pickle` also loads
+    from _pickle import Pickler, Unpickler
+except ImportError:
+    from pickle import Pickler, Unpickler
 
 # the interpreter's built-in SHA-256 gives hashlib's digest without loading OpenSSL
 try:
@@ -146,6 +155,7 @@ def _iter_lines(data: bytes) -> Iterator[tuple[int, str]]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
+    del data  # the caller passed its only reference: the bytes go once decoded
     # one line at a time: the text is held once, not again as a list of lines
     start, i = 0, 1
     while start <= len(text):
@@ -264,13 +274,14 @@ def _check_uniform_confidence(predictions: list, line: int) -> None:
 # corpus
 
 
-def parse_corpus(data: bytes) -> Corpus:
+def parse_corpus(data: bytes, shared: dict | None = None) -> Corpus:
     """Parses a JSONL corpus, validating every document invariant and hashing it as it goes."""
     docs: list[Document] = []
     seen: dict[str, int] = {}
-    share = {}.setdefault
+    share = ({} if shared is None else shared).setdefault  # a caller's `shared` keeps each shared value
     hash_state = sha256()
-    for line, raw in _iter_lines(data):
+    lines, data = _iter_lines(data), None  # the lines hold the only reference to the bytes
+    for line, raw in lines:
         obj = _load_object(raw, line)
         # a value just decoded from JSON holds no reference cycle: its encoding need not look for one
         hash_state.update((canonical_line(obj, check_circular=False) + "\n").encode("utf-8"))
@@ -451,7 +462,8 @@ def parse_predictions(data: bytes, paradigm: str, corpus: Corpus) -> ParadigmPre
     records: list[PredictionRecord] = []
     seen: dict[tuple, int] = {}
     share = {}.setdefault
-    for line, raw in _iter_lines(data):
+    lines, data = _iter_lines(data), None  # the lines hold the only reference to the bytes
+    for line, raw in lines:
         obj = _load_object(raw, line)
         _reject_extras(obj, allowed, line)
 
@@ -492,7 +504,8 @@ def parse_trigger_file(data: bytes, corpus: Corpus, source: str) -> TriggerConte
     table: dict = {}
     seen: dict[str, int] = {}
     share = {}.setdefault
-    for line, raw in _iter_lines(data):
+    lines, data = _iter_lines(data), None  # the lines hold the only reference to the bytes
+    for line, raw in lines:
         obj = _load_object(raw, line)
         _reject_extras(obj, _TRIGGER_FILE_FIELDS, line)
         doc_id = _text(obj, "doc_id", line, share)
@@ -533,9 +546,62 @@ def serialize_trigger_context(context: TriggerContext) -> bytes:
 # file helpers
 
 
+class _Entry(Unpickler):
+    # what a cache entry may name: the corpus's record types, and no other class or function
+    types = {(t.__module__, t.__name__): t for t in (Span, EntityMention, Argument, EventAnnotation, Document)}
+    def find_class(self, module, name):
+        return self.types[module, name]  # a KeyError on any other: the entry is read as a miss
+
+
+def _cache_entry(raw) -> Path:
+    """The entry for the bytes `raw` hashed: "<their digest>-<digest of this package and Python>"."""
+    code = sha256(str(sys.implementation.cache_tag).encode())
+    for source in sorted(Path(__file__).parent.glob("*.py")):
+        code.update(source.name.encode() + b"\0" + sha256(source.read_bytes()).digest())
+    home = os.environ.get("XDG_CACHE_HOME", "")
+    home = Path(home) if os.path.isabs(home) else Path.home() / ".cache"
+    return home / "eescore" / f"{raw.hexdigest()}-{code.hexdigest()}"
+
+
+def _dump(name: str, raw, corpus: Corpus, shared: tuple, f) -> None:
+    """A header with the shared values, then 16 documents a pickle, each pickled from the header's memo."""
+    head, body = Pickler(f, 2), Pickler(f, 2)  # protocol 2 names the memo index of each value it keeps
+    head.dump((name, corpus.hash_state.digest() == raw.digest(), len(corpus), shared))  # was it canonical?
+    for start in range(0, len(corpus), 16):
+        body.memo = head.memo
+        body.dump(corpus.documents[start:start + 16])
+
+
 def load_corpus(path) -> Corpus:
+    """`parse_corpus` of a file's bytes, parsed once per content: each parse is kept in
+    ${XDG_CACHE_HOME:-~/.cache}/eescore, and any fault of that cache reads as a miss. A hit on
+    a file that was canonical hashes its bytes as `parse_corpus` would have."""
     with open(path, "rb") as f:
-        return parse_corpus(f.read())
+        box = [f.read()]  # a parse gets the only reference to the bytes, and drops them once decoded
+    raw, entry = sha256(box[0]), None
+    with suppress(Exception):  # no home, or an unreadable, truncated, foreign or garbage entry
+        entry = _cache_entry(raw)
+        with open(entry, "rb") as f:
+            head, body, documents = _Entry(f), _Entry(f), []
+            name, canonical, count, _ = head.load()
+            while name == entry.name and len(documents) < count:
+                body.memo = head.memo  # the shared values, at the indices the writer gave them
+                documents += body.load()
+        if name == entry.name:
+            corpus = Corpus(documents=tuple(documents))
+            object.__setattr__(corpus, "hash_state", raw if canonical else None)
+            return corpus
+    corpus = parse_corpus(box.pop(), shared := {})
+    shared = tuple(shared)  # the values alone: the dict goes before the entry is written
+    with suppress(OSError):
+        if entry is not None:
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            write_atomic(entry, partial(_dump, entry.name, raw, corpus, shared))
+            code, stale = entry.name.partition("-")[2], entry.stat().st_mtime - 86400
+            for other in entry.parent.iterdir():  # a day old: an entry of other code, or a killed write's
+                if other.name.partition("-")[2] != code and other.stat().st_mtime < stale:
+                    other.unlink(missing_ok=True)
+    return corpus
 
 
 def load_predictions(path, paradigm: str, corpus: Corpus) -> ParadigmPredictions:

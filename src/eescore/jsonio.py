@@ -14,7 +14,7 @@ import os
 import re
 import threading
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 
 def canonical_line(obj: Any, default=None, check_circular: bool = True) -> str:
@@ -55,16 +55,18 @@ def format_report(obj: Any) -> str:
     return _format_value(obj, 0) + "\n"
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Writes `data` to `path` through a temporary file in the same directory
-    that is renamed into place, so a reader sees the old or the new bytes,
-    never a torn file. The temporary name is unique per process and thread:
-    two concurrent writers never share one, and a failed write removes it.
-    An OSError names `path`, not the temporary file."""
+def write_atomic(path, data: bytes | Callable[[Any], object]) -> None:
+    """Writes `data` (bytes, or a function that writes to the open file) to
+    `path` through a temporary file in the same directory that is renamed
+    into place, so a reader sees the old or the new bytes, never a torn file.
+    The temporary name is unique per process and thread: two concurrent
+    writers never share one, and a failed write removes it. An OSError
+    names `path`, not the temporary file."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            data(f) if callable(data) else f.write(data)
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)

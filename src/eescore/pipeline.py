@@ -231,6 +231,8 @@ class TriggerStore:
         self.root.mkdir(parents=True, exist_ok=True)
         with open(self.root / self.LOCK, "wb") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+            for orphan in self.root.glob("*.tmp"):  # every write is made under the lock: a killed put left it
+                orphan.unlink(missing_ok=True)
             rows = self.entries()
             for row in rows:
                 if row.fingerprint == fingerprint and row.corpus_id != corpus_id:

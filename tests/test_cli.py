@@ -988,7 +988,8 @@ def test_a_killed_put_leaves_a_store_that_works(tmp_path, corpus_path, capsys, k
     """A `put` killed with SIGKILL, after a fixed delay or just before its
     trigger file, its ED report or the manifest is renamed into place,
     leaves at most stray files: `list` reads the store, the same `put`
-    succeeds again and `get` returns what an uninterrupted `put` stores."""
+    succeeds again and removes them, and `get` returns what an
+    uninterrupted `put` stores."""
     preds = cls_ed_file(tmp_path, corpus_path)
     put = _put_argv(tmp_path / "store", corpus_path, preds, "p")
     get = ["trigger-store", "get", "--corpus", corpus_path, "--producer", "p"]
@@ -1010,6 +1011,7 @@ def test_a_killed_put_leaves_a_store_that_works(tmp_path, corpus_path, capsys, k
     if (tmp_path / "store").exists():
         assert run(["trigger-store", "list", "--store", tmp_path / "store"]) == 0
     assert run(put) == 0
+    assert not list((tmp_path / "store").glob("*.tmp"))  # the next put removes what the killed one left
     assert run([*get, "--store", tmp_path / "store", "--output", tmp_path / "got.jsonl"]) == 0
     assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
     assert len(json.loads((tmp_path / "store" / "manifest.json").read_bytes())) == 1
