@@ -14,12 +14,13 @@ import argparse
 import gc
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
 
 from .core import TriggerContext
-from .errors import ConfigError, ParseError, ToolkitError, ValidationError
+from .errors import ConfigError, ContextError, ParseError, ToolkitError, ValidationError
 from .ingest import load_corpus, load_predictions, load_trigger_file, parse_trigger_file, serialize_trigger_context
 from .jsonio import canonical_line, dump_jsonl, format_report, read_json, write_atomic
 from .metrics import EvalReport
@@ -36,11 +37,21 @@ def _err(message) -> None:
         print(f"eescore: error: {message}", file=sys.stderr)
 
 
+@contextmanager
+def _naming(what: str, path, faults=(ParseError, ValidationError)):
+    """Re-raises a fault of the block, of its class, with `{what} {path}: ` before its message."""
+    try:
+        yield
+    except faults as exc:
+        raise type(exc)(f"{what} {path}: {exc}") from None
+
+
 def _read(path, what: str, load, *args, kind: str = "file"):
-    """`load(path, *args)`, once `path` is known to name a file, or a directory if `kind` says so."""
+    """`load(path, *args)`, once `path` names a file, or a directory if `kind` says so; its faults name both."""
     if not (os.path.isdir if kind == "directory" else os.path.isfile)(path):
         raise ConfigError(f"{what} {path!r} {f'is not a {kind}' if os.path.exists(path) else 'does not exist'}")
-    return load(path, *args)
+    with _naming(what, path):
+        return load(path, *args)
 
 
 def _store(args, create: bool = False) -> TriggerStore:
@@ -101,14 +112,14 @@ def _add_standardize_flags(p: argparse.ArgumentParser) -> None:
 def _load_inputs(args):
     """The variant config that the flags select, and the corpus as read,
     before the variant is applied."""
-    cfg = _read(args.variant, "variant config", load_variant_config) if args.variant else VariantConfig()
-    if args.multi_token_policy:
-        cfg = replace(cfg, multi_token_policy=args.multi_token_policy)
     try:
+        cfg = _read(args.variant, "variant config", load_variant_config) if args.variant else VariantConfig()
+        if args.multi_token_policy:
+            cfg = replace(cfg, multi_token_policy=args.multi_token_policy)
         return cfg, _read(args.corpus, "corpus", load_corpus)
     except (ParseError, ValidationError) as exc:
         # data the run cannot even start from: configuration/validation class
-        raise ConfigError(f"corpus {args.corpus}: {exc}") from None
+        raise ConfigError(str(exc)) from None
 
 
 def _store_entry(args, fingerprint: str):
@@ -212,7 +223,8 @@ def _pipeline_context(args, corpus, fingerprint: str) -> TriggerContext | None:
         return _read(args.triggers, "trigger file", load_trigger_file, corpus)
     if args.store:
         entry, payload = _store_entry(args, fingerprint)
-        return parse_trigger_file(payload, corpus, source=f"store:{entry.producer}")
+        with _naming("trigger store entry", os.path.join(args.store, entry.file)):
+            return parse_trigger_file(payload, corpus, source=f"store:{entry.producer}")
     return None
 
 
@@ -228,7 +240,8 @@ def cmd_score(args) -> int:
     if args.eae_predictions:
         eae_pred = _read(args.eae_predictions, "EAE prediction file", load_predictions, args.eae_paradigm, corpus)
     trigger_context = _pipeline_context(args, corpus, fingerprint) if args.mode == MODE_PIPELINE else None
-    result = evaluate(corpus, protocol, ed_pred=ed_pred, eae_pred=eae_pred, trigger_context=trigger_context)
+    with _naming("EAE prediction file", args.eae_predictions, ContextError):  # an anchor outside the context
+        result = evaluate(corpus, protocol, ed_pred=ed_pred, eae_pred=eae_pred, trigger_context=trigger_context)
 
     payload = {
         "config": _resolved_config(args, cfg, protocol),
@@ -288,9 +301,9 @@ def _load_report(path) -> tuple[dict, Protocol]:
     precision, recall and f1 as numbers in [0, 1]; with the protocol that
     its config spells."""
     try:
-        obj = _read(path, "report file", read_json)
-    except ValueError as exc:
-        raise ConfigError(f"report {path}: {exc}") from None
+        obj = _read(path, "report", read_json)
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from None
     if not isinstance(obj, dict) or not isinstance(obj.get("fingerprint"), str):
         raise ConfigError(f"report {path}: not a score report (missing fingerprint)")
     config = obj.get("config")
@@ -467,10 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _refuse_non_utf8(parser: argparse.ArgumentParser, args) -> None:
     """Reports, ledgers and the manifest spell paths in UTF-8: an argument that UTF-8 cannot encode (it
-    drops a surrogate) is refused, by the name its usage shows, before anything is read or written."""
+    holds a surrogate) is refused, by the name its usage shows, before anything is read or written."""
     for action in parser._actions:
         value = getattr(args, action.dest, None)
-        if isinstance(value, str) and value.encode("utf-8", "ignore").decode("utf-8") != value:
+        if isinstance(value, str) and any("\ud800" <= c <= "\udfff" for c in value):
             raise ConfigError(f"argument {(action.option_strings or [action.dest])[0]}: {value!r} is not UTF-8 text")
         for sub in action.choices.values() if isinstance(action.choices, dict) else ():  # a subcommand's parser
             _refuse_non_utf8(sub, args)

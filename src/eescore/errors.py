@@ -15,10 +15,9 @@ class ConfigError(ToolkitError):
 
 
 class ParseError(ToolkitError):
-    """Malformed input file. `line` is the 1-based line number when known."""
+    """Malformed input file; `line`, its 1-based line number when known, is the message's locator."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

@@ -2,11 +2,10 @@
 prediction file formats (classification, sequence labeling, span
 prediction, conditional generation) and the predicted-trigger file.
 
-All formats are JSONL: one record per line, UTF-8. Parsing is total over
-the error channel: malformed input raises ParseError/ValidationError with
-a locator, never an uncontrolled exception. Fields are checked in a fixed
-order and the first fault is reported; an object that repeats a key, or a
-string with an unpaired surrogate (`"\\ud800"`, no UTF-8 text), is malformed.
+All formats are JSONL: one record per line, UTF-8, each line read by
+`jsonio.loads`. Parsing is total over the error channel: malformed input
+raises ParseError/ValidationError with a locator, never an uncontrolled
+exception. Fields are checked in a fixed order and the first fault is reported.
 A canonically formatted corpus (sorted keys, no extra whitespace)
 round-trips byte-identically through serialize_corpus. The corpus parser
 makes the one pass over each line: it decodes and checks the line, builds
@@ -16,7 +15,6 @@ corpus's SHA-256, however the line itself is formatted.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
@@ -40,7 +38,7 @@ from .core import (
     validate_document,
 )
 from .errors import ParseError, ValidationError
-from .jsonio import DECODER, canonical_line, dump_jsonl, write_atomic
+from .jsonio import canonical_line, decode, dump_jsonl, lines, loads, write_atomic
 from .protocol import PARADIGM_CG, PARADIGM_CLS, PARADIGM_SL, PARADIGM_SP, PARADIGMS
 
 try:  # pickle's C core, without the pure-Python pickler that `import pickle` also loads
@@ -144,44 +142,8 @@ _ITEM_FIELDS = frozenset(CgItem._fields)
 _new_prediction = partial(tuple.__new__, SpanPrediction)
 
 
-def _iter_lines(data: bytes) -> Iterator[tuple[int, str]]:
-    """Yields (line number, line) for every non-blank line of UTF-8 `data`.
-
-    Lines end at "\n" only (a "\r" before it is dropped): JSON strings may
-    hold U+2028, U+0085, "\f" and the other characters `str.splitlines`
-    also breaks on, and the canonical writer emits them raw.
-    """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"input is not valid UTF-8: {exc}") from None
-    del data  # the caller passed its only reference: the bytes go once decoded
-    # one line at a time: the text is held once, not again as a list of lines
-    start, i = 0, 1
-    while start <= len(text):
-        end = text.find("\n", start)
-        if end < 0:
-            end = len(text)
-        raw = text[start:end].removesuffix("\r")
-        if raw.strip():
-            yield i, raw
-        start, i = end + 1, i + 1
-
-
 def _load_object(raw: str, line: int) -> dict:
-    try:
-        obj = DECODER.decode(raw)
-        # a surrogate may be escaped, but so is a valid pair: encoding tells ("\\" is found by memchr)
-        if "\\" in raw and ("\\ud" in raw or "\\uD" in raw):
-            canonical_line(obj).encode("utf-8")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON ({exc.msg})", line) from None
-    except RecursionError:
-        raise ParseError("invalid JSON (nested too deeply)", line) from None
-    except UnicodeEncodeError:
-        raise ParseError("a string holds an unpaired surrogate, which UTF-8 cannot encode", line) from None
-    except ValueError as exc:  # a duplicate key, or an integer too long to convert
-        raise ParseError(str(exc), line) from None
+    obj = loads(raw, line)
     if type(obj) is not dict:
         raise ParseError("record must be a JSON object", line)
     return obj
@@ -280,8 +242,8 @@ def parse_corpus(data: bytes, shared: dict | None = None) -> Corpus:
     seen: dict[str, int] = {}
     share = ({} if shared is None else shared).setdefault  # a caller's `shared` keeps each shared value
     hash_state = sha256()
-    lines, data = _iter_lines(data), None  # the lines hold the only reference to the bytes
-    for line, raw in lines:
+    rows, data = lines(decode(data)), None  # the bytes go once decoded: the lines hold the text
+    for line, raw in rows:
         obj = _load_object(raw, line)
         # a value just decoded from JSON holds no reference cycle: its encoding need not look for one
         hash_state.update((canonical_line(obj, check_circular=False) + "\n").encode("utf-8"))
@@ -462,8 +424,8 @@ def parse_predictions(data: bytes, paradigm: str, corpus: Corpus) -> ParadigmPre
     records: list[PredictionRecord] = []
     seen: dict[tuple, int] = {}
     share = {}.setdefault
-    lines, data = _iter_lines(data), None  # the lines hold the only reference to the bytes
-    for line, raw in lines:
+    rows, data = lines(decode(data)), None  # the bytes go once decoded: the lines hold the text
+    for line, raw in rows:
         obj = _load_object(raw, line)
         _reject_extras(obj, allowed, line)
 
@@ -504,8 +466,8 @@ def parse_trigger_file(data: bytes, corpus: Corpus, source: str) -> TriggerConte
     table: dict = {}
     seen: dict[str, int] = {}
     share = {}.setdefault
-    lines, data = _iter_lines(data), None  # the lines hold the only reference to the bytes
-    for line, raw in lines:
+    rows, data = lines(decode(data)), None  # the bytes go once decoded: the lines hold the text
+    for line, raw in rows:
         obj = _load_object(raw, line)
         _reject_extras(obj, _TRIGGER_FILE_FIELDS, line)
         doc_id = _text(obj, "doc_id", line, share)

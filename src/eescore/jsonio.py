@@ -1,4 +1,6 @@
-"""Deterministic JSON writers, and the file reads and writes around them.
+"""Deterministic JSON writers, the one reader of input text and JSON
+(`decode`, `lines`, `loads`: each refuses with a ParseError at the line at
+fault), and the file reads and writes around them.
 
 Canonical JSONL lines (sorted keys, no extra whitespace) make
 serialize(parse(x)) byte-identical for canonical input, and give the
@@ -14,7 +16,9 @@ import os
 import re
 import threading
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
+
+from .errors import ParseError
 
 
 def canonical_line(obj: Any, default=None, check_circular: bool = True) -> str:
@@ -75,48 +79,78 @@ def write_atomic(path, data: bytes | Callable[[Any], object]) -> None:
         raise
 
 
-def unique_keys(pairs: list) -> dict:
-    """`object_pairs_hook` for `json.loads`: an object that repeats a key
-    raises ValueError naming it, instead of keeping the last value."""
+def _unique_keys(pairs: list) -> dict:
+    """`object_pairs_hook` for the decoder: an object that repeats a key
+    is refused, naming the key, instead of keeping the last value."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ValueError(f"duplicate key {key!r}")
+                raise ParseError(f"duplicate key {key!r}")
             seen.add(key)
     return obj
 
 
 # one decoder for every read and one encoder for every report scalar: json.loads(s, **hooks) and
 # json.dumps(value, **options) build a new one per call
-DECODER = json.JSONDecoder(object_pairs_hook=unique_keys)
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 # a string of a valid JSON text: outside its strings, JSON has no quote or backslash
 _STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
-def read_json(path) -> Any:
-    """The JSON value in a file. Raises ValueError saying what is wrong when the
-    file is not UTF-8 or JSON, repeats a key, holds an unpaired surrogate or is
-    nested too deeply to parse; a bad byte or surrogate is located by its line,
-    a JSON syntax error by its line and column (lines end at "\n")."""
-    data = Path(path).read_bytes()
+def decode(data: bytes) -> str:
+    """`data` as UTF-8 text; a byte that is not UTF-8 is a ParseError at its line."""
     try:
-        text = data.decode("utf-8")
-        obj = DECODER.decode(text)
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("not valid UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yields (line number, line) for every non-blank line of `text`.
+
+    Lines end at "\n" only (a "\r" before it is dropped): JSON strings may
+    hold U+2028, U+0085, "\f" and the other characters `str.splitlines`
+    also breaks on, and the canonical writer emits them raw.
+    """
+    # one line at a time: the text is held once, not again as a list of lines
+    start, i = 0, 1
+    while start <= len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        raw = text[start:end].removesuffix("\r")
+        if raw.strip():
+            yield i, raw
+        start, i = end + 1, i + 1
+
+
+def loads(text: str, line: int | None = None) -> Any:
+    """The JSON value of `text`: line `line` of its file, or the whole file when `line` is None. Text that
+    is not JSON, repeats a key, holds an unpaired surrogate or is nested too deeply is a ParseError at
+    its line; a syntax error in a whole file is located by its line and column."""
+    try:
+        obj = _DECODER.decode(text)
         # a surrogate may be escaped, but so is a valid pair: encoding tells ("\\" is found by memchr)
         if "\\" in text and ("\\ud" in text or "\\uD" in text):
             for string in _STRING_RE.finditer(text):  # no JSON string spans a line
-                DECODER.decode(string[0]).encode("utf-8")
+                _DECODER.decode(string[0]).encode("utf-8")
         return obj
     except UnicodeEncodeError:  # `string` holds the surrogate
-        line = text.count("\n", 0, string.start()) + 1
-        raise ValueError(f"line {line}: a string holds an unpaired surrogate, which UTF-8 cannot encode") from None
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"line {line}: not valid UTF-8") from None
+        at = (line or 1) + text.count("\n", 0, string.start())
+        raise ParseError("a string holds an unpaired surrogate, which UTF-8 cannot encode", at) from None
     except json.JSONDecodeError as exc:
-        raise ValueError(f"line {exc.lineno} column {exc.colno}: invalid JSON ({exc.msg})") from None
+        if line is None:
+            raise ParseError(f"line {exc.lineno} column {exc.colno}: invalid JSON ({exc.msg})") from None
+        raise ParseError(f"invalid JSON ({exc.msg})", line) from None
     except RecursionError:
-        raise ValueError("nested too deeply") from None
+        raise ParseError("invalid JSON (nested too deeply)", line) from None
+    except (ParseError, ValueError) as exc:  # a repeated key, or an integer too long to convert
+        raise ParseError(str(exc), line) from None
+
+
+def read_json(path) -> Any:
+    """The JSON value in a file, as `loads` reads a whole file."""
+    return loads(decode(Path(path).read_bytes()))

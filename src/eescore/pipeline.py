@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .core import TASK_ARGUMENT, TASK_TRIGGER, Corpus, TriggerContext
-from .errors import ConfigError, ContextError, StoreError, ValidationError
+from .errors import ConfigError, ContextError, ParseError, StoreError, ValidationError
 from .ingest import ParadigmPredictions, corpus_hash
 from .ingest import parse_trigger_file, serialize_trigger_context  # noqa: F401 (bench/traced.py imports them from here)
 from .jsonio import canonical_line, format_report, read_json, write_atomic
@@ -206,7 +206,7 @@ class TriggerStore:
             return []
         try:
             rows = read_json(path)
-        except ValueError as exc:
+        except ParseError as exc:
             raise StoreError(f"corrupt manifest {path}: {exc}") from None
         except OSError as exc:
             raise StoreError(f"cannot read manifest {path}: {exc.strerror}") from None

@@ -11,10 +11,12 @@ and reports what was silently dropped so runs stay comparable.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 from typing import NamedTuple
 
 from .core import Corpus, Document, EntityMention, EventAnnotation, Span
 from .errors import ConfigError
+from .jsonio import decode, lines
 from .protocol import CandidatePolicy
 from .standardize import TriggerCandidates
 
@@ -152,10 +154,10 @@ def compute_stats(corpus: Corpus, policy: CandidatePolicy = CandidatePolicy()) -
 def parse_variant_config(text: str) -> VariantConfig:
     """Parses a flat `key = value` config; `#` starts a comment. Unknown
     keys are errors; missing keys default to the identity configuration.
-    Lines end at "\n" only, as in every other input file."""
+    Lines are split as in every other input file (`jsonio.lines`)."""
     kinds = {f.name: type(f.default) for f in fields(VariantConfig)}
     values: dict = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in lines(text):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -182,10 +184,5 @@ def parse_variant_config(text: str) -> VariantConfig:
 
 
 def load_variant_config(path) -> VariantConfig:
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"variant config is not valid UTF-8: {exc}") from None
-    return parse_variant_config(text)
+    """`parse_variant_config` of a file; a byte that is not UTF-8 is a ParseError at its line."""
+    return parse_variant_config(decode(Path(path).read_bytes()))

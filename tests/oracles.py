@@ -422,10 +422,13 @@ def _iter_lines(stream: Stream) -> Iterator[tuple[int, str]]:
     else:
         data = stream
     if isinstance(data, (bytes, bytearray)):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc}") from None
+        # no UTF-8 sequence holds a "\n" byte: a bad one lies on the first line that does not decode alone
+        for i, raw in enumerate(data.split(b"\n"), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError("not valid UTF-8", i) from None
+        text = data.decode("utf-8")
     else:
         text = data
     for i, raw in enumerate(text.split("\n"), start=1):

@@ -123,8 +123,7 @@ def test_stats_variant_not_utf8_exits_2(corpus_path, tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith("eescore: error: variant config is not valid UTF-8")
-    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr == f"eescore: error: variant config {cfg}: line 1: not valid UTF-8\n"
 
 
 def cls_ed_file(tmp_path, corpus_path):
@@ -517,7 +516,8 @@ def test_an_unpaired_surrogate_is_refused_not_a_traceback(tmp_path, corpus_path,
         "standardize": ["standardize", "--predictions", preds, "--paradigm", "SP", "--output", tmp_path / "s.jsonl"],
     }[command]
     assert run([*argv, "--corpus", corpus]) == code
-    prefix = f"corpus {corpus}: " if where == "corpus" else ""
+    prefix = {"score": "ED prediction file", "put": "ED prediction file", "standardize": "prediction file"}[command]
+    prefix = f"corpus {corpus}: " if where == "corpus" else f"{prefix} {preds}: "
     assert capsys.readouterr() == ("", f"eescore: error: {prefix}line 1: a string holds an unpaired surrogate, "
                                        "which UTF-8 cannot encode\n")
 
@@ -1186,7 +1186,7 @@ def test_compare_refuses_a_protocol_that_protocol_rejects(tmp_path, corpus_path,
 
 
 @pytest.mark.parametrize("argv, what", [(["stats", "--corpus", "{dir}"], "corpus"),
-                                        (["compare", "{dir}", "{dir}"], "report file")], ids=["stats", "compare"])
+                                        (["compare", "{dir}", "{dir}"], "report")], ids=["stats", "compare"])
 def test_a_directory_given_as_an_input_file_is_not_a_file(tmp_path, capsys, argv, what):
     assert run([str(tmp_path) if a == "{dir}" else a for a in argv]) == 2
     assert capsys.readouterr().err == f"eescore: error: {what} {str(tmp_path)!r} is not a file\n"
@@ -1267,7 +1267,9 @@ def test_score_tag_with_a_trailing_newline_exits_1(tmp_path, corpus_path, capsys
                 "--output", tmp_path / "r.json"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"eescore: error: line 1: malformed tag {tag!r} at position 8"]
+    assert captured.err.splitlines() == [
+        f"eescore: error: ED prediction file {preds}: line 1: malformed tag {tag!r} at position 8"
+    ]
     assert not (tmp_path / "r.json").exists()
 
 
@@ -1334,3 +1336,52 @@ def test_data_path_leaves_no_cyclic_garbage(tmp_path):
     assert [o for o in one + many
             if type(o).__module__.startswith("eescore") and not isinstance(o, argparse.HelpFormatter)] == []
     assert len(one) == len(many)
+
+
+@pytest.mark.parametrize("fault", ["bad-byte", "syntax"])
+@pytest.mark.parametrize("target", ["corpus", "variant", "ed", "eae", "triggers", "store-entry", "manifest", "report"])
+def test_a_fault_on_line_3_of_any_input_names_the_input_and_the_line(tmp_path, corpus_path, capsys, target, fault):
+    """Every file the CLI reads refuses a byte that is not UTF-8, or a JSON
+    syntax error, on its line 3 with its documented exit code (2 for the
+    corpus, the variant config and a report, else 1), naming the input and
+    the line. The variant config is no JSON: its syntax error is its own."""
+    ed = cls_ed_file(tmp_path, corpus_path)
+    eae, triggers, variant = tmp_path / "eae.jsonl", tmp_path / "t.jsonl", tmp_path / "v.cfg"
+    eae.write_bytes(dump_jsonl([{"doc_id": "doc-resignation", "task": "argument", "anchor": EP_ANCHOR,
+                                 "assignments": [{"candidate_id": "e1", "label": "Person"}]}]))
+    triggers.write_bytes(dump_jsonl([{"doc_id": "doc-resignation",
+                                      "triggers": [{"span": [8, 9], "event_type": "End-Position"}]}]))
+    variant.write_bytes(b"include_value = false\n")
+    store, report = tmp_path / "store", tmp_path / "r.json"
+    score = ["score", "--corpus", corpus_path, "--output", report]
+    ed_args = ["--ed-predictions", ed, "--ed-paradigm", "CLS"]
+    assert run(score + ed_args) == 0
+    assert run(["trigger-store", "put", "--store", store, "--corpus", corpus_path, "--predictions", ed,
+                "--paradigm", "CLS", "--producer", "p"]) == 0
+    entry = store / json.loads((store / "manifest.json").read_text())[0]["file"]
+    eae_args = ["--eae-predictions", eae, "--eae-paradigm", "CLS"]
+    pipeline = score + eae_args + ["--mode", "pipeline"]
+    path, name, code, argv = {
+        "corpus": (corpus_path, "corpus", 2, score + eae_args),
+        "variant": (variant, "variant config", 2, ["stats", "--corpus", corpus_path, "--variant", variant]),
+        "ed": (ed, "ED prediction file", 1, score + ed_args),
+        "eae": (eae, "EAE prediction file", 1, score + eae_args),
+        "triggers": (triggers, "trigger file", 1, pipeline + ["--triggers", triggers]),
+        "store-entry": (entry, "trigger store entry", 1, pipeline + ["--store", store]),
+        "manifest": (store / "manifest.json", "corrupt manifest", 1, ["trigger-store", "list", "--store", store]),
+        "report": (report, "report", 2, ["compare", report, report]),
+    }[target]
+    lines = path.read_bytes().split(b"\n")
+    if target in ("manifest", "report"):  # one JSON value over several lines
+        lines[2] = (b"\xff" if fault == "bad-byte" else b",") + lines[2]
+        problem = "line 3 column 1: invalid JSON (Expecting property name enclosed in double quotes)"
+    else:  # one record or setting a line, after a blank line 2
+        lines[1:] = [b"", b'{"doc_id": "\xff"}' if fault == "bad-byte" else b'{"doc_id": }', b""]
+        problem = "line 3: invalid JSON (Expecting value)"
+    path.write_bytes(b"\n".join(lines))
+    expected = f"{name} {path}: {'line 3: not valid UTF-8' if fault == 'bad-byte' else problem}"
+    if target == "variant" and fault == "syntax":
+        expected = "variant config line 3: expected 'key = value'"
+    capsys.readouterr()
+    assert run(argv) == code
+    assert capsys.readouterr() == ("", f"eescore: error: {expected}\n")

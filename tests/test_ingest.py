@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from eescore.core import Span
 from eescore.errors import ParseError, ToolkitError, ValidationError
-from eescore.ingest import _iter_lines, parse_corpus, parse_predictions, parse_trigger_file, serialize_corpus
-from eescore.jsonio import dump_jsonl
+from eescore.ingest import parse_corpus, parse_predictions, parse_trigger_file, serialize_corpus
+from eescore.jsonio import dump_jsonl, lines
 from eescore.protocol import PARADIGMS
 
 from corpora import resignation_corpus, resignation_document
@@ -124,7 +124,7 @@ def test_crlf_lines_keep_their_numbers():
 def test_iter_lines_splits_on_newline_only(parts):
     text = "".join(parts)
     want = [(i, l.removesuffix("\r")) for i, l in enumerate(text.split("\n"), 1) if l.removesuffix("\r").strip()]
-    assert list(_iter_lines(text.encode("utf-8"))) == want
+    assert list(lines(text)) == want
 
 
 def _parsers():

@@ -102,6 +102,32 @@ def test_protocol_loads_only_errors_and_jsonio():
     assert result.stdout.split() == ["eescore.errors", "eescore.jsonio", "eescore.protocol"]
 
 
+def _decodes(node) -> bool:
+    """Whether `node` turns bytes into text or text into JSON: a `.decode(...)`
+    call, `json.loads` or `json.load`, or a JSON decoder named or imported."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "decode":
+        return True
+    if isinstance(node, ast.Attribute) and ast.unparse(node) in ("json.loads", "json.load"):
+        return True
+    name = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+    return name is not None and "DECODER" in getattr(node, name).upper()
+
+
+def test_only_jsonio_decodes_input():
+    """Input bytes become text and text becomes JSON in `jsonio` alone, and
+    every refusal `jsonio` raises is a ParseError: each input file is read
+    one way, and its faults are worded one way."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name == "jsonio.py":
+                if isinstance(node, ast.Raise) and "ValueError" in ast.unparse(node):
+                    offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif _decodes(node):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert offenders == []
+
+
 def _name(node) -> str:
     return ast.unparse(node.func if isinstance(node, ast.Call) else node)
 

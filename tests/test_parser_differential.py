@@ -2,13 +2,15 @@
 
 Each example takes valid records (a corpus, CLS/SL/SP/CG prediction
 records for both tasks, a predicted-trigger file), mutates one to three
-places in them and parses the result with both. Both must accept it with
-equal results, or both must reject it with the same exception type and
-message: the order in which fields are checked, and so which error a
+places in them (in a quarter of the random examples it also puts bytes
+that are not UTF-8 on a drawn line) and parses the result with both.
+Both must accept it with equal results, or both must reject it with the
+same exception type and message: the order in which fields are checked, and so which error a
 record with several faults reports, is part of the contract.
 """
 
 import copy
+import functools
 import json
 import random
 
@@ -44,6 +46,8 @@ SAME_TYPE = {
     dict: ({}, {"span": [0, 1]}, {"trigger": [0, 1], "event_type": "A"}),
 }
 REPLACEMENTS = (None,) + tuple(v for values in SAME_TYPE.values() for v in values)
+# bytes that no UTF-8 text holds: an invalid byte, sequences cut short, an encoded surrogate
+NOT_UTF8 = (b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\x80")
 ADDED_KEYS = (
     "surprise", "id", "doc_id", "task", "anchor", "span", "label", "confidence", "tags", "spans",
     "items", "assignments", "mention", "entity_id", "kind", "triggers",
@@ -138,6 +142,15 @@ def _mutate(data, records: list, extra: tuple = ()) -> list:
     return records
 
 
+def _spoil(data, raw: bytes) -> bytes:
+    """`raw` with bytes that are not UTF-8 put in a drawn place of a drawn line."""
+    lines = raw.split(b"\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    at = data.draw(st.integers(0, len(lines[i])))
+    lines[i] = lines[i][:at] + data.draw(st.sampled_from(NOT_UTF8)) + lines[i][at:]
+    return b"\n".join(lines)
+
+
 def _single_edits(records: list):
     """Every record list that differs from `records` in one place, at the
     first position of each field: each replacement value, a drop, a
@@ -200,10 +213,11 @@ def _base(seed: int, kind: str):
 KINDS = ("corpus", "triggers") + tuple(f"{p}-{t}" for p in ("CLS", "SL", "SP", "CG") for t in ("trigger", "argument"))
 
 
-def _check(kind: str, corpus, records: list) -> None:
-    """Both parsers accept `records` with equal results, or both reject
-    them with the same exception type and message."""
-    data = dump_jsonl(records)
+def _check(kind: str, corpus, records: list, spoil=None) -> None:
+    """Both parsers accept `records` (their bytes passed through `spoil`,
+    if given) with equal results, or both reject them with the same
+    exception type and message."""
+    data = dump_jsonl(records) if spoil is None else spoil(dump_jsonl(records))
     if kind == "corpus":
         args = (parse_corpus, reference_parse_corpus, data)
     elif kind == "triggers":
@@ -232,4 +246,5 @@ def test_every_single_edit_parses_like_the_reference(kind):
 @given(seed=st.integers(0, 2**16), data=st.data())
 def test_mutants_parse_like_the_reference(kind, seed, data):
     corpus, records = _base(seed, kind)
-    _check(kind, corpus, _mutate(data, records))
+    spoil = functools.partial(_spoil, data) if data.draw(st.integers(0, 3)) == 0 else None
+    _check(kind, corpus, _mutate(data, records), spoil)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eescore import cli
-from eescore.errors import ConfigError, ToolkitError
+from eescore.errors import ConfigError, ParseError, ToolkitError
 from eescore.pipeline import TriggerStore
 from eescore.protocol import Protocol
 from eescore.variants import VariantConfig, load_variant_config, parse_variant_config
@@ -76,11 +76,12 @@ def test_variant_config_file_is_total_on_arbitrary_bytes(data):
         path = Path(tmp) / "variant.cfg"
         path.write_bytes(data)
         got = _outcome(load_variant_config, path)
-    assert isinstance(got, (VariantConfig, ConfigError)), got
+    assert isinstance(got, (VariantConfig, ConfigError, ParseError)), got
     try:
         text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        assert str(got).startswith("variant config is not valid UTF-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        assert str(got) == f"line {line}: not valid UTF-8"
     else:
         _check_config_text(text)
 

@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
 import random
 
 import pytest
 
+from eescore.cli import main
 from eescore.core import Argument, Corpus, EntityMention, EventAnnotation, Span
-from eescore.errors import ConfigError
+from eescore.errors import ConfigError, ParseError
 from eescore.ingest import serialize_corpus
 from eescore.protocol import CandidatePolicy
 from eescore.variants import (
@@ -224,10 +227,16 @@ def test_variant_config_lines_end_at_newline_only():
 
 @pytest.mark.parametrize("data", [b"include_time = \xff\n", b"\xfe\xff", b"include_time = tru\xc3"])
 def test_variant_config_that_is_not_utf8_is_a_config_error(tmp_path, data):
+    """The file is refused at the line of its bad byte, and the CLI exits 2 as for every config fault."""
     path = tmp_path / "variant.cfg"
-    path.write_bytes(data)
-    with pytest.raises(ConfigError, match="^variant config is not valid UTF-8"):
+    path.write_bytes(b"# a comment\n\n" + data)
+    with pytest.raises(ParseError, match="^line 3: not valid UTF-8$"):
         load_variant_config(path)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(serialize_corpus(resignation_corpus()))
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["stats", "--corpus", str(corpus), "--variant", str(path)]) == 2
+    assert err.getvalue() == f"eescore: error: variant config {path}: line 3: not valid UTF-8\n"
 
 
 def test_stats_candidate_policy_affects_trigger_candidates():
