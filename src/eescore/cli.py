@@ -19,8 +19,8 @@ from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
 
-from .core import TriggerContext
-from .errors import ConfigError, ContextError, ParseError, ToolkitError, ValidationError
+from .core import TASK_ARGUMENT, TASK_TRIGGER, TriggerContext
+from .errors import ConfigError, ContextError, ToolkitError
 from .ingest import load_corpus, load_predictions, load_trigger_file, parse_trigger_file, serialize_trigger_context
 from .jsonio import canonical_line, dump_jsonl, format_report, read_json, write_atomic
 from .metrics import EvalReport
@@ -38,19 +38,19 @@ def _err(message) -> None:
 
 
 @contextmanager
-def _naming(what: str, path, faults=(ParseError, ValidationError)):
-    """Re-raises a fault of the block, of its class, with `{what} {path}: ` before its message."""
+def _naming(what: str, path, faults=ToolkitError, refuse=None):
+    """Re-raises a fault of the block with `{what} {path}: ` before its message, as `refuse` or of its own class."""
     try:
         yield
     except faults as exc:
-        raise type(exc)(f"{what} {path}: {exc}") from None
+        raise (refuse or type(exc))(f"{what} {path}: {exc}") from None
 
 
-def _read(path, what: str, load, *args, kind: str = "file"):
-    """`load(path, *args)`, once `path` names a file, or a directory if `kind` says so; its faults name both."""
+def _read(path, what: str, load, *args, kind: str = "file", refuse=None):
+    """`load(path, *args)`, once `path` names a file, or a directory if `kind` says so; `_naming` names its faults."""
     if not (os.path.isdir if kind == "directory" else os.path.isfile)(path):
         raise ConfigError(f"{what} {path!r} {f'is not a {kind}' if os.path.exists(path) else 'does not exist'}")
-    with _naming(what, path):
+    with _naming(what, path, refuse=refuse):
         return load(path, *args)
 
 
@@ -110,16 +110,14 @@ def _add_standardize_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_inputs(args):
-    """The variant config that the flags select, and the corpus as read,
-    before the variant is applied."""
-    try:
-        cfg = _read(args.variant, "variant config", load_variant_config) if args.variant else VariantConfig()
-        if args.multi_token_policy:
-            cfg = replace(cfg, multi_token_policy=args.multi_token_policy)
-        return cfg, _read(args.corpus, "corpus", load_corpus)
-    except (ParseError, ValidationError) as exc:
-        # data the run cannot even start from: configuration/validation class
-        raise ConfigError(str(exc)) from None
+    """The variant config that the flags select, and the corpus as read, before the variant is
+    applied. A fault in either is data the run cannot even start from, so it is a ConfigError."""
+    cfg = VariantConfig()
+    if args.variant:
+        cfg = _read(args.variant, "variant config", load_variant_config, refuse=ConfigError)
+    if args.multi_token_policy:
+        cfg = replace(cfg, multi_token_policy=args.multi_token_policy)
+    return cfg, _read(args.corpus, "corpus", load_corpus, refuse=ConfigError)
 
 
 def _store_entry(args, fingerprint: str):
@@ -236,9 +234,11 @@ def cmd_score(args) -> int:
     corpus, _ = apply_variant(corpus, cfg)  # the unvaried corpus is not kept alive
     ed_pred = eae_pred = None
     if args.ed_predictions:
-        ed_pred = _read(args.ed_predictions, "ED prediction file", load_predictions, args.ed_paradigm, corpus)
+        ed_pred = _read(args.ed_predictions, "ED prediction file", load_predictions, args.ed_paradigm, corpus,
+                        TASK_TRIGGER)
     if args.eae_predictions:
-        eae_pred = _read(args.eae_predictions, "EAE prediction file", load_predictions, args.eae_paradigm, corpus)
+        eae_pred = _read(args.eae_predictions, "EAE prediction file", load_predictions, args.eae_paradigm, corpus,
+                         TASK_ARGUMENT)
     trigger_context = _pipeline_context(args, corpus, fingerprint) if args.mode == MODE_PIPELINE else None
     with _naming("EAE prediction file", args.eae_predictions, ContextError):  # an anchor outside the context
         result = evaluate(corpus, protocol, ed_pred=ed_pred, eae_pred=eae_pred, trigger_context=trigger_context)
@@ -300,34 +300,28 @@ def _load_report(path) -> tuple[dict, Protocol]:
     every protocol key, and whose "ed" and "eae" are each null or carry
     precision, recall and f1 as numbers in [0, 1]; with the protocol that
     its config spells."""
-    try:
-        obj = _read(path, "report", read_json)
-    except ParseError as exc:
-        raise ConfigError(str(exc)) from None
+    obj = read_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("fingerprint"), str):
-        raise ConfigError(f"report {path}: not a score report (missing fingerprint)")
+        raise ConfigError("not a score report (missing fingerprint)")
     config = obj.get("config")
     if not isinstance(config, dict):
-        raise ConfigError(f"report {path}: not a score report (missing config)")
+        raise ConfigError("not a score report (missing config)")
     for key in protocol_keys():
         if key not in config:
-            raise ConfigError(f"report {path}: config lacks {key!r}")
-    try:
-        protocol = Protocol(**{key: config[key] for key in protocol_keys()})
-    except ConfigError as exc:
-        raise ConfigError(f"report {path}: {exc}") from None
+            raise ConfigError(f"config lacks {key!r}")
+    protocol = Protocol(**{key: config[key] for key in protocol_keys()})
     for task in ("ed", "eae"):
         scores = obj.get(task)
         if scores is not None and not (
             isinstance(scores, dict) and all(is_score(scores.get(m)) for m in _SCORES)
         ):
-            raise ConfigError(f"report {path}: {task!r} lacks {', '.join(_SCORES)} as numbers in [0, 1]")
+            raise ConfigError(f"{task!r} lacks {', '.join(_SCORES)} as numbers in [0, 1]")
     return obj, protocol
 
 
 def cmd_compare(args) -> int:
-    a, protocol_a = _load_report(args.report_a)
-    b, protocol_b = _load_report(args.report_b)
+    a, protocol_a = _read(args.report_a, "report", _load_report, refuse=ConfigError)
+    b, protocol_b = _read(args.report_b, "report", _load_report, refuse=ConfigError)
     if a["fingerprint"] != b["fingerprint"]:
         raise ConfigError(
             "reports were produced from different corpus/variant fingerprints: "
@@ -368,7 +362,7 @@ def cmd_store_put(args) -> int:
     cfg, corpus = _load_inputs(args)
     fingerprint = corpus_fingerprint(corpus, cfg)
     corpus, _ = apply_variant(corpus, cfg)  # the unvaried corpus is not kept alive
-    predictions = _read(args.predictions, "ED prediction file", load_predictions, args.paradigm, corpus)
+    predictions = _read(args.predictions, "ED prediction file", load_predictions, args.paradigm, corpus, TASK_TRIGGER)
     result = evaluate(corpus, protocol, ed_pred=predictions)
     trigger_bytes = serialize_trigger_context(result.trigger_context)
     entry = store.put(

@@ -6,7 +6,11 @@ position) so that failures can be traced back to their source.
 
 
 class ToolkitError(Exception):
-    """Base class for all toolkit failures."""
+    """Base class for all toolkit failures; `line`, the 1-based line of the input at fault when known,
+    leads the message as its locator."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class ConfigError(ToolkitError):
@@ -15,12 +19,7 @@ class ConfigError(ToolkitError):
 
 
 class ParseError(ToolkitError):
-    """Malformed input file; `line`, its 1-based line number when known, is the message's locator."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """Malformed input file."""
 
 
 class ValidationError(ToolkitError):

@@ -297,7 +297,7 @@ def parse_corpus(data: bytes, shared: dict | None = None) -> Corpus:
         )
         violations = validate_document(doc)
         if violations:
-            raise ValidationError(f"document {doc_id!r}: " + "; ".join(violations))
+            raise ValidationError(f"document {doc_id!r}: " + "; ".join(violations), line)
         docs.append(doc)
     corpus = Corpus(documents=tuple(docs))
     object.__setattr__(corpus, "hash_state", hash_state)
@@ -457,6 +457,16 @@ def parse_predictions(data: bytes, paradigm: str, corpus: Corpus) -> ParadigmPre
     return ParadigmPredictions(paradigm=paradigm, records=tuple(records))
 
 
+def require_task(predictions: ParadigmPredictions, task: str) -> ParadigmPredictions:
+    """`predictions`, whose records must all be of `task`: the first of another is a ValidationError at its line."""
+    for record in predictions.records:
+        if record.task != task:
+            raise ValidationError(
+                f"record for doc {record.doc_id!r} has task {record.task!r}; expected {task!r}", record.line
+            )
+    return predictions
+
+
 # ---------------------------------------------------------------------------
 # predicted triggers
 
@@ -566,9 +576,11 @@ def load_corpus(path) -> Corpus:
     return corpus
 
 
-def load_predictions(path, paradigm: str, corpus: Corpus) -> ParadigmPredictions:
+def load_predictions(path, paradigm: str, corpus: Corpus, task: str | None = None) -> ParadigmPredictions:
+    """`parse_predictions` of a file; with `task`, as `require_task` checks it."""
     with open(path, "rb") as f:
-        return parse_predictions(f.read(), paradigm, corpus)
+        predictions = parse_predictions(f.read(), paradigm, corpus)
+    return predictions if task is None else require_task(predictions, task)
 
 
 def load_trigger_file(path, corpus: Corpus) -> TriggerContext:

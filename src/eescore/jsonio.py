@@ -143,7 +143,7 @@ def loads(text: str, line: int | None = None) -> Any:
         raise ParseError("a string holds an unpaired surrogate, which UTF-8 cannot encode", at) from None
     except json.JSONDecodeError as exc:
         if line is None:
-            raise ParseError(f"line {exc.lineno} column {exc.colno}: invalid JSON ({exc.msg})") from None
+            raise ParseError(f"invalid JSON ({exc.msg}) at column {exc.colno}", exc.lineno) from None
         raise ParseError(f"invalid JSON ({exc.msg})", line) from None
     except RecursionError:
         raise ParseError("invalid JSON (nested too deeply)", line) from None

@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .core import TASK_ARGUMENT, TASK_TRIGGER, Corpus, TriggerContext
-from .errors import ConfigError, ContextError, ParseError, StoreError, ValidationError
-from .ingest import ParadigmPredictions, corpus_hash
+from .errors import ConfigError, ContextError, ParseError, StoreError
+from .ingest import ParadigmPredictions, corpus_hash, require_task
 from .ingest import parse_trigger_file, serialize_trigger_context  # noqa: F401 (bench/traced.py imports them from here)
 from .jsonio import canonical_line, format_report, read_json, write_atomic
 from .metrics import EvalReport, argument_items_from, score_argument_items, score_trigger_items, trigger_items_from
@@ -41,23 +41,15 @@ class EvaluationResult(NamedTuple):
     trigger_context: TriggerContext | None
 
 
-def _require_task(predictions: ParadigmPredictions, task: str, what: str) -> None:
-    for record in predictions.records:
-        if record.task != task:
-            raise ValidationError(
-                f"{what} contains a {record.task!r} record for doc {record.doc_id!r}"
-                f" (line {record.line}); expected task {task!r}"
-            )
-
-
 def _check_anchors(predictions: ParadigmPredictions, context: TriggerContext) -> None:
     for record in predictions.records:
         if not context.contains(record.doc_id, record.anchor):
             trig = record.anchor.trigger
             raise ContextError(
-                f"line {record.line}: record for doc {record.doc_id!r} is anchored to "
+                f"record for doc {record.doc_id!r} is anchored to "
                 f"([{trig.start}, {trig.end}], {record.anchor.event_type!r}), which is not in the "
-                f"trigger context ({context.source}); the predictions answer a trigger that was never given"
+                f"trigger context ({context.source}); the predictions answer a trigger that was never given",
+                record.line,
             )
 
 
@@ -87,7 +79,7 @@ def evaluate(
 
     ed_report = ed_std = ed_items = None
     if ed_pred is not None:
-        _require_task(ed_pred, TASK_TRIGGER, "ED prediction file")
+        require_task(ed_pred, TASK_TRIGGER)
         ed_space = output_space(ed_pred, corpus, policy, options)
         ed_std = ed_space if standardize else None
         ed_items = trigger_items_from(ed_space)
@@ -104,7 +96,7 @@ def evaluate(
 
     eae_report = eae_std = None
     if eae_pred is not None:
-        _require_task(eae_pred, TASK_ARGUMENT, "EAE prediction file")
+        require_task(eae_pred, TASK_ARGUMENT)
         _check_anchors(eae_pred, context)
         eae_space = output_space(eae_pred, corpus, policy, options)
         eae_std = eae_space if standardize else None

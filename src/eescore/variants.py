@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .core import Corpus, Document, EntityMention, EventAnnotation, Span
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .jsonio import decode, lines
 from .protocol import CandidatePolicy
 from .standardize import TriggerCandidates
@@ -154,7 +154,7 @@ def compute_stats(corpus: Corpus, policy: CandidatePolicy = CandidatePolicy()) -
 def parse_variant_config(text: str) -> VariantConfig:
     """Parses a flat `key = value` config; `#` starts a comment. Unknown
     keys are errors; missing keys default to the identity configuration.
-    Lines are split as in every other input file (`jsonio.lines`)."""
+    Lines are split as in every other input file (`jsonio.lines`); a fault is a ParseError at its line."""
     kinds = {f.name: type(f.default) for f in fields(VariantConfig)}
     values: dict = {}
     for lineno, raw in lines(text):
@@ -162,23 +162,21 @@ def parse_variant_config(text: str) -> VariantConfig:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"variant config line {lineno}: expected 'key = value'")
+            raise ParseError("expected 'key = value'", lineno)
         key, _, value = (part.strip() for part in stripped.partition("="))
         if key in values:
-            raise ConfigError(f"variant config line {lineno}: duplicate key {key!r}")
+            raise ParseError(f"duplicate key {key!r}", lineno)
         if key not in kinds:
-            raise ConfigError(f"variant config line {lineno}: unknown key {key!r}")
+            raise ParseError(f"unknown key {key!r}", lineno)
         if kinds[key] is bool:
             lowered = value.lower()
             if lowered not in ("true", "false"):
-                raise ConfigError(
-                    f"variant config line {lineno}: {key} must be true or false, got {value!r}"
-                )
+                raise ParseError(f"{key} must be true or false, got {value!r}", lineno)
             value = lowered == "true"
         try:  # the config refuses a value outside its choices
             VariantConfig(**{key: value})
         except ConfigError as exc:
-            raise ConfigError(f"variant config line {lineno}: {exc}") from None
+            raise ParseError(str(exc), lineno) from None
         values[key] = value
     return VariantConfig(**values)
 

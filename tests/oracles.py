@@ -589,7 +589,7 @@ def reference_parse_corpus(stream: Stream) -> Corpus:
         )
         violations = reference_validate_document(doc)
         if violations:
-            raise ValidationError(f"document {doc_id!r}: " + "; ".join(violations))
+            raise ValidationError(f"document {doc_id!r}: " + "; ".join(violations), line)
         docs.append(doc)
     return Corpus(documents=tuple(docs))
 

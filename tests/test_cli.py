@@ -16,7 +16,7 @@ import pytest
 from eescore import cli
 from eescore.core import Corpus
 from eescore.ingest import serialize_corpus
-from eescore.jsonio import dump_jsonl
+from eescore.jsonio import canonical_line, dump_jsonl, format_report
 from eescore.protocol import Protocol, protocol_keys
 
 from corpora import (
@@ -308,7 +308,8 @@ def test_a_variant_choice_outside_its_table_names_the_line(corpus_path, tmp_path
     cfg = tmp_path / "variant.cfg"
     cfg.write_text("entity_mention_mode = Head\n")
     assert run(["stats", "--corpus", corpus_path, "--variant", cfg]) == 2
-    assert capsys.readouterr() == ("", "eescore: error: variant config line 1: unknown entity_mention_mode 'Head'\n")
+    expected = f"eescore: error: variant config {cfg}: line 1: unknown entity_mention_mode 'Head'\n"
+    assert capsys.readouterr() == ("", expected)
 
 
 def test_spans_up_to_1_token_are_the_every_token_protocol(tmp_path, corpus_path, capsys):
@@ -732,7 +733,7 @@ def test_trigger_store_list_corrupt_manifest_exits_1(tmp_path, capsys, manifest)
     "raw, fault",
     [
         (b'{\n  "fingerprint": "0",\n  "config": {,\n}\n',
-         "line 3 column 14: invalid JSON (Expecting property name enclosed in double quotes)"),
+         "line 3: invalid JSON (Expecting property name enclosed in double quotes) at column 14"),
         (b'[\n\n  "\xff"\n]\n', "line 3: not valid UTF-8"),
         (b'[\n  {\n    "corpus_id": "c\\ud800",\n    "file": "t.jsonl"\n  }\n]\n',
          "line 3: a string holds an unpaired surrogate, which UTF-8 cannot encode"),
@@ -1104,24 +1105,30 @@ def test_score_native_and_standardized_counts(tmp_path, corpus_path, paradigm, r
         assert (counts["tp"], counts["fp"], counts["fn"]) == expected, extra
 
 
+_NO_SCORES = "'ed' lacks precision, recall, f1 as numbers in [0, 1]"
+
+
 @pytest.mark.parametrize(
-    "make_bad",
+    "make_bad, fault",
     [
-        lambda good: b"[" * 100000 + b"]" * 100000,
-        lambda good: b"\xff\xfe{}",
-        lambda good: json.dumps(dict(good, fingerprint=7)).encode(),
-        lambda good: json.dumps(dict(good, ed=5)).encode(),
-        lambda good: json.dumps(dict(good, ed={k: v for k, v in good["ed"].items() if k != "recall"})).encode(),
-        lambda good: json.dumps(dict(good, ed=dict(good["ed"], precision="1.0"))).encode(),
-        lambda good: b'{"fingerprint": "0", ' + json.dumps(good).encode()[1:],
-        lambda good: json.dumps({k: v for k, v in good.items() if k != "config"}).encode(),
-        lambda good: json.dumps(dict(good, config=[])).encode(),
-        lambda good: json.dumps(dict(good, config={k: v for k, v in good["config"].items() if k != "k"})).encode(),
+        (lambda good: b"[" * 100000 + b"]" * 100000, "invalid JSON (nested too deeply)"),
+        (lambda good: b"\xff\xfe{}", "line 1: not valid UTF-8"),
+        (lambda good: json.dumps(dict(good, fingerprint=7)).encode(), "not a score report (missing fingerprint)"),
+        (lambda good: json.dumps(dict(good, ed=5)).encode(), _NO_SCORES),
+        (lambda good: json.dumps(dict(good, ed={k: v for k, v in good["ed"].items() if k != "recall"})).encode(),
+         _NO_SCORES),
+        (lambda good: json.dumps(dict(good, ed=dict(good["ed"], precision="1.0"))).encode(), _NO_SCORES),
+        (lambda good: b'{"fingerprint": "0", ' + json.dumps(good).encode()[1:], "duplicate key 'fingerprint'"),
+        (lambda good: json.dumps({k: v for k, v in good.items() if k != "config"}).encode(),
+         "not a score report (missing config)"),
+        (lambda good: json.dumps(dict(good, config=[])).encode(), "not a score report (missing config)"),
+        (lambda good: json.dumps(dict(good, config={k: v for k, v in good["config"].items() if k != "k"})).encode(),
+         "config lacks 'k'"),
     ],
     ids=["deep", "not-utf8", "fingerprint-not-str", "ed-not-object", "ed-without-recall", "precision-not-number",
          "repeated-key", "no-config", "config-not-object", "config-without-k"],
 )
-def test_compare_malformed_report_exits_2(tmp_path, corpus_path, capsys, make_bad):
+def test_compare_malformed_report_exits_2(tmp_path, corpus_path, capsys, make_bad, fault):
     preds = cls_ed_file(tmp_path, corpus_path)
     good = tmp_path / "good.json"
     assert run(["score", "--corpus", corpus_path, "--ed-predictions", preds,
@@ -1130,10 +1137,7 @@ def test_compare_malformed_report_exits_2(tmp_path, corpus_path, capsys, make_ba
     bad.write_bytes(make_bad(json.loads(good.read_text())))
     capsys.readouterr()
     assert run(["compare", good, bad]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("eescore: error: report ")
+    assert capsys.readouterr() == ("", f"eescore: error: report {bad}: {fault}\n")
 
 
 @pytest.mark.parametrize("f1", [b"9" * 400, b"NaN", b"1e999", b"-Infinity", b"1.5", b"-0.0001"],
@@ -1338,13 +1342,33 @@ def test_data_path_leaves_no_cyclic_garbage(tmp_path):
     assert len(one) == len(many)
 
 
-@pytest.mark.parametrize("fault", ["bad-byte", "syntax"])
-@pytest.mark.parametrize("target", ["corpus", "variant", "ed", "eae", "triggers", "store-entry", "manifest", "report"])
+# per input, a line that decodes but that its reader refuses, and the refusal
+_CONTENT_FAULTS = {
+    "corpus": ({"id": "x", "tokens": ["a", "b"], "sentences": [[0, 1]], "entities": [], "events": []},
+               "line 3: document 'x': sentences do not partition [0, token count): must be contiguous, ordered, "
+               "covering"),
+    "variant": ("bogus = 1", "line 3: unknown key 'bogus'"),
+    "ed": ({"doc_id": "doc-resignation", "task": "argument", "anchor": EP_ANCHOR, "assignments": []},
+           "line 3: record for doc 'doc-resignation' has task 'argument'; expected 'trigger'"),
+    "eae": ({"doc_id": "doc-resignation", "task": "trigger", "assignments": []},
+            "line 3: record for doc 'doc-resignation' has task 'trigger'; expected 'argument'"),
+    "triggers": ({"doc_id": "absent", "triggers": []}, "line 3: unknown doc_id 'absent'"),
+}
+_CONTENT_FAULTS["ed-put"] = _CONTENT_FAULTS["ed"]
+_CONTENT_FAULTS["store-entry"] = _CONTENT_FAULTS["triggers"]
+
+
+@pytest.mark.parametrize("fault", ["bad-byte", "syntax", "content"])
+@pytest.mark.parametrize("target", ["corpus", "variant", "ed", "ed-put", "eae", "triggers", "store-entry", "manifest",
+                                    "report"])
 def test_a_fault_on_line_3_of_any_input_names_the_input_and_the_line(tmp_path, corpus_path, capsys, target, fault):
-    """Every file the CLI reads refuses a byte that is not UTF-8, or a JSON
-    syntax error, on its line 3 with its documented exit code (2 for the
-    corpus, the variant config and a report, else 1), naming the input and
-    the line. The variant config is no JSON: its syntax error is its own."""
+    """Every file the CLI reads refuses a byte that is not UTF-8, a JSON
+    syntax error, or a line that decodes but breaks a rule of its reader,
+    on its line 3 with its documented exit code (2 for the corpus, the
+    variant config and a report, else 1), naming the input and the line.
+    The variant config is no JSON: its syntax error is its own. A report
+    or a manifest is one JSON value: what its reader refuses in that value
+    is named without a line."""
     ed = cls_ed_file(tmp_path, corpus_path)
     eae, triggers, variant = tmp_path / "eae.jsonl", tmp_path / "t.jsonl", tmp_path / "v.cfg"
     eae.write_bytes(dump_jsonl([{"doc_id": "doc-resignation", "task": "argument", "anchor": EP_ANCHOR,
@@ -1355,9 +1379,10 @@ def test_a_fault_on_line_3_of_any_input_names_the_input_and_the_line(tmp_path, c
     store, report = tmp_path / "store", tmp_path / "r.json"
     score = ["score", "--corpus", corpus_path, "--output", report]
     ed_args = ["--ed-predictions", ed, "--ed-paradigm", "CLS"]
+    put = ["trigger-store", "put", "--store", store, "--corpus", corpus_path, "--predictions", ed,
+           "--paradigm", "CLS", "--producer"]
     assert run(score + ed_args) == 0
-    assert run(["trigger-store", "put", "--store", store, "--corpus", corpus_path, "--predictions", ed,
-                "--paradigm", "CLS", "--producer", "p"]) == 0
+    assert run(put + ["p"]) == 0
     entry = store / json.loads((store / "manifest.json").read_text())[0]["file"]
     eae_args = ["--eae-predictions", eae, "--eae-paradigm", "CLS"]
     pipeline = score + eae_args + ["--mode", "pipeline"]
@@ -1365,6 +1390,7 @@ def test_a_fault_on_line_3_of_any_input_names_the_input_and_the_line(tmp_path, c
         "corpus": (corpus_path, "corpus", 2, score + eae_args),
         "variant": (variant, "variant config", 2, ["stats", "--corpus", corpus_path, "--variant", variant]),
         "ed": (ed, "ED prediction file", 1, score + ed_args),
+        "ed-put": (ed, "ED prediction file", 1, put + ["q"]),
         "eae": (eae, "EAE prediction file", 1, score + eae_args),
         "triggers": (triggers, "trigger file", 1, pipeline + ["--triggers", triggers]),
         "store-entry": (entry, "trigger store entry", 1, pipeline + ["--store", store]),
@@ -1372,16 +1398,27 @@ def test_a_fault_on_line_3_of_any_input_names_the_input_and_the_line(tmp_path, c
         "report": (report, "report", 2, ["compare", report, report]),
     }[target]
     lines = path.read_bytes().split(b"\n")
-    if target in ("manifest", "report"):  # one JSON value over several lines
+    if target in ("manifest", "report") and fault == "content":  # a value that parses, but is no manifest or report
+        value = json.loads(path.read_bytes())
+        if target == "manifest":
+            del value[0]["ed_f1"]
+        else:
+            del value["config"]
+        lines = [format_report(value).encode()]
+        problem = "entry 0 lacks 'ed_f1'" if target == "manifest" else "not a score report (missing config)"
+    elif target in ("manifest", "report"):  # one JSON value over several lines
         lines[2] = (b"\xff" if fault == "bad-byte" else b",") + lines[2]
-        problem = "line 3 column 1: invalid JSON (Expecting property name enclosed in double quotes)"
-    else:  # one record or setting a line, after a blank line 2
+        problem = "line 3: invalid JSON (Expecting property name enclosed in double quotes) at column 1"
+    elif fault == "content":  # one record or setting a line, after a blank line 2
+        line, problem = _CONTENT_FAULTS[target]
+        lines[1:] = [b"", (line if target == "variant" else canonical_line(line)).encode(), b""]
+    else:
         lines[1:] = [b"", b'{"doc_id": "\xff"}' if fault == "bad-byte" else b'{"doc_id": }', b""]
         problem = "line 3: invalid JSON (Expecting value)"
+        if target == "variant" and fault == "syntax":
+            problem = "line 3: expected 'key = value'"
     path.write_bytes(b"\n".join(lines))
     expected = f"{name} {path}: {'line 3: not valid UTF-8' if fault == 'bad-byte' else problem}"
-    if target == "variant" and fault == "syntax":
-        expected = "variant config line 3: expected 'key = value'"
     capsys.readouterr()
     assert run(argv) == code
     assert capsys.readouterr() == ("", f"eescore: error: {expected}\n")

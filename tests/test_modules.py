@@ -3,10 +3,12 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+from eescore import errors
 from eescore.cli import build_parser
 from eescore.protocol import PROTOCOL_CHOICES
 
@@ -244,6 +246,35 @@ def test_every_literal_refusal_is_tested_verbatim():
     ]
     assert messages  # the walk finds them
     assert [(name, m) for name, m in messages if m not in corpus] == []
+
+
+def test_a_refusal_has_one_owner_for_its_line_and_one_for_its_input():
+    """A line locator is spelled once, by `ToolkitError(message, line)`: no
+    message a module raises outside `errors.py` holds `line ` but in the
+    `first seen at line` cross-reference. An input and its path are put
+    before a fault by `cli._naming` alone, which also gives the fault its
+    exit class: no other function of `cli` catches a ToolkitError to raise
+    another."""
+    spelled = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Raise) and node.exc
+        if any(isinstance(part, ast.Constant) and isinstance(part.value, str)
+               and re.search(r"\bline ", part.value.replace("first seen at line ", ""))
+               for part in ast.walk(node.exc))
+    ]
+    assert spelled == []
+    toolkit_errors = {name for name, value in vars(errors).items()
+                      if isinstance(value, type) and issubclass(value, errors.ToolkitError)}
+    rewrapping = {
+        function.name
+        for function in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+        if isinstance(function, ast.FunctionDef) and function.name != "_naming"
+        for handler in ast.walk(function) if isinstance(handler, ast.ExceptHandler) and handler.type
+        if {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)} & toolkit_errors
+        and any(isinstance(n, ast.Raise) for n in ast.walk(handler))
+    }
+    assert rewrapping == set()
 
 
 def _assigns(node, names) -> bool:

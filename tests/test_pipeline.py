@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eescore.core import Argument, Corpus, EntityMention, EventAnnotation, PredictedTrigger, Span
-from eescore.errors import ConfigError, ContextError, StoreError
+from eescore.errors import ConfigError, ContextError, StoreError, ValidationError
 from eescore.ingest import parse_corpus, serialize_corpus
 from eescore.jsonio import canonical_line
 from eescore.pipeline import (
@@ -247,7 +247,7 @@ def test_mixed_task_prediction_file_rejected():
     eae = predictions_from(
         cls_trigger_objs([{"candidate_id": "t:2:3", "label": "A"}]), "CLS", corpus
     )
-    with pytest.raises(Exception, match="expected task 'argument'"):
+    with pytest.raises(ValidationError, match="^line 1: record for doc 'd' has task 'trigger'; expected 'argument'$"):
         evaluate(corpus, Protocol(mode=MODE_GOLD_TRIGGER), eae_pred=eae)
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eescore import cli
-from eescore.errors import ConfigError, ParseError, ToolkitError
+from eescore.errors import ParseError, ToolkitError
 from eescore.pipeline import TriggerStore
 from eescore.protocol import Protocol
 from eescore.variants import VariantConfig, load_variant_config, parse_variant_config
@@ -49,12 +49,12 @@ def _outcome(read, *args):
 
 
 def _check_config_text(text: str) -> None:
-    """A result, or a ConfigError naming the first line that is wrong."""
+    """A result, or a ParseError naming the first line that is wrong."""
     got = _outcome(parse_variant_config, text)
     if isinstance(got, VariantConfig):
         return
-    assert isinstance(got, ConfigError), got
-    match = re.match(r"variant config line (\d+): ", str(got))
+    assert isinstance(got, ParseError), got
+    match = re.match(r"line (\d+): ", str(got))
     assert match, str(got)
     lines = text.split("\n")
     n = int(match.group(1))
@@ -76,7 +76,7 @@ def test_variant_config_file_is_total_on_arbitrary_bytes(data):
         path = Path(tmp) / "variant.cfg"
         path.write_bytes(data)
         got = _outcome(load_variant_config, path)
-    assert isinstance(got, (VariantConfig, ConfigError, ParseError)), got
+    assert isinstance(got, (VariantConfig, ParseError)), got
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -123,17 +123,17 @@ def _check_manifest(data: bytes) -> None:
 
 def _check_report(data: bytes) -> None:
     """A report whose scores are scores, with its protocol, or a
-    ConfigError; `compare` exits 0 or 2, and 2 for a report the reader
+    ToolkitError; `compare` exits 0 or 2, and 2 for a report the reader
     rejects."""
     got, codes = _read_report(data)
-    assert isinstance(got, (tuple, ConfigError)), got
+    assert isinstance(got, (tuple, ToolkitError)), got
     if isinstance(got, tuple):
         got, protocol = got
         assert isinstance(got, dict) and isinstance(protocol, Protocol)
         scores = [got[task] for task in ("ed", "eae") if got.get(task) is not None]
         assert all(_is_score(s[m]) for s in scores for m in ("precision", "recall", "f1"))
     assert codes <= {0, 2}
-    if isinstance(got, ConfigError):
+    if isinstance(got, ToolkitError):
         assert codes == {2}
 
 
