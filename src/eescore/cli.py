@@ -14,21 +14,21 @@ import argparse
 import gc
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
+from stat import S_ISDIR
 
 from .core import TASK_ARGUMENT, TASK_TRIGGER, TriggerContext
-from .errors import ConfigError, ContextError, ToolkitError
+from .errors import ConfigError, ContextError, ToolkitError, naming
 from .ingest import load_corpus, load_predictions, load_trigger_file, parse_trigger_file, serialize_trigger_context
-from .jsonio import canonical_line, dump_jsonl, format_report, read_json, write_atomic
+from .jsonio import canonical_line, format_report, read_json, write_atomic
 from .metrics import EvalReport
 from .pipeline import TriggerStore, corpus_fingerprint, evaluate
 from .protocol import (
     MODE_GOLD_TRIGGER, MODE_PIPELINE, PROTOCOL_CHOICES, TRIGGER_POLICY_SPANS_UP_TO_K, Protocol, is_score, protocol_keys,
 )
-from .standardize import serialize_standardized, standardize_predictions
+from .standardize import serialize_discards, serialize_standardized, standardize_predictions
 from .variants import VARIANT_CHOICES, VariantConfig, apply_variant, compute_stats, load_variant_config
 
 
@@ -37,33 +37,25 @@ def _err(message) -> None:
         print(f"eescore: error: {message}", file=sys.stderr)
 
 
-@contextmanager
-def _naming(what: str, path, faults=ToolkitError, refuse=None):
-    """Re-raises a fault of the block with `{what} {path}: ` before its message, as `refuse` or of its own class."""
-    try:
-        yield
-    except faults as exc:
-        raise (refuse or type(exc))(f"{what} {path}: {exc}") from None
-
-
-def _read(path, what: str, load, *args, kind: str = "file", refuse=None):
-    """`load(path, *args)`, once `path` names a file, or a directory if `kind` says so; `_naming` names its faults."""
-    if not (os.path.isdir if kind == "directory" else os.path.isfile)(path):
-        raise ConfigError(f"{what} {path!r} {f'is not a {kind}' if os.path.exists(path) else 'does not exist'}")
-    with _naming(what, path, refuse=refuse):
+def _read(path, what: str, load, *args, refuse=None):
+    """`load(path, *args)`, once `path` names a regular file: a directory or a FIFO is refused before it is
+    opened. `naming` names every fault, and an OSError exits 2."""
+    with naming(what, path, (ToolkitError, OSError), refuse):
+        if not os.path.isfile(path):
+            raise IsADirectoryError if os.path.exists(path) else FileNotFoundError
         return load(path, *args)
 
 
 def _store(args, create: bool = False) -> TriggerStore:
     """The trigger store `--store` names; only `put` may create it, where no file is in the way."""
-    if create:
+    with naming("trigger store", args.store, OSError, ConfigError):
         try:
-            os.stat(args.store)
+            if not S_ISDIR(os.stat(args.store).st_mode):
+                raise NotADirectoryError
         except FileNotFoundError:
-            return TriggerStore(args.store)
-        except NotADirectoryError:  # a file among its parents
-            raise ConfigError(f"trigger store {args.store!r} is not a directory") from None
-    return _read(args.store, "trigger store", TriggerStore, kind="directory")
+            if not create:
+                raise
+    return TriggerStore(args.store)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +213,7 @@ def _pipeline_context(args, corpus, fingerprint: str) -> TriggerContext | None:
         return _read(args.triggers, "trigger file", load_trigger_file, corpus)
     if args.store:
         entry, payload = _store_entry(args, fingerprint)
-        with _naming("trigger store entry", os.path.join(args.store, entry.file)):
+        with naming("trigger store entry", Path(args.store, entry.file)):
             return parse_trigger_file(payload, corpus, source=f"store:{entry.producer}")
     return None
 
@@ -240,7 +232,7 @@ def cmd_score(args) -> int:
         eae_pred = _read(args.eae_predictions, "EAE prediction file", load_predictions, args.eae_paradigm, corpus,
                          TASK_ARGUMENT)
     trigger_context = _pipeline_context(args, corpus, fingerprint) if args.mode == MODE_PIPELINE else None
-    with _naming("EAE prediction file", args.eae_predictions, ContextError):  # an anchor outside the context
+    with naming("EAE prediction file", args.eae_predictions, ContextError):  # an anchor outside the context
         result = evaluate(corpus, protocol, ed_pred=ed_pred, eae_pred=eae_pred, trigger_context=trigger_context)
 
     payload = {
@@ -258,19 +250,7 @@ def cmd_score(args) -> int:
         write_atomic(args.table, table.encode("utf-8"))
 
     if args.dump_discards:
-        lines = []
-        for std in (result.ed_standardized, result.eae_standardized):
-            if std is None:
-                continue
-            for record in std:
-                for d in record.discarded:
-                    row = {"doc_id": record.doc_id, "task": record.task}
-                    if record.anchor is not None:
-                        row["anchor"] = record.anchor.as_dict()
-                    row["reason"] = d.reason
-                    row["original"] = d.original
-                    lines.append(row)
-        write_atomic(args.dump_discards, dump_jsonl(lines))
+        write_atomic(args.dump_discards, serialize_discards(result.ed_standardized, result.eae_standardized))
     return 0
 
 

@@ -4,6 +4,11 @@ Every rejection carries a locator (line number, document id, record
 position) so that failures can be traced back to their source.
 """
 
+from contextlib import contextmanager
+
+_REASONS = {FileNotFoundError: "does not exist", IsADirectoryError: "is not a file",
+            NotADirectoryError: "is not a directory"}
+
 
 class ToolkitError(Exception):
     """Base class for all toolkit failures; `line`, the 1-based line of the input at fault when known,
@@ -32,3 +37,20 @@ class ContextError(ToolkitError):
 
 class StoreError(ToolkitError):
     """Trigger-store integrity or fingerprint failure."""
+
+
+@contextmanager
+def naming(what: str, path, faults=ToolkitError, refuse=None):
+    """Re-raises a fault of the block as `refuse`, or as its own class, with `{what} {path}: ` before its
+    message; an OSError reads as its reason (`_REASONS`, or its strerror). The one place an input is named:
+
+    >>> with naming("corpus", "c.jsonl", OSError, ConfigError):
+    ...     raise FileNotFoundError
+    Traceback (most recent call last):
+    eescore.errors.ConfigError: corpus c.jsonl: does not exist
+    """
+    try:
+        yield
+    except faults as exc:
+        reason = _REASONS.get(type(exc), exc.strerror or exc) if isinstance(exc, OSError) else exc
+        raise (refuse or type(exc))(f"{what} {path}: {reason}") from None

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .core import TASK_ARGUMENT, TASK_TRIGGER, Corpus, TriggerContext
-from .errors import ConfigError, ContextError, ParseError, StoreError
+from .errors import ConfigError, ContextError, StoreError, ToolkitError, naming
 from .ingest import ParadigmPredictions, corpus_hash, require_task
 from .ingest import parse_trigger_file, serialize_trigger_context  # noqa: F401 (bench/traced.py imports them from here)
 from .jsonio import canonical_line, format_report, read_json, write_atomic
@@ -175,36 +175,23 @@ class TriggerStore:
     def __init__(self, root):
         self.root = Path(root)
 
-    def _manifest_path(self) -> Path:
-        return self.root / self.MANIFEST
-
     def _read(self, entry: TriggerStoreEntry) -> bytes:
-        """The bytes of an entry's trigger file. A file the manifest names
-        but the store lacks or cannot read is a StoreError, whichever
-        command reads it."""
-        try:
-            return (self.root / entry.file).read_bytes()
-        except FileNotFoundError:
-            raise StoreError(f"manifest references missing trigger file {entry.file!r}") from None
-        except OSError as exc:
-            raise StoreError(f"cannot read trigger file {entry.file!r}: {exc.strerror}") from None
+        """The bytes of an entry's trigger file; one that the store lacks or cannot read is a StoreError,
+        whichever command reads it."""
+        path = self.root / entry.file
+        with naming("trigger store entry", path, OSError, StoreError):
+            return path.read_bytes()
 
     def entries(self) -> list[TriggerStoreEntry]:
         """The manifest's entries in the order they were put. A manifest
         that cannot be read, is not a list of complete rows, or names a
         file outside the store directory raises StoreError."""
-        path = self._manifest_path()
-        if not path.exists():
-            return []
-        try:
-            rows = read_json(path)
-        except ParseError as exc:
-            raise StoreError(f"corrupt manifest {path}: {exc}") from None
-        except OSError as exc:
-            raise StoreError(f"cannot read manifest {path}: {exc.strerror}") from None
-        if not isinstance(rows, list):
-            raise StoreError(f"corrupt manifest {path}: not a list of entries")
-        return [_manifest_entry(row, f"corrupt manifest {path}: entry {i}") for i, row in enumerate(rows)]
+        path = self.root / self.MANIFEST
+        with naming("trigger store manifest", path, (ToolkitError, OSError), StoreError):
+            rows = read_json(path) if path.exists() else []
+            if not isinstance(rows, list):
+                raise StoreError("not a list of entries")
+            return [_manifest_entry(row, f"entry {i}") for i, row in enumerate(rows)]
 
     def put(
         self,
@@ -254,10 +241,7 @@ class TriggerStore:
                 format_report(ed_report.as_dict()).encode("utf-8"),
             )
             rows.append(entry)
-            write_atomic(
-                self._manifest_path(),
-                format_report([r._asdict() for r in rows]).encode("utf-8"),
-            )
+            write_atomic(self.root / self.MANIFEST, format_report([r._asdict() for r in rows]).encode("utf-8"))
             return entry
 
     def get(

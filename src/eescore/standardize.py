@@ -361,3 +361,10 @@ def _record_to_obj(record: StandardizedRecord) -> dict:
 
 def serialize_standardized(standardized: Sequence[StandardizedRecord]) -> bytes:
     return dump_jsonl(_record_to_obj(r) for r in standardized)
+
+
+def serialize_discards(*standardized: Sequence[StandardizedRecord] | None) -> bytes:
+    """The discard ledger: a row per discarded prediction, in record order; a task given as None has none."""
+    return dump_jsonl({"doc_id": r.doc_id, "task": r.task, "reason": d.reason, "original": d.original}
+                      | ({} if r.anchor is None else {"anchor": r.anchor.as_dict()})
+                      for records in standardized if records is not None for r in records for d in r.discarded)

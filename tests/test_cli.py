@@ -707,26 +707,24 @@ def test_a_store_lookup_that_two_producers_match_exits_2(tmp_path, corpus_path, 
 
 
 @pytest.mark.parametrize(
-    "manifest",
+    "manifest, problem",
     [
-        {"entries": []},
-        [{"corpus_id": "corpus.jsonl", "fingerprint": "f" * 64, "producer": "p", "file": "t.jsonl"}],
-        [{"corpus_id": "corpus.jsonl", "fingerprint": "f" * 64, "producer": "p", "file": "../t.jsonl",
-          "ed_f1": 0.5}],
-        [{"corpus_id": "corpus.jsonl", "fingerprint": "f" * 64, "producer": "p\n", "file": "t.jsonl",
-          "ed_f1": 0.5}],
+        ({"entries": []}, "not a list of entries"),
+        ([{"corpus_id": "corpus.jsonl", "fingerprint": "f" * 64, "producer": "p", "file": "t.jsonl"}],
+         "entry 0 lacks 'ed_f1'"),
+        ([{"corpus_id": "corpus.jsonl", "fingerprint": "f" * 64, "producer": "p", "file": "../t.jsonl",
+           "ed_f1": 0.5}], "entry 0 names '../t.jsonl', which is not a file name inside the store"),
+        ([{"corpus_id": "corpus.jsonl", "fingerprint": "f" * 64, "producer": "p\n", "file": "t.jsonl",
+           "ed_f1": 0.5}], "entry 0 has producer 'p\\n', which does not match ^[A-Za-z0-9._-]+$"),
     ],
     ids=["not-a-list", "missing-key", "file-outside-store", "producer-newline"],
 )
-def test_trigger_store_list_corrupt_manifest_exits_1(tmp_path, capsys, manifest):
+def test_trigger_store_list_corrupt_manifest_exits_1(tmp_path, capsys, manifest, problem):
     store = tmp_path / "store"
     store.mkdir()
     (store / "manifest.json").write_text(json.dumps(manifest))
     assert run(["trigger-store", "list", "--store", store]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("eescore: error: corrupt manifest")
+    assert capsys.readouterr() == ("", f"eescore: error: trigger store manifest {store / 'manifest.json'}: {problem}\n")
 
 
 @pytest.mark.parametrize(
@@ -749,7 +747,7 @@ def test_a_json_fault_in_a_manifest_or_report_is_located(tmp_path, capsys, raw, 
     manifest.write_bytes(raw)
     report.write_bytes(raw)
     assert run(["trigger-store", "list", "--store", store]) == 1
-    assert capsys.readouterr().err == f"eescore: error: corrupt manifest {manifest}: {fault}\n"
+    assert capsys.readouterr().err == f"eescore: error: trigger store manifest {manifest}: {fault}\n"
     assert run(["compare", report, report]) == 2
     assert capsys.readouterr().err == f"eescore: error: report {report}: {fault}\n"
 
@@ -763,7 +761,7 @@ def test_trigger_store_missing_trigger_file_exits_1(tmp_path, corpus_path, capsy
     (trigger_file,) = store.glob("*__model-x.jsonl")
     trigger_file.unlink()
     capsys.readouterr()
-    missing = f"eescore: error: manifest references missing trigger file {trigger_file.name!r}\n"
+    missing = f"eescore: error: trigger store entry {trigger_file}: does not exist\n"
     assert run(["trigger-store", "get", "--store", store, "--corpus", corpus_path,
                 "--output", tmp_path / "t.jsonl"]) == 1
     assert capsys.readouterr().err == missing
@@ -781,7 +779,7 @@ def test_trigger_store_unreadable_trigger_file_exits_1(tmp_path, corpus_path, ca
     trigger_file.unlink()
     trigger_file.mkdir()
     capsys.readouterr()
-    unreadable = f"eescore: error: cannot read trigger file {trigger_file.name!r}: Is a directory\n"
+    unreadable = f"eescore: error: trigger store entry {trigger_file}: is not a file\n"
     assert run(["trigger-store", "get", "--store", store, "--corpus", corpus_path,
                 "--output", tmp_path / "t.jsonl"]) == 1
     assert capsys.readouterr().err == unreadable
@@ -793,7 +791,7 @@ def test_trigger_store_unreadable_manifest_exits_1(tmp_path, capsys):
     manifest = tmp_path / "store" / "manifest.json"
     manifest.mkdir(parents=True)
     assert run(["trigger-store", "list", "--store", tmp_path / "store"]) == 1
-    assert capsys.readouterr().err == f"eescore: error: cannot read manifest {manifest}: Is a directory\n"
+    assert capsys.readouterr().err == f"eescore: error: trigger store manifest {manifest}: is not a file\n"
 
 
 def test_trigger_store_get_stale_variant_exits_1(tmp_path, corpus_path):
@@ -870,7 +868,7 @@ def test_console_script_with_buffered_output_matches_main(tmp_path, corpus_path,
     outcomes, files = results["main"]
     assert [code for code, _, _ in outcomes] == [0, 0, 2]
     assert files["table.txt"] == outcomes[0][1] and outcomes[1][1].startswith(b"stored ")
-    assert outcomes[2][2] == b"eescore: error: trigger store 'report.json' is not a directory\n"
+    assert outcomes[2][2] == b"eescore: error: trigger store report.json: is not a directory\n"
     # report, table and ledger; the store's manifest, lock, trigger file and ED report
     assert len(files) == 7 and b"Position" in files["discards.jsonl"]
     assert results["console"] == results["main"]
@@ -1189,13 +1187,40 @@ def test_compare_refuses_a_protocol_that_protocol_rejects(tmp_path, corpus_path,
     assert captured.err == f"eescore: error: report {bad}: {error}\n"
 
 
-@pytest.mark.parametrize("argv, what", [(["stats", "--corpus", "{dir}"], "corpus"),
-                                        (["compare", "{dir}", "{dir}"], "report")], ids=["stats", "compare"])
-def test_a_directory_given_as_an_input_file_is_not_a_file(tmp_path, capsys, argv, what):
-    assert run([str(tmp_path) if a == "{dir}" else a for a in argv]) == 2
-    assert capsys.readouterr().err == f"eescore: error: {what} {str(tmp_path)!r} is not a file\n"
-    assert run([str(tmp_path / "absent") if a == "{dir}" else a for a in argv]) == 2
-    assert capsys.readouterr().err == f"eescore: error: {what} {str(tmp_path / 'absent')!r} does not exist\n"
+_SCORE_INTO_OUT = ["score", "--corpus", "{corpus}", "--output", "{out}"]
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["stats", "--corpus", "{path}"], "corpus"),
+    (["compare", "{path}", "{path}"], "report"),
+    (["stats", "--corpus", "{corpus}", "--variant", "{path}"], "variant config"),
+    (_SCORE_INTO_OUT + ["--ed-predictions", "{path}", "--ed-paradigm", "CLS"], "ED prediction file"),
+    (_SCORE_INTO_OUT + ["--eae-predictions", "{path}", "--eae-paradigm", "CLS"], "EAE prediction file"),
+    (_SCORE_INTO_OUT + ["--eae-predictions", "{eae}", "--eae-paradigm", "CLS", "--mode", "pipeline",
+                        "--triggers", "{path}"], "trigger file"),
+    (["standardize", "--corpus", "{corpus}", "--predictions", "{path}", "--paradigm", "CLS", "--output", "{out}"],
+     "prediction file"),
+    (["trigger-store", "put", "--store", "{out}", "--corpus", "{corpus}", "--predictions", "{path}",
+      "--paradigm", "CLS", "--producer", "p"], "ED prediction file"),
+], ids=["stats", "compare", "variant", "ed-predictions", "eae-predictions", "triggers", "standardize", "put"])
+def test_a_directory_given_as_an_input_file_is_not_a_file(tmp_path, corpus_path, capsys, argv, what):
+    """Every input file is refused before it is opened, exit 2, when its path names a directory, a FIFO
+    or nothing; `put` creates no store for it. A FIFO that were opened would block, so it runs in a
+    process of its own."""
+    eae = tmp_path / "eae.jsonl"
+    eae.write_bytes(dump_jsonl([{"doc_id": "doc-resignation", "task": "argument", "anchor": EP_ANCHOR,
+                                 "assignments": [{"candidate_id": "e1", "label": "Person"}]}]))
+    fill = {"{corpus}": corpus_path, "{eae}": eae, "{out}": tmp_path / "out"}
+    for path, problem in ((tmp_path, "is not a file"), (tmp_path / "absent", "does not exist")):
+        assert run([{**fill, "{path}": path}.get(a, a) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"eescore: error: {what} {path}: {problem}\n")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    proc = subprocess.run([sys.executable, "-m", "eescore", *(str({**fill, "{path}": fifo}.get(a, a)) for a in argv)],
+                          capture_output=True, env=_console_env(unbuffered=False), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == f"eescore: error: {what} {fifo}: is not a file\n".encode()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["list", "get", "score"])
@@ -1213,7 +1238,7 @@ def test_a_store_that_is_no_directory_is_refused(tmp_path, corpus_path, capsys, 
     before = sorted(tmp_path.iterdir())
     for store, problem in ((tmp_path / "absent", "does not exist"), (corpus_path, "is not a directory")):
         assert run([*argv, "--store", store]) == 2
-        assert capsys.readouterr() == ("", f"eescore: error: trigger store {str(store)!r} {problem}\n")
+        assert capsys.readouterr() == ("", f"eescore: error: trigger store {store}: {problem}\n")
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -1225,7 +1250,7 @@ def test_put_refuses_a_store_path_that_a_file_is_in(tmp_path, corpus_path, capsy
     before = sorted(tmp_path.iterdir())
     for store in (corpus_path, corpus_path / "sub", corpus_path / "sub" / "store"):
         assert run([*argv, "--store", store]) == 2
-        assert capsys.readouterr() == ("", f"eescore: error: trigger store {str(store)!r} is not a directory\n")
+        assert capsys.readouterr() == ("", f"eescore: error: trigger store {store}: is not a directory\n")
     assert sorted(tmp_path.iterdir()) == before
     argv[argv.index("--predictions") + 1] = cls_ed_file(tmp_path, corpus_path)
     assert run([*argv, "--store", tmp_path / "new" / "store"]) == 0
@@ -1257,9 +1282,8 @@ def test_manifest_ed_f1_outside_0_1_exits_1(tmp_path, corpus_path, capsys, ed_f1
         assert run(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"eescore: error: corrupt manifest {manifest}: entry 0 has an 'ed_f1' that is not a number in [0, 1]\n"
-        )
+        assert captured.err == (f"eescore: error: trigger store manifest {manifest}: "
+                                "entry 0 has an 'ed_f1' that is not a number in [0, 1]\n")
     assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "r.json").exists()
 
 
@@ -1394,7 +1418,7 @@ def test_a_fault_on_line_3_of_any_input_names_the_input_and_the_line(tmp_path, c
         "eae": (eae, "EAE prediction file", 1, score + eae_args),
         "triggers": (triggers, "trigger file", 1, pipeline + ["--triggers", triggers]),
         "store-entry": (entry, "trigger store entry", 1, pipeline + ["--store", store]),
-        "manifest": (store / "manifest.json", "corrupt manifest", 1, ["trigger-store", "list", "--store", store]),
+        "manifest": (store / "manifest.json", "trigger store manifest", 1, ["trigger-store", "list", "--store", store]),
         "report": (report, "report", 2, ["compare", report, report]),
     }[target]
     lines = path.read_bytes().split(b"\n")

@@ -252,27 +252,35 @@ def test_a_refusal_has_one_owner_for_its_line_and_one_for_its_input():
     """A line locator is spelled once, by `ToolkitError(message, line)`: no
     message a module raises outside `errors.py` holds `line ` but in the
     `first seen at line` cross-reference. An input and its path are put
-    before a fault by `cli._naming` alone, which also gives the fault its
-    exit class: no other function of `cli` catches a ToolkitError to raise
-    another."""
-    spelled = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Raise) and node.exc
-        if any(isinstance(part, ast.Constant) and isinstance(part.value, str)
-               and re.search(r"\bline ", part.value.replace("first seen at line ", ""))
-               for part in ast.walk(node.exc))
-    ]
-    assert spelled == []
+    before a fault by `errors.naming` alone, which also gives the fault its
+    exit class: no other function of any module catches a ToolkitError to
+    raise another. Two handlers are exempt because they only attach a
+    line: `jsonio.loads` re-raises a repeated key at the line it parsed,
+    and `variants.parse_variant_config` a `VariantConfig` refusal at its
+    setting's line. Why a path is refused is spelled by `naming` alone too:
+    no message raised outside `errors.py` says that a path does not exist,
+    is not a file or a directory, or cannot be read, nor calls a manifest
+    corrupt (a file *name* inside the store is another matter)."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    raised = [(f"{module}.py:{node.lineno}", part.value)
+              for module, tree in trees.items() if module != "errors"
+              for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc
+              for part in ast.walk(node.exc) if isinstance(part, ast.Constant) and isinstance(part.value, str)]
+    assert raised  # the walk finds them
+    assert [where for where, text in raised if re.search(r"\bline ", text.replace("first seen at line ", ""))] == []
+    reasons = r"does not exist|is not a (file|directory)\b(?! name)|corrupt manifest|cannot read"
+    assert [(where, text) for where, text in raised if re.search(reasons, text)] == []
     toolkit_errors = {name for name, value in vars(errors).items()
                       if isinstance(value, type) and issubclass(value, errors.ToolkitError)}
+    exempt = {"errors.naming", "jsonio.loads", "variants.parse_variant_config"}
     rewrapping = {
-        function.name
-        for function in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
-        if isinstance(function, ast.FunctionDef) and function.name != "_naming"
+        f"{module}.{function.name}"
+        for module, tree in trees.items()
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        if f"{module}.{function.name}" not in exempt
         for handler in ast.walk(function) if isinstance(handler, ast.ExceptHandler) and handler.type
         if {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)} & toolkit_errors
-        and any(isinstance(n, ast.Raise) for n in ast.walk(handler))
+        and any(isinstance(n, ast.Raise) and n.exc for n in ast.walk(handler))
     }
     assert rewrapping == set()
 

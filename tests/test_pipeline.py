@@ -438,7 +438,7 @@ GOOD_ROW = {"corpus_id": "c.jsonl", "fingerprint": "f" * 64, "producer": "p", "f
 def test_corrupt_manifest_is_a_store_error(tmp_path, manifest, problem):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     store = TriggerStore(tmp_path)
-    with pytest.raises(StoreError, match=f"corrupt manifest .*{re.escape(problem)}"):
+    with pytest.raises(StoreError, match=f"trigger store manifest .*{re.escape(problem)}"):
         store.entries()
     with pytest.raises(StoreError):
         store.get("c.jsonl", "f" * 64)
@@ -447,7 +447,7 @@ def test_corrupt_manifest_is_a_store_error(tmp_path, manifest, problem):
 @pytest.mark.parametrize("raw", [b"[" * 100000, b"\xff\xfe[]", b"[{]"], ids=["deep", "not-utf8", "bad-json"])
 def test_unreadable_manifest_is_a_store_error(tmp_path, raw):
     (tmp_path / "manifest.json").write_bytes(raw)
-    with pytest.raises(StoreError, match="corrupt manifest"):
+    with pytest.raises(StoreError, match="trigger store manifest "):
         TriggerStore(tmp_path).entries()
 
 
@@ -538,5 +538,5 @@ def test_many_concurrent_puts_keep_every_entry(tmp_path):
 def test_manifest_with_a_repeated_key_is_a_store_error(tmp_path):
     row = json.dumps(GOOD_ROW)
     (tmp_path / "manifest.json").write_text("[" + row.replace('{"corpus_id"', '{"file": "x.jsonl", "corpus_id"') + "]")
-    with pytest.raises(StoreError, match=r"corrupt manifest .*: duplicate key 'file'$"):
+    with pytest.raises(StoreError, match=r"trigger store manifest .*: duplicate key 'file'$"):
         TriggerStore(tmp_path).entries()
