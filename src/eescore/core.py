@@ -77,6 +77,11 @@ class Anchor(NamedTuple):
         return {"trigger": self.trigger.as_pair(), "event_type": self.event_type}
 
 
+def task_of(record) -> str:
+    """The task of a prediction or standardized record: trigger exactly when it has no anchor."""
+    return TASK_TRIGGER if record.anchor is None else TASK_ARGUMENT
+
+
 @dataclass(frozen=True)
 class Document:
     id: str

@@ -35,6 +35,7 @@ from .core import (
     PredictedTrigger,
     Span,
     TriggerContext,
+    task_of,
     validate_document,
 )
 from .errors import ParseError, ValidationError
@@ -54,14 +55,6 @@ except ImportError:
         from _sha256 import sha256  # Python 3.10, 3.11
     except ImportError:
         from hashlib import sha256
-
-# payload field per paradigm; exactly one must be present per record
-PAYLOAD_FIELD = {
-    PARADIGM_CLS: "assignments",
-    PARADIGM_SL: "tags",
-    PARADIGM_SP: "spans",
-    PARADIGM_CG: "items",
-}
 
 # matched against the whole tag: "O\n" is malformed
 _TAG_RE = re.compile(r"O|[BI]-.+")
@@ -114,20 +107,19 @@ class CgItem(NamedTuple):
 
 
 class PredictionRecord(NamedTuple):
-    """One prediction record for one (document, anchor) pair."""
+    """One prediction record for one (document, anchor) pair, its task read off its anchor. Its file's paradigm
+    types its payload: `ClsAssignment`s (CLS), tags (SL), `SpanPrediction`s (SP) or `CgItem`s (CG)."""
 
     doc_id: str
-    task: str
     anchor: Anchor | None
-    assignments: tuple[ClsAssignment, ...] | None = None
-    tags: tuple[str, ...] | None = None
-    spans: tuple[SpanPrediction, ...] | None = None
-    items: tuple[CgItem, ...] | None = None
+    payload: tuple
     line: int = 0  # source line, for locators; ignored in comparisons by tests
+
+    task = property(task_of)
 
 
 class ParadigmPredictions(NamedTuple):
-    paradigm: str
+    paradigm: str  # the one statement of its records' paradigm, which types each payload
     records: tuple[PredictionRecord, ...]
 
 
@@ -401,12 +393,12 @@ def _parse_items(raw, n_tokens: int, line: int, share) -> tuple[CgItem, ...]:
     return tuple(out)
 
 
-# each takes (payload, token count of the document, line, share)
-_PAYLOAD_PARSERS = {
-    PARADIGM_CLS: _parse_assignments,
-    PARADIGM_SL: _parse_tags,
-    PARADIGM_SP: _parse_spans,
-    PARADIGM_CG: _parse_items,
+# paradigm -> (its record's one payload field, that payload's parser(payload, token count, line, share))
+_PAYLOADS = {
+    PARADIGM_CLS: ("assignments", _parse_assignments),
+    PARADIGM_SL: ("tags", _parse_tags),
+    PARADIGM_SP: ("spans", _parse_spans),
+    PARADIGM_CG: ("items", _parse_items),
 }
 
 
@@ -418,8 +410,7 @@ def parse_predictions(data: bytes, paradigm: str, corpus: Corpus) -> ParadigmPre
     """
     if paradigm not in PARADIGMS:
         raise ValueError(f"unknown paradigm {paradigm!r}; expected one of {PARADIGMS}")
-    payload_field = PAYLOAD_FIELD[paradigm]
-    parse_payload = _PAYLOAD_PARSERS[paradigm]
+    payload_field, parse_payload = _PAYLOADS[paradigm]
     allowed = _RECORD_FIELDS | {payload_field}
     records: list[PredictionRecord] = []
     seen: dict[tuple, int] = {}
@@ -444,16 +435,13 @@ def parse_predictions(data: bytes, paradigm: str, corpus: Corpus) -> ParadigmPre
         elif "anchor" in obj:
             raise ParseError("anchor is only allowed when task is 'argument'", line)
 
-        key = (doc_id, task, anchor)
+        key = (doc_id, anchor)
         if key in seen:
-            raise ParseError(
-                f"duplicate record for doc {doc_id!r} and anchor (first seen at line {seen[key]})",
-                line,
-            )
+            raise ParseError(f"duplicate record for doc {doc_id!r} and anchor (first seen at line {seen[key]})", line)
         seen[key] = line
 
         payload = parse_payload(_require(obj, payload_field, line), n, line, share)
-        records.append(PredictionRecord(doc_id, task, anchor, line=line, **{payload_field: payload}))
+        records.append(PredictionRecord(doc_id, anchor, payload, line))
     return ParadigmPredictions(paradigm=paradigm, records=tuple(records))
 
 

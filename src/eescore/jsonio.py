@@ -15,6 +15,7 @@ import json
 import os
 import re
 import threading
+from contextlib import suppress
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -127,10 +128,26 @@ def lines(text: str) -> Iterator[tuple[int, str]]:
         start, i = end + 1, i + 1
 
 
+def _key_line(text: str) -> int | None:
+    """The line of the `{` of the object that repeats a key in the JSON file `text`, or None if nested too deeply."""
+    refused, decoder = [], json.JSONDecoder(object_pairs_hook=_unique_keys)
+    def parse_object(s_and_end, *args):  # the pure-Python scanner's JSONObject, told where its `{` is
+        try:
+            return json.decoder.JSONObject(s_and_end, *args)
+        except ParseError:  # the innermost object refused comes first
+            refused.append(s_and_end[1] - 1)
+            raise
+    decoder.parse_object = parse_object
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    with suppress(ParseError, RecursionError):
+        decoder.decode(text)
+    return text.count("\n", 0, refused[0]) + 1 if refused else None
+
+
 def loads(text: str, line: int | None = None) -> Any:
     """The JSON value of `text`: line `line` of its file, or the whole file when `line` is None. Text that
-    is not JSON, repeats a key, holds an unpaired surrogate or is nested too deeply is a ParseError at
-    its line; a syntax error in a whole file is located by its line and column."""
+    is not JSON, repeats a key, holds an unpaired surrogate or is nested too deeply is a ParseError at its
+    line; in a whole file, a syntax error is located by its line and column, a repeated key by its object's."""
     try:
         obj = _DECODER.decode(text)
         # a surrogate may be escaped, but so is a valid pair: encoding tells ("\\" is found by memchr)
@@ -148,7 +165,7 @@ def loads(text: str, line: int | None = None) -> Any:
     except RecursionError:
         raise ParseError("invalid JSON (nested too deeply)", line) from None
     except (ParseError, ValueError) as exc:  # a repeated key, or an integer too long to convert
-        raise ParseError(str(exc), line) from None
+        raise ParseError(str(exc), line or (_key_line(text) if isinstance(exc, ParseError) else None)) from None
 
 
 def read_json(path) -> Any:

@@ -16,10 +16,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .core import TASK_TRIGGER, Anchor, Corpus, Document, Span
+from .core import TASK_TRIGGER, Anchor, Corpus, Document, Span, task_of
 from .ingest import CgItem, ParadigmPredictions, PredictionRecord, SpanPrediction
 from .jsonio import dump_jsonl
-from .protocol import STRAY_I_DISCARD, STRAY_I_OPEN, CandidatePolicy, StandardizeOptions
+from .protocol import PARADIGM_CLS, PARADIGM_SL, PARADIGM_SP, STRAY_I_DISCARD, STRAY_I_OPEN
+from .protocol import CandidatePolicy, StandardizeOptions
 from .protocol import TRIGGER_POLICY_SPANS_UP_TO_K  # noqa: F401 (bench/traced.py imports it from here)
 
 # provenance of a standardized assignment
@@ -52,11 +53,11 @@ class Discard(NamedTuple):
 
 class StandardizedRecord(NamedTuple):
     doc_id: str
-    task: str
     anchor: Anchor | None
     assignments: tuple[Assignment, ...]  # canonical candidate order, one per candidate (native: arrival order)
     discarded: tuple[Discard, ...]
-    line: int = 0
+
+    task = property(task_of)
 
 
 def trigger_candidate_id(span: Span) -> str:
@@ -158,22 +159,20 @@ def decode_bio(tags: Sequence[str], stray_i: str = STRAY_I_OPEN) -> list[tuple[S
     return spans
 
 
-def position_cg(
-    items: Sequence[CgItem], doc: Document
-) -> tuple[list[tuple[Span, CgItem, int]], list[tuple[CgItem, int]]]:
+def position_cg(items: Sequence[CgItem], doc: Document) -> tuple[list[tuple[Span, CgItem]], list[CgItem]]:
     """Assigns positions to generated items by appearance order.
 
     Occurrences of each (non-empty) mention are found by exact,
     case-sensitive token sequence matching, left to right, starting only
     at the positions of its first token; the k-th generated item carrying
     a given mention is placed on its k-th occurrence. Returns (placed,
-    unplaceable), both carrying the item's arrival index.
+    unplaceable): (span, item) pairs and items, each in arrival order.
     """
     unused: dict[tuple[str, ...], Iterator[Span]] = {}  # mention -> its occurrences not yet placed
-    placed: list[tuple[Span, CgItem, int]] = []
-    unplaceable: list[tuple[CgItem, int]] = []
+    placed: list[tuple[Span, CgItem]] = []
+    unplaceable: list[CgItem] = []
     tokens = doc.tokens
-    for idx, item in enumerate(items):
+    for item in items:
         mention = item.mention
         if mention not in unused:
             width = len(mention)
@@ -184,19 +183,20 @@ def position_cg(
             ])
         span = next(unused[mention], None)
         if span is None:
-            unplaceable.append((item, idx))
+            unplaceable.append(item)
         else:
-            placed.append((span, item, idx))
+            placed.append((span, item))
     return placed, unplaceable
 
 
 def _decode(
+    paradigm: str,
     record: PredictionRecord,
     candidates: TriggerCandidates | ArgumentCandidates,
     options: StandardizeOptions,
     doc: Document,
 ) -> tuple[str, list[Discard], Iterator[tuple]]:
-    """The one place that reads a record's paradigm payload.
+    """The one place that reads a record's payload, which it reads as its file's paradigm says.
 
     Returns the provenance of the record's matches, the discards found
     while decoding, and the positioned predictions in arrival order as
@@ -207,39 +207,40 @@ def _decode(
     candidate, a generated mention with no occurrence left and, under
     `--stray_i discard`, a stray I tag that was dropped.
     """
-    if record.assignments is not None:
-        located = [(a, candidates.span_of(a.candidate_id)) for a in record.assignments]
+    if paradigm == PARADIGM_CLS:
+        located = [(a, candidates.span_of(a.candidate_id)) for a in record.payload]
         unknown = [Discard(DISCARD_UNKNOWN_CANDIDATE, a.as_dict()) for a, span in located if span is None]
         return PROV_NATIVE, unknown, (
             (span, a.candidate_id, a.label, a.confidence, a.as_dict) for a, span in located if span is not None
         )
-    if record.tags is not None:
-        decoded = decode_bio(record.tags, options.stray_i)
+    if paradigm == PARADIGM_SL:
+        decoded = decode_bio(record.payload, options.stray_i)
         strays = []
         if options.stray_i == STRAY_I_DISCARD:  # a non-O tag in no decoded span was dropped
             covered = {t for span, _ in decoded for t in range(span.start, span.end)}
             strays = [
                 Discard(DISCARD_STRAY_I, {"tag": tag, "token": t})
-                for t, tag in enumerate(record.tags)
+                for t, tag in enumerate(record.payload)
                 if tag != "O" and t not in covered
             ]
         return PROV_PROJECTED, strays, (
             (span, candidates.id_of(span), label, None, lambda span=span, label=label: SpanPrediction(span, label).as_dict())
             for span, label in decoded
         )
-    if record.spans is not None:
+    if paradigm == PARADIGM_SP:
         return PROV_PROJECTED, [], (
-            (sp.span, candidates.id_of(sp.span), sp.label, sp.confidence, sp.as_dict) for sp in record.spans
+            (sp.span, candidates.id_of(sp.span), sp.label, sp.confidence, sp.as_dict) for sp in record.payload
         )
-    placed, unplaceable = position_cg(record.items or (), doc)
-    return PROV_POSITIONED, [Discard(DISCARD_UNPLACEABLE, it.as_dict()) for it, _ in unplaceable], (
+    placed, unplaceable = position_cg(record.payload, doc)
+    return PROV_POSITIONED, [Discard(DISCARD_UNPLACEABLE, it.as_dict()) for it in unplaceable], (
         (span, candidates.id_of(span), it.label, it.confidence,
          lambda it=it, span=span: {**it.as_dict(), "span": span.as_pair()})
-        for span, it, _ in placed
+        for span, it in placed
     )
 
 
 def _project(
+    paradigm: str,
     record: PredictionRecord,
     candidates: TriggerCandidates | ArgumentCandidates,
     options: StandardizeOptions,
@@ -254,7 +255,7 @@ def _project(
     Conservation holds per record: every input prediction becomes exactly
     one assignment or one discard.
     """
-    provenance, discards, decoded = _decode(record, candidates, options, doc)
+    provenance, discards, decoded = _decode(paradigm, record, candidates, options, doc)
     groups: dict[str, list[tuple[Assignment, Callable[[], dict]]]] = {}  # candidate id -> its predictions, in arrival order
     for span, cid, label, confidence, original in decoded:
         if cid is None:
@@ -275,14 +276,7 @@ def _project(
             best = best._replace(provenance=PROV_RESOLVED_DUPLICATE)
         assignments.append(best)
     assignments.sort(key=lambda a: (a.span, a.candidate_id))  # canonical order: (start, end), then id
-    return StandardizedRecord(
-        doc_id=record.doc_id,
-        task=record.task,
-        anchor=record.anchor,
-        assignments=tuple(assignments),
-        discarded=tuple(discards),
-        line=record.line,
-    )
+    return StandardizedRecord(record.doc_id, record.anchor, tuple(assignments), tuple(discards))
 
 
 def _with_candidates(
@@ -293,15 +287,10 @@ def _with_candidates(
     candidates of a document are the same for every anchor."""
     shared: dict[tuple[str, str], TriggerCandidates | ArgumentCandidates] = {}
     for record in predictions.records:
-        doc = corpus.get(record.doc_id)
-        candidates = shared.get((record.doc_id, record.task))
-        if candidates is None:
-            if record.task == TASK_TRIGGER:
-                candidates = TriggerCandidates(doc, policy)
-            else:
-                candidates = ArgumentCandidates(doc)
-            shared[(record.doc_id, record.task)] = candidates
-        yield record, candidates, doc
+        doc, key = corpus.get(record.doc_id), (record.doc_id, record.task)
+        if key not in shared:
+            shared[key] = TriggerCandidates(doc, policy) if key[1] == TASK_TRIGGER else ArgumentCandidates(doc)
+        yield record, shared[key], doc
 
 
 def standardize_predictions(
@@ -318,7 +307,7 @@ def standardize_predictions(
     and which measured slower in a thread pool.
     """
     return tuple(
-        _project(record, candidates, options, doc)
+        _project(predictions.paradigm, record, candidates, options, doc)
         for record, candidates, doc in _with_candidates(predictions, corpus, policy)
     )
 
@@ -339,11 +328,11 @@ def native_predictions(
     """
     records = []
     for record, candidates, doc in _with_candidates(predictions, corpus, policy):
-        provenance, _, decoded = _decode(record, candidates, options, doc)
+        provenance, _, decoded = _decode(predictions.paradigm, record, candidates, options, doc)
         assignments = tuple(
             Assignment(cid, span, label, provenance, confidence) for span, cid, label, confidence, _ in decoded
         )
-        records.append(StandardizedRecord(record.doc_id, record.task, record.anchor, assignments, (), record.line))
+        records.append(StandardizedRecord(record.doc_id, record.anchor, assignments, ()))
     return tuple(records)
 
 

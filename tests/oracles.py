@@ -38,9 +38,12 @@ from eescore.core import (
     span_contains,
 )
 from eescore.errors import ParseError, ValidationError
-from eescore.ingest import PAYLOAD_FIELD, CgItem, ClsAssignment, ParadigmPredictions, PredictionRecord, SpanPrediction
+from eescore.ingest import CgItem, ClsAssignment, ParadigmPredictions, PredictionRecord, SpanPrediction
 from eescore.protocol import PARADIGM_CG, PARADIGM_CLS, PARADIGM_SL, PARADIGM_SP, PARADIGMS
 from eescore.standardize import Assignment, Discard, StandardizedRecord
+
+# the JSON field that holds a record's payload, per paradigm
+PAYLOAD_FIELDS = {PARADIGM_CLS: "assignments", PARADIGM_SL: "tags", PARADIGM_SP: "spans", PARADIGM_CG: "items"}
 
 
 def max_matching(pred_keys, gold_keys) -> int:
@@ -194,36 +197,38 @@ def _json_prediction(head: dict, label: str, confidence) -> dict:
     return obj
 
 
-def _reference_record(record: PredictionRecord, doc: Document, candidates, stray_i: str) -> StandardizedRecord:
-    """One record projected: see `reference_project`."""
+def _reference_record(
+    paradigm: str, record: PredictionRecord, doc: Document, candidates, stray_i: str
+) -> StandardizedRecord:
+    """One record of a `paradigm` file projected: see `reference_project`."""
     id_spans = {cid: span for span, cid in candidates}
     early: list[Discard] = []  # predictions that never reach a span
     spanned: list[tuple] = []  # (span, candidate id or None, label, confidence, JSON original), arrival order
-    if record.assignments is not None:
+    if paradigm == PARADIGM_CLS:
         provenance = "native"
-        for a in record.assignments:
+        for a in record.payload:
             original = _json_prediction({"candidate_id": a.candidate_id}, a.label, a.confidence)
             if a.candidate_id in id_spans:
                 spanned.append((id_spans[a.candidate_id], a.candidate_id, a.label, a.confidence, original))
             else:
                 early.append(Discard("unknown_candidate", original))
-    elif record.tags is not None:
+    elif paradigm == PARADIGM_SL:
         provenance = "projected"
-        for span, label in reference_bio_decode(record.tags):
-            if stray_i == "discard" and record.tags[span.start].startswith("I-"):  # opened by a stray I tag
-                early += [Discard("stray_inside_tag", {"tag": record.tags[t], "token": t})
+        for span, label in reference_bio_decode(record.payload):
+            if stray_i == "discard" and record.payload[span.start].startswith("I-"):  # opened by a stray I tag
+                early += [Discard("stray_inside_tag", {"tag": record.payload[t], "token": t})
                           for t in range(span.start, span.end)]
             else:
                 spanned.append((span, None, label, None, {"span": [span.start, span.end], "label": label}))
-    elif record.spans is not None:
+    elif paradigm == PARADIGM_SP:
         provenance = "projected"
-        for sp in record.spans:
+        for sp in record.payload:
             original = _json_prediction({"span": [sp.span.start, sp.span.end]}, sp.label, sp.confidence)
             spanned.append((sp.span, None, sp.label, sp.confidence, original))
     else:
         provenance = "positioned"
         placed_so_far: Counter = Counter()
-        for item in record.items:
+        for item in record.payload:
             occurrences = occurrences_by_window_scan(doc.tokens, item.mention)
             original = _json_prediction({"mention": list(item.mention)}, item.label, item.confidence)
             if placed_so_far[item.mention] < len(occurrences):
@@ -259,8 +264,7 @@ def _reference_record(record: PredictionRecord, doc: Document, candidates, stray
                 losers.append(Discard("duplicate_later_arrival" if late else "duplicate_lower_confidence", m[4]))
 
     assignments = tuple(winners[cid] for _, cid in candidates if cid in winners)  # sorted by span, then id
-    return StandardizedRecord(record.doc_id, record.task, record.anchor, assignments,
-                              tuple(early + overlaps + losers), record.line)
+    return StandardizedRecord(record.doc_id, record.anchor, assignments, tuple(early + overlaps + losers))
 
 
 def reference_project(predictions: ParadigmPredictions, corpus: Corpus, policy, stray_i: str) -> tuple:
@@ -274,7 +278,10 @@ def reference_project(predictions: ParadigmPredictions, corpus: Corpus, policy, 
     mention, a dropped stray I tag), spans that are no candidate, and the
     losing duplicates, candidate by candidate in order of first arrival."""
     return tuple(
-        _reference_record(r, corpus.get(r.doc_id), enumerate_candidates(corpus.get(r.doc_id), r.task, policy), stray_i)
+        _reference_record(
+            predictions.paradigm, r, corpus.get(r.doc_id), enumerate_candidates(corpus.get(r.doc_id), r.task, policy),
+            stray_i,
+        )
         for r in predictions.records
     )
 
@@ -291,22 +298,20 @@ def validate_corpus(corpus: Corpus) -> list[str]:
     return out
 
 
-def _prediction_to_obj(record: PredictionRecord) -> dict:
+def _prediction_to_obj(record: PredictionRecord, payload_field: str) -> dict:
     obj: dict = {"doc_id": record.doc_id, "task": record.task}
     if record.anchor is not None:
         obj["anchor"] = record.anchor.as_dict()
-    for field in PAYLOAD_FIELD.values():
-        payload = getattr(record, field)
-        if payload is not None:
-            obj[field] = [p if isinstance(p, str) else p.as_dict() for p in payload]
+    obj[payload_field] = [p if isinstance(p, str) else p.as_dict() for p in record.payload]
     return obj
 
 
 def serialize_predictions(predictions: ParadigmPredictions) -> bytes:
     """Canonical JSONL (sorted keys, no extra whitespace), which the parser
     reads back into equal records."""
+    field = PAYLOAD_FIELDS[predictions.paradigm]
     return "".join(
-        json.dumps(_prediction_to_obj(r), sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+        json.dumps(_prediction_to_obj(r, field), sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
         for r in predictions.records
     ).encode("utf-8")
 
@@ -319,11 +324,7 @@ def to_cls_records(standardized) -> ParadigmPredictions:
         paradigm=PARADIGM_CLS,
         records=tuple(
             PredictionRecord(
-                doc_id=r.doc_id,
-                task=r.task,
-                anchor=r.anchor,
-                assignments=tuple(ClsAssignment(a.candidate_id, a.label, a.confidence) for a in r.assignments),
-                line=r.line,
+                r.doc_id, r.anchor, tuple(ClsAssignment(a.candidate_id, a.label, a.confidence) for a in r.assignments)
             )
             for r in standardized
         ),
@@ -700,7 +701,7 @@ def reference_parse_predictions(stream: Stream, paradigm: str, corpus: Corpus) -
     """
     if paradigm not in PARADIGMS:
         raise ValueError(f"unknown paradigm {paradigm!r}; expected one of {PARADIGMS}")
-    payload_field = PAYLOAD_FIELD[paradigm]
+    payload_field = PAYLOAD_FIELDS[paradigm]
     records: list[PredictionRecord] = []
     seen: dict[tuple, int] = {}
     for line, raw in _iter_lines(stream):
@@ -733,22 +734,14 @@ def reference_parse_predictions(stream: Stream, paradigm: str, corpus: Corpus) -
 
         payload = _require(obj, payload_field, line)
         if paradigm == PARADIGM_CLS:
-            record = PredictionRecord(
-                doc_id, task, anchor, assignments=_parse_assignments(payload, line), line=line
-            )
+            payload = _parse_assignments(payload, line)
         elif paradigm == PARADIGM_SL:
-            record = PredictionRecord(
-                doc_id, task, anchor, tags=_parse_tags(payload, n, line), line=line
-            )
+            payload = _parse_tags(payload, n, line)
         elif paradigm == PARADIGM_SP:
-            record = PredictionRecord(
-                doc_id, task, anchor, spans=_parse_spans(payload, n, line), line=line
-            )
+            payload = _parse_spans(payload, n, line)
         else:
-            record = PredictionRecord(
-                doc_id, task, anchor, items=_parse_items(payload, line), line=line
-            )
-        records.append(record)
+            payload = _parse_items(payload, line)
+        records.append(PredictionRecord(doc_id, anchor, payload, line))
     return ParadigmPredictions(paradigm=paradigm, records=tuple(records))
 
 

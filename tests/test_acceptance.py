@@ -18,7 +18,7 @@ from eescore.metrics import (
     trigger_items_from,
 )
 from eescore.pipeline import evaluate
-from eescore.protocol import PARADIGMS, CandidatePolicy, Protocol
+from eescore.protocol import PARADIGM_SL, PARADIGMS, CandidatePolicy, Protocol
 from eescore.standardize import decode_bio, standardize_predictions
 from eescore.variants import VariantConfig, apply_variant, compute_stats
 
@@ -44,16 +44,12 @@ def _ok(line: str) -> None:
     print(f"[PASS] {line}")
 
 
-def _input_count(record) -> int:
+def _input_count(paradigm, record) -> int:
     """Independent count of a record's predictions (uses the reference
     decoder for tag records)."""
-    if record.assignments is not None:
-        return len(record.assignments)
-    if record.tags is not None:
-        return len(reference_bio_decode(record.tags))
-    if record.spans is not None:
-        return len(record.spans)
-    return len(record.items)
+    if paradigm == PARADIGM_SL:
+        return len(reference_bio_decode(record.payload))
+    return len(record.payload)
 
 
 def _trigger_keys(items):
@@ -92,9 +88,9 @@ def _gold_argument_keys(corpus, context=None, by_trigger=False):
     return keys
 
 
-def _check_record(corpus, source_record, std_record, failures):
+def _check_record(corpus, paradigm, source_record, std_record, failures):
     candidates = {cid for _, cid in enumerate_candidates(corpus.get(std_record.doc_id), std_record.task)}
-    if _input_count(source_record) != len(std_record.assignments) + len(std_record.discarded):
+    if _input_count(paradigm, source_record) != len(std_record.assignments) + len(std_record.discarded):
         failures.append(f"conservation broken for doc {std_record.doc_id}")
     for a in std_record.assignments:
         if a.candidate_id not in candidates:
@@ -122,7 +118,7 @@ def oracle_population():
             ed_pred = random_trigger_predictions(rng, corpus, paradigm)
             ed_std = standardize_predictions(ed_pred, corpus)
             for src, std in zip(ed_pred.records, ed_std):
-                _check_record(corpus, src, std, failures)
+                _check_record(corpus, paradigm, src, std, failures)
                 n_records += 1
             report = score_trigger_items(corpus, trigger_items_from(ed_std))
             keys = _trigger_keys(trigger_items_from(ed_std))
@@ -134,7 +130,7 @@ def oracle_population():
             eae_pred = random_argument_predictions(rng, corpus, paradigm, anchors)
             eae_std = standardize_predictions(eae_pred, corpus)
             for src, std in zip(eae_pred.records, eae_std):
-                _check_record(corpus, src, std, failures)
+                _check_record(corpus, paradigm, src, std, failures)
                 n_records += 1
             report = score_argument_items(corpus, argument_items_from(eae_std), gold_context)
             keys = _argument_keys(argument_items_from(eae_std))

@@ -737,8 +737,12 @@ def test_trigger_store_list_corrupt_manifest_exits_1(tmp_path, capsys, manifest,
          "line 3: a string holds an unpaired surrogate, which UTF-8 cannot encode"),
         (b'{\n  "config": {"\\\\ud800": "\\ud83d\\ude00"},\n  "fingerprint": "\\uDC00"\n}\n',
          "line 3: a string holds an unpaired surrogate, which UTF-8 cannot encode"),
+        (b'[\n  {"a": 1, "a": 2}\n]\n', "line 2: duplicate key 'a'"),
+        (b'{\n  "fingerprint": "0",\n  "config": {\n    "k": 1,\n    "k": 2\n  }\n}\n', "line 3: duplicate key 'k'"),
+        (b'{\n  "a": {"k": 1, "j": 2},\n  "a": 3\n}\n', "line 1: duplicate key 'a'"),
     ],
-    ids=["syntax", "bad-byte", "surrogate", "surrogate-after-a-pair"],
+    ids=["syntax", "bad-byte", "surrogate", "surrogate-after-a-pair", "repeated-key", "repeated-key-inside",
+         "repeated-key-around"],
 )
 def test_a_json_fault_in_a_manifest_or_report_is_located(tmp_path, capsys, raw, fault):
     store = tmp_path / "store"
@@ -1116,7 +1120,9 @@ _NO_SCORES = "'ed' lacks precision, recall, f1 as numbers in [0, 1]"
         (lambda good: json.dumps(dict(good, ed={k: v for k, v in good["ed"].items() if k != "recall"})).encode(),
          _NO_SCORES),
         (lambda good: json.dumps(dict(good, ed=dict(good["ed"], precision="1.0"))).encode(), _NO_SCORES),
-        (lambda good: b'{"fingerprint": "0", ' + json.dumps(good).encode()[1:], "duplicate key 'fingerprint'"),
+        (lambda good: b'{"fingerprint": "0", ' + json.dumps(good).encode()[1:], "line 1: duplicate key 'fingerprint'"),
+        # deeper than the pure-Python scanner that finds a repeated key's line goes: refused without one
+        (lambda good: b"\n" + b"[" * 600 + b'{"a": 1, "a": 2}' + b"]" * 600, "duplicate key 'a'"),
         (lambda good: json.dumps({k: v for k, v in good.items() if k != "config"}).encode(),
          "not a score report (missing config)"),
         (lambda good: json.dumps(dict(good, config=[])).encode(), "not a score report (missing config)"),
@@ -1124,7 +1130,7 @@ _NO_SCORES = "'ed' lacks precision, recall, f1 as numbers in [0, 1]"
          "config lacks 'k'"),
     ],
     ids=["deep", "not-utf8", "fingerprint-not-str", "ed-not-object", "ed-without-recall", "precision-not-number",
-         "repeated-key", "no-config", "config-not-object", "config-without-k"],
+         "repeated-key", "repeated-key-deep", "no-config", "config-not-object", "config-without-k"],
 )
 def test_compare_malformed_report_exits_2(tmp_path, corpus_path, capsys, make_bad, fault):
     preds = cls_ed_file(tmp_path, corpus_path)

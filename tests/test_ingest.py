@@ -261,7 +261,7 @@ def test_sp_record_accepted_in_bounds():
     record = {"doc_id": "d", "task": "trigger",
               "spans": [{"span": [4, 6], "label": "Position", "confidence": 0.8}]}
     preds = parse_predictions(dump_jsonl([record]), "SP", corpus)
-    assert preds.records[0].spans[0].confidence == 0.8
+    assert preds.records[0].payload[0].confidence == 0.8
 
 
 def test_sp_out_of_bounds_span():
@@ -285,7 +285,7 @@ def test_cg_preserves_generation_order():
         ],
     }
     preds = parse_predictions(dump_jsonl([record]), "CG", corpus)
-    items = preds.records[0].items
+    items = preds.records[0].payload
     assert [it.mention for it in items] == [("Twitter",), ("Twitter",)]
 
 
@@ -388,7 +388,7 @@ def test_unknown_label_accepted_at_parse_time():
     record = {"doc_id": "doc-resignation", "task": "trigger",
               "spans": [{"span": [8, 9], "label": "Never-Seen-Label"}]}
     preds = parse_predictions(dump_jsonl([record]), "SP", corpus)
-    assert preds.records[0].spans[0].label == "Never-Seen-Label"
+    assert preds.records[0].payload[0].label == "Never-Seen-Label"
 
 
 def test_confidence_out_of_range_rejected():
@@ -497,7 +497,7 @@ def test_an_escaped_surrogate_pair_is_one_character():
     assert parse_corpus(data).get("c").tokens == ("\U0001F600",)
     preds = parse_predictions(_ascii_line(dict(TRIGGER, spans=[{"span": [8, 9], "label": "\U0001F600"}])), "SP",
                               resignation_corpus())
-    assert preds.records[0].spans[0].label == "\U0001F600"
+    assert preds.records[0].payload[0].label == "\U0001F600"
 
 
 def test_prediction_repeated_key_is_a_parse_error():

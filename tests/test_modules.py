@@ -10,7 +10,9 @@ from pathlib import Path
 
 from eescore import errors
 from eescore.cli import build_parser
+from eescore.ingest import PredictionRecord
 from eescore.protocol import PROTOCOL_CHOICES
+from eescore.standardize import StandardizedRecord
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "eescore"
 BENCH = SRC.parent.parent / "bench"
@@ -293,9 +295,11 @@ def test_bench_uses_only_what_the_package_has():
     """The benchmark runs the package from its files, so a change that
     breaks it fails here too: every name `bench/` imports from an
     `eescore` module (`run.py`'s set-up probe included) is there, every
-    workload's argv parses, and every `args.<name>` that `traced.py`
-    reads is a dest of the parser. The bench files are read, not
-    imported: `tests/gen.py` would shadow `bench/gen.py`."""
+    workload's argv parses, every `args.<name>` that `traced.py` reads is
+    a dest of the parser, and every attribute it reads on a record
+    (`record.<name>`, `r.<name>`) is one that `PredictionRecord` or
+    `StandardizedRecord` has. The bench files are read, not imported:
+    `tests/gen.py` would shadow `bench/gen.py`."""
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(BENCH.glob("*.py"))}
     probe = next(node.value for node in trees["run.py"].body if _assigns(node, {"SETUP_PROBE"}))
     trees["run.py SETUP_PROBE"] = ast.parse(ast.literal_eval(probe))
@@ -318,7 +322,12 @@ def test_bench_uses_only_what_the_package_has():
         for argv in (score, workloads["put_args"](workload)):
             dests |= vars(build_parser().parse_args([fill.get(a, a) for a in argv])).keys()
 
-    read = {node.attr for node in ast.walk(trees["traced.py"])
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"}
-    assert "trigger_policy" in read
-    assert read - dests == set()
+    def read(*names) -> set:
+        return {node.attr for node in ast.walk(trees["traced.py"])
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in names}
+
+    assert "trigger_policy" in read("args")
+    assert read("args") - dests == set()
+    on_records = read("record", "r")
+    assert {"doc_id", "anchor", "task", "assignments", "discarded"} <= on_records
+    assert {a for a in on_records if not hasattr(PredictionRecord, a) and not hasattr(StandardizedRecord, a)} == set()

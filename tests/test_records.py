@@ -2,6 +2,8 @@
 that rebuilds, copies and sorts like a plain tuple, and hashes unless it
 holds a dict."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,23 +11,26 @@ from hypothesis import strategies as st
 from eescore.core import (
     Anchor,
     Argument,
+    Corpus,
+    Document,
     EntityMention,
     EventAnnotation,
     PredictedTrigger,
     Span,
 )
+from eescore.errors import ValidationError
 from eescore.ingest import CgItem, ClsAssignment, ParadigmPredictions, PredictionRecord, SpanPrediction
 from eescore.jsonio import format_report
 from eescore.metrics import ArgumentItem, ConfusionCounts, EvalReport, TriggerItem
-from eescore.pipeline import EvaluationResult, TriggerStoreEntry
-from eescore.protocol import CandidatePolicy, StandardizeOptions
+from eescore.pipeline import EvaluationResult, TriggerStoreEntry, evaluate
+from eescore.protocol import CandidatePolicy, Protocol, StandardizeOptions
 from eescore.standardize import Assignment, Discard, StandardizedRecord
 from eescore.variants import DatasetStats, VariantReport
 
 TRIGGER = Span(3, 4)
 ASSIGNMENT = Assignment("t:3:4", TRIGGER, "Attack", "projected", 0.5)
-PREDICTION = PredictionRecord("d1", "trigger", None, tags=("O", "B-Attack"), line=3)
-STANDARDIZED = StandardizedRecord("d1", "trigger", None, (ASSIGNMENT,), (), 3)
+PREDICTION = PredictionRecord("d1", None, ("O", "B-Attack"), 3)
+STANDARDIZED = StandardizedRecord("d1", None, (ASSIGNMENT,), ())
 COUNTS = ConfusionCounts(1, 2, 3)
 REPORT = EvalReport("ED", "gold_trigger", "modern", COUNTS, {"Attack": COUNTS}, ConfusionCounts(2, 1, 2))
 
@@ -90,6 +95,30 @@ def test_replace_returns_a_new_record(record):
     assert getattr(changed, field) is marker
     assert getattr(record, field) is before
     assert changed[1:] == record[1:]
+
+
+def test_a_record_states_neither_its_paradigm_nor_its_task():
+    """The paradigm is its file's (`ParadigmPredictions.paradigm`), and the task is read off the anchor."""
+    assert PredictionRecord._fields == ("doc_id", "anchor", "payload", "line")
+    assert StandardizedRecord._fields == ("doc_id", "anchor", "assignments", "discarded")
+    assert PredictionRecord("d", None, ()).task == "trigger"
+
+
+@pytest.mark.parametrize("record", [PREDICTION, STANDARDIZED], ids=lambda r: type(r).__name__)
+def test_a_records_task_is_its_anchor(record):
+    assert record.task == "trigger"
+    assert record._replace(anchor=Anchor(TRIGGER, "Attack")).task == "argument"
+    with pytest.raises(AttributeError):
+        record.task = "argument"
+
+
+def test_a_trigger_record_given_as_eae_predictions_is_refused_at_its_line():
+    corpus = Corpus((Document("d1", ("a", "b"), (Span(0, 2),), (), ()),))
+    eae = ParadigmPredictions("SP", (PredictionRecord("d1", None, (SpanPrediction(Span(0, 1), "A"),), 3),))
+    message = "line 3: record for doc 'd1' has task 'trigger'; expected 'argument'"
+    for protocol in (Protocol(), Protocol(standardize=False)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            evaluate(corpus, protocol, eae_pred=eae)
 
 
 def test_span_is_a_pair_of_ints():

@@ -361,7 +361,7 @@ def test_position_unseen_mention_unplaceable():
     doc = resignation_document()
     placed, unplaceable = position_cg([CgItem(("Mars",), "Place")], doc)
     assert not placed
-    assert unplaceable[0][0].mention == ("Mars",)
+    assert unplaceable[0].mention == ("Mars",)
 
 
 def test_position_unique_multiword_mention():
@@ -389,13 +389,13 @@ def test_position_cg_matches_window_scan(tokens, mentions):
     items = [CgItem(tuple(m), "X") for m in mentions]
     used: Counter = Counter()
     expected_placed, expected_unplaceable = [], []
-    for idx, item in enumerate(items):
+    for item in items:
         occurrences = occurrences_by_window_scan(doc.tokens, item.mention)
         if used[item.mention] < len(occurrences):
-            expected_placed.append((occurrences[used[item.mention]], item, idx))
+            expected_placed.append((occurrences[used[item.mention]], item))
             used[item.mention] += 1
         else:
-            expected_unplaceable.append((item, idx))
+            expected_unplaceable.append(item)
     assert position_cg(items, doc) == (expected_placed, expected_unplaceable)
 
 
