@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import threading
 from contextlib import suppress
 from pathlib import Path
@@ -99,6 +100,8 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 # a string of a valid JSON text: outside its strings, JSON has no quote or backslash
 _STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
+# a string, an integer (its digits in group 1) or another number, which the third choice skips whole
+_NUMBER_RE = re.compile(_STRING_RE.pattern + r'|-?(\d+)(?![\d.eE])|[\d.eE+-]+')
 
 
 def decode(data: bytes) -> str:
@@ -145,9 +148,9 @@ def _key_line(text: str) -> int | None:
 
 
 def loads(text: str, line: int | None = None) -> Any:
-    """The JSON value of `text`: line `line` of its file, or the whole file when `line` is None. Text that
-    is not JSON, repeats a key, holds an unpaired surrogate or is nested too deeply is a ParseError at its
-    line; in a whole file, a syntax error is located by its line and column, a repeated key by its object's."""
+    """The JSON value of `text`: line `line` of its file, or the whole file when `line` is None. Text that is not
+    JSON, repeats a key, holds an unpaired surrogate or an overlong integer, or is nested too deeply is a ParseError
+    at its line; in a whole file, a syntax error is located by its line and column, a repeated key by its object's."""
     try:
         obj = _DECODER.decode(text)
         # a surrogate may be escaped, but so is a valid pair: encoding tells ("\\" is found by memchr)
@@ -164,8 +167,14 @@ def loads(text: str, line: int | None = None) -> Any:
         raise ParseError(f"invalid JSON ({exc.msg})", line) from None
     except RecursionError:
         raise ParseError("invalid JSON (nested too deeply)", line) from None
-    except (ParseError, ValueError) as exc:  # a repeated key, or an integer too long to convert
-        raise ParseError(str(exc), line or (_key_line(text) if isinstance(exc, ParseError) else None)) from None
+    except ParseError as exc:  # a repeated key
+        raise ParseError(str(exc), line or _key_line(text)) from None
+    except ValueError:  # an integer too long to convert, which json does not locate
+        limit = sys.get_int_max_str_digits()
+        if line is None:
+            at = next(m.start() for m in _NUMBER_RE.finditer(text) if m[1] and len(m[1]) > limit)
+            line = text.count("\n", 0, at) + 1
+        raise ParseError(f"invalid JSON (an integer of more than {limit} digits)", line) from None
 
 
 def read_json(path) -> Any:

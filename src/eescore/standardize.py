@@ -51,6 +51,9 @@ class Discard(NamedTuple):
     original: dict  # JSON-ready description of the discarded prediction
 
 
+_Decoded = tuple[Assignment, Callable[[], dict]]  # a decoded prediction, and the rendering of it that a discard keeps
+
+
 class StandardizedRecord(NamedTuple):
     doc_id: str
     anchor: Anchor | None
@@ -190,28 +193,23 @@ def position_cg(items: Sequence[CgItem], doc: Document) -> tuple[list[tuple[Span
 
 
 def _decode(
-    paradigm: str,
-    record: PredictionRecord,
-    candidates: TriggerCandidates | ArgumentCandidates,
-    options: StandardizeOptions,
-    doc: Document,
-) -> tuple[str, list[Discard], Iterator[tuple]]:
+    paradigm: str, record: PredictionRecord, candidates: TriggerCandidates | ArgumentCandidates,
+    options: StandardizeOptions, doc: Document,
+) -> tuple[list[Discard], Iterator[_Decoded]]:
     """The one place that reads a record's payload, which it reads as its file's paradigm says.
 
-    Returns the provenance of the record's matches, the discards found
-    while decoding, and the positioned predictions in arrival order as
-    (span, candidate id, label, confidence, original) tuples, where
-    `original()` renders the JSON description of the prediction (only a
-    discard needs it) and the candidate id is None when no candidate has
-    exactly that span. The discards are a classification id that names no
-    candidate, a generated mention with no occurrence left and, under
-    `--stray_i discard`, a stray I tag that was dropped.
+    Returns the discards found while decoding, and each positioned prediction in arrival order as an
+    (assignment, render) pair: the assignment's candidate id is None when no candidate has exactly its
+    span, and `render()` gives the JSON description of the prediction, which only a discard needs. The
+    discards are a classification id that names no candidate, a generated mention with no occurrence
+    left and, under `--stray_i discard`, a stray I tag that was dropped.
     """
     if paradigm == PARADIGM_CLS:
         located = [(a, candidates.span_of(a.candidate_id)) for a in record.payload]
         unknown = [Discard(DISCARD_UNKNOWN_CANDIDATE, a.as_dict()) for a, span in located if span is None]
-        return PROV_NATIVE, unknown, (
-            (span, a.candidate_id, a.label, a.confidence, a.as_dict) for a, span in located if span is not None
+        return unknown, (
+            (Assignment(a.candidate_id, span, a.label, PROV_NATIVE, a.confidence), a.as_dict)
+            for a, span in located if span is not None
         )
     if paradigm == PARADIGM_SL:
         decoded = decode_bio(record.payload, options.stray_i)
@@ -223,45 +221,41 @@ def _decode(
                 for t, tag in enumerate(record.payload)
                 if tag != "O" and t not in covered
             ]
-        return PROV_PROJECTED, strays, (
-            (span, candidates.id_of(span), label, None, lambda span=span, label=label: SpanPrediction(span, label).as_dict())
+        return strays, (
+            (Assignment(candidates.id_of(span), span, label, PROV_PROJECTED),
+             lambda span=span, label=label: SpanPrediction(span, label).as_dict())
             for span, label in decoded
         )
     if paradigm == PARADIGM_SP:
-        return PROV_PROJECTED, [], (
-            (sp.span, candidates.id_of(sp.span), sp.label, sp.confidence, sp.as_dict) for sp in record.payload
+        return [], (
+            (Assignment(candidates.id_of(sp.span), sp.span, sp.label, PROV_PROJECTED, sp.confidence), sp.as_dict)
+            for sp in record.payload
         )
     placed, unplaceable = position_cg(record.payload, doc)
-    return PROV_POSITIONED, [Discard(DISCARD_UNPLACEABLE, it.as_dict()) for it in unplaceable], (
-        (span, candidates.id_of(span), it.label, it.confidence,
+    return [Discard(DISCARD_UNPLACEABLE, it.as_dict()) for it in unplaceable], (
+        (Assignment(candidates.id_of(span), span, it.label, PROV_POSITIONED, it.confidence),
          lambda it=it, span=span: {**it.as_dict(), "span": span.as_pair()})
         for span, it in placed
     )
 
 
-def _project(
-    paradigm: str,
-    record: PredictionRecord,
-    candidates: TriggerCandidates | ArgumentCandidates,
-    options: StandardizeOptions,
-    doc: Document,
-) -> StandardizedRecord:
-    """Projects one prediction record onto its candidates.
+def _project(record: PredictionRecord, discards: list[Discard], decoded: Iterator[_Decoded]) -> StandardizedRecord:
+    """The matching step: projects one decoded record onto its candidates.
 
     Strict boundary matching: a prediction lands on a candidate only when
-    the spans are exactly equal. Generated items are positioned first,
-    then matched; duplicates are resolved last, the highest confidence
+    the spans are exactly equal. Generated items were positioned while
+    decoding; duplicates are resolved last, the highest confidence
     winning and ties or unscored records going to the first to arrive.
     Conservation holds per record: every input prediction becomes exactly
     one assignment or one discard.
     """
-    provenance, discards, decoded = _decode(paradigm, record, candidates, options, doc)
-    groups: dict[str, list[tuple[Assignment, Callable[[], dict]]]] = {}  # candidate id -> its predictions, in arrival order
-    for span, cid, label, confidence, original in decoded:
+    groups: dict[str, list[_Decoded]] = {}  # candidate id -> its predictions, in arrival order
+    for pair in decoded:
+        cid = pair[0].candidate_id
         if cid is None:
-            discards.append(Discard(DISCARD_OVERLAP, original()))
+            discards.append(Discard(DISCARD_OVERLAP, pair[1]()))
         else:
-            groups.setdefault(cid, []).append((Assignment(cid, span, label, provenance, confidence), original))
+            groups.setdefault(cid, []).append(pair)
 
     assignments = []
     for group in groups.values():
@@ -279,18 +273,22 @@ def _project(
     return StandardizedRecord(record.doc_id, record.anchor, tuple(assignments), tuple(discards))
 
 
-def _with_candidates(
-    predictions: ParadigmPredictions, corpus: Corpus, policy: CandidatePolicy
-) -> Iterator[tuple[PredictionRecord, TriggerCandidates | ArgumentCandidates, Document]]:
-    """Each record with its candidates and document. Candidates are set up
-    once per document and task and shared by its records: the argument
-    candidates of a document are the same for every anchor."""
+def _each_record(
+    step: Callable[..., StandardizedRecord], predictions: ParadigmPredictions, corpus: Corpus, policy: CandidatePolicy,
+    options: StandardizeOptions,
+) -> Iterator[StandardizedRecord]:
+    """The one pass over a prediction file: decodes each record once and
+    hands it, with its decoding discards and its (assignment, render)
+    pairs, to `step`, which makes its output record, in input order.
+    Candidates are set up once per document and task and shared by its
+    records: the argument candidates of a document are the same for every
+    anchor."""
     shared: dict[tuple[str, str], TriggerCandidates | ArgumentCandidates] = {}
     for record in predictions.records:
         doc, key = corpus.get(record.doc_id), (record.doc_id, record.task)
         if key not in shared:
             shared[key] = TriggerCandidates(doc, policy) if key[1] == TASK_TRIGGER else ArgumentCandidates(doc)
-        yield record, shared[key], doc
+        yield step(record, *_decode(predictions.paradigm, record, shared[key], options, doc))
 
 
 def standardize_predictions(
@@ -306,10 +304,7 @@ def standardize_predictions(
     projection is pure-Python work, which threads cannot run in parallel
     and which measured slower in a thread pool.
     """
-    return tuple(
-        _project(predictions.paradigm, record, candidates, options, doc)
-        for record, candidates, doc in _with_candidates(predictions, corpus, policy)
-    )
+    return tuple(_each_record(_project, predictions, corpus, policy, options))
 
 
 def native_predictions(
@@ -318,22 +313,16 @@ def native_predictions(
     policy: CandidatePolicy = CandidatePolicy(),
     options: StandardizeOptions = StandardizeOptions(),
 ) -> tuple[StandardizedRecord, ...]:
-    """The predictions in their native output space, decoded as
-    `standardize_predictions` decodes them but neither matched nor
-    resolved: every prediction with a span is kept, in arrival order,
-    whether or not a candidate has that span and however often the span
-    repeats. Nothing is discarded. Not defined for generation output,
-    whose mentions have no positions without standardization: `evaluate`'s
-    protocol refuses it.
+    """The predictions in their native output space: the decoding of
+    `standardize_predictions` without its matching step. Every prediction
+    with a span is kept, in arrival order, whether or not a candidate has
+    that span and however often the span repeats. Nothing is discarded.
+    Not defined for generation output, whose mentions have no positions
+    without standardization: `evaluate`'s protocol refuses it.
     """
-    records = []
-    for record, candidates, doc in _with_candidates(predictions, corpus, policy):
-        provenance, _, decoded = _decode(predictions.paradigm, record, candidates, options, doc)
-        assignments = tuple(
-            Assignment(cid, span, label, provenance, confidence) for span, cid, label, confidence, _ in decoded
-        )
-        records.append(StandardizedRecord(record.doc_id, record.anchor, assignments, ()))
-    return tuple(records)
+    def keep(record, _, decoded):  # the native step: every decoded assignment, in arrival order
+        return StandardizedRecord(record.doc_id, record.anchor, tuple(a for a, _ in decoded), ())
+    return tuple(_each_record(keep, predictions, corpus, policy, options))
 
 
 def _record_to_obj(record: StandardizedRecord) -> dict:

@@ -878,6 +878,58 @@ def test_console_script_with_buffered_output_matches_main(tmp_path, corpus_path,
     assert results["console"] == results["main"]
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, corpus_path):
+    """Every output of a run, the order of its discard ledger included, is
+    the same under any string hash seed: nothing is written in the order
+    of a set. Each seed gets its own empty cache, so both runs parse the
+    corpus. Span predictions alone can repeat a candidate, so the SP file
+    holds duplicates on many of them."""
+    ed, sp, eae, variant = (tmp_path / name for name in ("ed.jsonl", "sp.jsonl", "eae.jsonl", "head.cfg"))
+    ed.write_bytes(dump_jsonl([{"doc_id": "doc-resignation", "task": "trigger", "assignments": [
+        {"candidate_id": cid, "label": label, "confidence": 0.5}
+        for cid, label in [("t:8:9", "End-Position"), ("t:17:18", "Die"), ("t:0:2", "Meet"), ("t:0:5", "Meet")]
+    ]}]))
+    sp.write_bytes(dump_jsonl([{"doc_id": "doc-resignation", "task": "trigger", "spans": [
+        {"span": [start, start + width], "label": label, "confidence": confidence}
+        for start in range(0, 18, 2) for width in (1, 3, 5)
+        for label, confidence in [("Meet", 0.5), ("Die", 0.5), ("Attack", 0.9 if start % 4 else 0.5)]
+    ]}]))
+    eae.write_bytes(dump_jsonl([{"doc_id": "doc-resignation", "task": "argument", "anchor": EP_ANCHOR, "items": [
+        {"mention": mention, "label": "Place"}
+        for mention in [["Musk"], ["Twitter"], ["Twitter"], ["Twitter"], ["Executive"], ["Elon", "Musk"], ["zzz"]]
+    ]}]))
+    variant.write_bytes(b"entity_mention_mode = head\ninclude_value = false\n")
+    common = ["--corpus", corpus_path, "--variant", variant, "--trigger-policy", "every_span_up_to_k", "--k", "3"]
+    runs = [
+        ["score", *common, "--ed-predictions", ed, "--ed-paradigm", "CLS", "--eae-predictions", eae,
+         "--eae-paradigm", "CG", "--mode", "pipeline", "--convention", "legacy", "--eae_match", "by_trigger_span",
+         "--dump-discards", "discards.jsonl", "--table", "table.txt", "--output", "report.json"],
+        ["standardize", *common, "--predictions", sp, "--paradigm", "SP", "--output", "sp_std.jsonl"],
+        ["standardize", *common, "--predictions", eae, "--paradigm", "CG", "--output", "eae_std.jsonl"],
+        ["stats", *common],
+        ["trigger-store", "put", "--store", "store", *common, "--predictions", ed, "--paradigm", "CLS",
+         "--producer", "p"],
+        ["trigger-store", "list", "--store", "store"],
+    ]
+    results = []
+    for seed in ("0", "1"):
+        (tmp_path / seed).mkdir()
+        env = {**_console_env(unbuffered=False), "PYTHONHASHSEED": seed,
+               "XDG_CACHE_HOME": str(tmp_path / f"cache{seed}")}
+        procs = [subprocess.run([sys.executable, "-m", "eescore", *map(str, argv)], cwd=tmp_path / seed, env=env,
+                                capture_output=True, timeout=60) for argv in runs]
+        files = {str(f.relative_to(tmp_path / seed)): f.read_bytes()
+                 for f in sorted((tmp_path / seed).rglob("*")) if f.is_file()}
+        results.append(([(proc.returncode, proc.stdout, proc.stderr) for proc in procs], files))
+    (outcomes, files), _ = results
+    assert [code for code, _, _ in outcomes] == [0] * len(runs)
+    ledger, standardized = files["discards.jsonl"], files["sp_std.jsonl"]
+    assert [ledger.count(reason) for reason in (b"unknown_candidate", b"overlap_mismatch", b"unplaceable")] == [1, 2, 2]
+    reasons = (b"duplicate_lower_confidence", b"duplicate_later_arrival", b"overlap_mismatch")
+    assert [standardized.count(reason) for reason in reasons] == [16, 20, 27]
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 def test_a_closed_stdout_exits_2(tmp_path, corpus_path, unbuffered):
     """A write to a stdout whose reader is gone fails, whether inside
@@ -1388,15 +1440,16 @@ _CONTENT_FAULTS["ed-put"] = _CONTENT_FAULTS["ed"]
 _CONTENT_FAULTS["store-entry"] = _CONTENT_FAULTS["triggers"]
 
 
-@pytest.mark.parametrize("fault", ["bad-byte", "syntax", "content"])
+@pytest.mark.parametrize("fault", ["bad-byte", "syntax", "long-integer", "content"])
 @pytest.mark.parametrize("target", ["corpus", "variant", "ed", "ed-put", "eae", "triggers", "store-entry", "manifest",
                                     "report"])
 def test_a_fault_on_line_3_of_any_input_names_the_input_and_the_line(tmp_path, corpus_path, capsys, target, fault):
     """Every file the CLI reads refuses a byte that is not UTF-8, a JSON
-    syntax error, or a line that decodes but breaks a rule of its reader,
-    on its line 3 with its documented exit code (2 for the corpus, the
-    variant config and a report, else 1), naming the input and the line.
-    The variant config is no JSON: its syntax error is its own. A report
+    syntax error, an integer too long to convert, or a line that decodes
+    but breaks a rule of its reader, on its line 3 with its documented
+    exit code (2 for the corpus, the variant config and a report, else 1),
+    naming the input and the line. The variant config is no JSON: its
+    syntax error is its own, and so is a line of JSON in it. A report
     or a manifest is one JSON value: what its reader refuses in that value
     is named without a line."""
     ed = cls_ed_file(tmp_path, corpus_path)
@@ -1428,6 +1481,7 @@ def test_a_fault_on_line_3_of_any_input_names_the_input_and_the_line(tmp_path, c
         "report": (report, "report", 2, ["compare", report, report]),
     }[target]
     lines = path.read_bytes().split(b"\n")
+    zeros = b"0" * sys.get_int_max_str_digits()  # after a 1, one digit more than an integer may have
     if target in ("manifest", "report") and fault == "content":  # a value that parses, but is no manifest or report
         value = json.loads(path.read_bytes())
         if target == "manifest":
@@ -1437,16 +1491,20 @@ def test_a_fault_on_line_3_of_any_input_names_the_input_and_the_line(tmp_path, c
         lines = [format_report(value).encode()]
         problem = "entry 0 lacks 'ed_f1'" if target == "manifest" else "not a score report (missing config)"
     elif target in ("manifest", "report"):  # one JSON value over several lines
-        lines[2] = (b"\xff" if fault == "bad-byte" else b",") + lines[2]
+        lines[2] = {"bad-byte": b"\xff", "syntax": b",", "long-integer": b'"n": 1' + zeros + b", "}[fault] + lines[2]
         problem = "line 3: invalid JSON (Expecting property name enclosed in double quotes) at column 1"
     elif fault == "content":  # one record or setting a line, after a blank line 2
         line, problem = _CONTENT_FAULTS[target]
         lines[1:] = [b"", (line if target == "variant" else canonical_line(line)).encode(), b""]
     else:
-        lines[1:] = [b"", b'{"doc_id": "\xff"}' if fault == "bad-byte" else b'{"doc_id": }', b""]
+        line = {"bad-byte": b'{"doc_id": "\xff"}', "syntax": b'{"doc_id": }',
+                "long-integer": b'{"doc_id": -1' + zeros + b"}"}[fault]
+        lines[1:] = [b"", line, b""]
         problem = "line 3: invalid JSON (Expecting value)"
-        if target == "variant" and fault == "syntax":
+        if target == "variant" and fault in ("syntax", "long-integer"):  # the variant config is no JSON
             problem = "line 3: expected 'key = value'"
+    if fault == "long-integer" and target != "variant":
+        problem = f"line 3: invalid JSON (an integer of more than {sys.get_int_max_str_digits()} digits)"
     path.write_bytes(b"\n".join(lines))
     expected = f"{name} {path}: {'line 3: not valid UTF-8' if fault == 'bad-byte' else problem}"
     capsys.readouterr()

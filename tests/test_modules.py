@@ -225,6 +225,28 @@ def test_only_the_console_script_ends_the_process():
     assert offenders == []
 
 
+def test_only_decode_reads_a_prediction_payload():
+    """A prediction record is decoded one way: `standardize._decode` alone
+    reads a `.payload`, as its file's paradigm types it, and both output
+    spaces take their predictions from it. `ingest` builds records
+    positionally, so it reads none."""
+    reads = []  # (where, whether `_decode` reads it)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decode = {
+            id(n)
+            for node in tree.body
+            if path.name == "standardize.py" and isinstance(node, ast.FunctionDef) and node.name == "_decode"
+            for n in ast.walk(node)
+        }
+        reads += [
+            (f"{path.name}:{node.lineno}", id(node) in decode)
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "payload"
+        ]
+    assert any(by_decode for _, by_decode in reads)  # the walk finds them
+    assert [where for where, by_decode in reads if not by_decode] == []
+
+
 def test_every_literal_refusal_is_tested_verbatim():
     """Each message that a module raises as a plain string literal appears
     verbatim in a string of a test or in a golden transcript, so no

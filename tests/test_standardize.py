@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from eescore.core import Corpus, Document, EntityMention, Span
 from eescore.ingest import CgItem, ParadigmPredictions
-from eescore.protocol import CandidatePolicy, StandardizeOptions
+from eescore.pipeline import evaluate
+from eescore.protocol import CandidatePolicy, Protocol, StandardizeOptions
 from eescore.standardize import (
     DISCARD_DUP_ARRIVAL,
     DISCARD_DUP_CONFIDENCE,
@@ -19,6 +20,7 @@ from eescore.standardize import (
     ArgumentCandidates,
     TriggerCandidates,
     decode_bio,
+    native_predictions,
     position_cg,
     serialize_standardized,
     standardize_predictions,
@@ -587,6 +589,43 @@ def test_projection_equals_reference(seed, paradigm, policy, stray_i):
         # an original is rendered only for a discard: a plain object, the bytes the reference renders up front
         assert all(type(d.original) is dict for record in got for d in record.discarded)
         assert serialize_standardized(got) == serialize_standardized(want)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["CLS", "SL", "SP"]), policies,
+       st.sampled_from(["open_span", "discard"]))
+@settings(max_examples=150, deadline=None)
+def test_the_two_output_spaces_differ_only_by_matching(seed, paradigm, policy, stray_i):
+    """Per record, native output holds the (span, label) of every
+    standardized assignment and of every prediction that matching
+    discarded: a span that is no candidate and a losing duplicate. For
+    classification, which matching leaves alone, the two reports agree."""
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, max_tokens=10)
+    ed = random_trigger_predictions(rng, corpus, paradigm)
+    eae = random_argument_predictions(rng, corpus, paradigm, gold_anchor_table(corpus))
+    options = StandardizeOptions(stray_i)
+    for preds in (ed, eae):
+        native = native_predictions(preds, corpus, policy, options)
+        standardized = standardize_predictions(preds, corpus, policy, options)
+        for n, s in zip(native, standardized, strict=True):
+            doc = corpus.get(s.doc_id)
+            candidates = TriggerCandidates(doc, policy) if s.task == "trigger" else ArgumentCandidates(doc)
+            matched_away = [
+                (Span(*d.original["span"]) if "span" in d.original else candidates.span_of(d.original["candidate_id"]),
+                 d.original["label"])
+                for d in s.discarded if d.reason in (DISCARD_OVERLAP, DISCARD_DUP_CONFIDENCE, DISCARD_DUP_ARRIVAL)
+            ]
+            assert (n.doc_id, n.anchor, n.discarded) == (s.doc_id, s.anchor, ())
+            assert Counter((a.span, a.label) for a in n.assignments) == Counter(
+                [(a.span, a.label) for a in s.assignments] + matched_away
+            )
+    if paradigm == "CLS":
+        reports = [
+            evaluate(corpus, Protocol(trigger_policy=policy.trigger_policy, k=policy.k, stray_i=stray_i,
+                                      standardize=flag), ed_pred=ed, eae_pred=eae)[:2]
+            for flag in (True, False)
+        ]
+        assert reports[0] == reports[1]
 
 
 def test_jobs_do_not_change_output():
