@@ -73,8 +73,26 @@ class Anchor(NamedTuple):
     trigger: Span
     event_type: str
 
-    def as_dict(self) -> dict:
-        return {"trigger": self.trigger.as_pair(), "event_type": self.event_type}
+
+def plain(value):
+    """A value as a prediction or trigger file spells it in JSON: a span as its [start, end] pair, any other record
+    or a dict as the object of its fields that are set (not None), a tuple or a list as an array.
+
+    >>> plain((Anchor(Span(3, 4), "Attack"), {"label": "A", "confidence": None}))
+    [{'trigger': [3, 4], 'event_type': 'Attack'}, {'label': 'A'}]
+    """
+    kind = type(value)
+    if kind is Span:
+        return [value.start, value.end]
+    if kind is tuple or kind is list:
+        return [v if type(v) is str else plain(v) for v in value]
+    if kind is not dict and not issubclass(kind, tuple):
+        return value
+    obj = {}  # a loop: on Python 3.11 a comprehension makes a function object per call
+    for name, v in value.items() if kind is dict else zip(kind._fields, value):
+        if v is not None:
+            obj[name] = v if type(v) is str else plain(v)
+    return obj
 
 
 def task_of(record) -> str:

@@ -35,6 +35,7 @@ from .core import (
     PredictedTrigger,
     Span,
     TriggerContext,
+    plain,
     task_of,
     validate_document,
 )
@@ -73,19 +74,10 @@ _RECORD_FIELDS = frozenset(("doc_id", "task", "anchor"))  # plus the paradigm's 
 _TRIGGER_FILE_FIELDS = frozenset(("doc_id", "triggers"))
 
 
-def _with_confidence(obj: dict, confidence: float | None) -> dict:
-    if confidence is not None:
-        obj["confidence"] = confidence
-    return obj
-
-
 class ClsAssignment(NamedTuple):
     candidate_id: str
     label: str
     confidence: float | None = None
-
-    def as_dict(self) -> dict:
-        return _with_confidence({"candidate_id": self.candidate_id, "label": self.label}, self.confidence)
 
 
 class SpanPrediction(NamedTuple):
@@ -93,17 +85,11 @@ class SpanPrediction(NamedTuple):
     label: str
     confidence: float | None = None
 
-    def as_dict(self) -> dict:
-        return _with_confidence({"span": self.span.as_pair(), "label": self.label}, self.confidence)
-
 
 class CgItem(NamedTuple):
     mention: tuple[str, ...]
     label: str
     confidence: float | None = None
-
-    def as_dict(self) -> dict:
-        return _with_confidence({"mention": list(self.mention), "label": self.label}, self.confidence)
 
 
 class PredictionRecord(NamedTuple):
@@ -121,6 +107,12 @@ class PredictionRecord(NamedTuple):
 class ParadigmPredictions(NamedTuple):
     paradigm: str  # the one statement of its records' paradigm, which types each payload
     records: tuple[PredictionRecord, ...]
+
+
+class _Parsed(ParadigmPredictions):
+    """What `parse_predictions` returns: `checked` holds the (task or None, corpus) it checked the records for."""
+
+    _make = ParadigmPredictions._make  # so a `_replace` copy, whose records no parse checked, is not a _Parsed
 
 
 # the objects whose keys are the fields of a record type
@@ -300,18 +292,10 @@ def _document_to_obj(doc: Document) -> dict:
     return {
         "id": doc.id,
         "tokens": list(doc.tokens),
-        "sentences": [s.as_pair() for s in doc.sentences],
-        "entities": [
-            {"id": m.id, "span": m.span.as_pair(), "head_span": m.head_span.as_pair(), "kind": m.kind}
-            for m in doc.entities
-        ],
-        "events": [
-            {
-                "id": e.id,
-                "type": e.event_type,
-                "trigger": e.trigger.as_pair(),
-                "arguments": [{"entity_id": a.entity_id, "role": a.role} for a in e.arguments],
-            }
+        "sentences": plain(doc.sentences),
+        "entities": plain(doc.entities),
+        "events": [  # a file spells an event's `event_type` as "type"
+            {"id": e.id, "type": e.event_type, "trigger": plain(e.trigger), "arguments": plain(e.arguments)}
             for e in doc.events
         ],
     }
@@ -402,11 +386,13 @@ _PAYLOADS = {
 }
 
 
-def parse_predictions(data: bytes, paradigm: str, corpus: Corpus) -> ParadigmPredictions:
+def parse_predictions(data: bytes, paradigm: str, corpus: Corpus, task: str | None = None) -> ParadigmPredictions:
     """Parses one paradigm's prediction file, cross-validated against the corpus.
 
     Generation-order of CG items is preserved exactly. Labels outside the
     corpus schema are accepted; they simply never match at scoring time.
+    With `task`, the first record of another task is a ValidationError at
+    its line. The result's type says what was checked (`checked_predictions`).
     """
     if paradigm not in PARADIGMS:
         raise ValueError(f"unknown paradigm {paradigm!r}; expected one of {PARADIGMS}")
@@ -425,12 +411,12 @@ def parse_predictions(data: bytes, paradigm: str, corpus: Corpus) -> ParadigmPre
             raise ParseError(f"unknown doc_id {doc_id!r}", line)
         n = len(corpus.get(doc_id).tokens)
 
-        task = _text(obj, "task", line, share)
-        if task not in TASKS:
-            raise ParseError(f"task must be one of {TASKS}, got {task!r}", line)
+        kind = _text(obj, "task", line, share)
+        if kind not in TASKS:
+            raise ParseError(f"task must be one of {TASKS}, got {kind!r}", line)
 
         anchor = None
-        if task == TASK_ARGUMENT:
+        if kind == TASK_ARGUMENT:
             anchor = _parse_anchor(_require(obj, "anchor", line), n, line, share)
         elif "anchor" in obj:
             raise ParseError("anchor is only allowed when task is 'argument'", line)
@@ -442,17 +428,30 @@ def parse_predictions(data: bytes, paradigm: str, corpus: Corpus) -> ParadigmPre
 
         payload = parse_payload(_require(obj, payload_field, line), n, line, share)
         records.append(PredictionRecord(doc_id, anchor, payload, line))
-    return ParadigmPredictions(paradigm=paradigm, records=tuple(records))
-
-
-def require_task(predictions: ParadigmPredictions, task: str) -> ParadigmPredictions:
-    """`predictions`, whose records must all be of `task`: the first of another is a ValidationError at its line."""
-    for record in predictions.records:
+    for record in records if task else ():  # after the parse, so a fault of the file comes first
         if record.task != task:
             raise ValidationError(
                 f"record for doc {record.doc_id!r} has task {record.task!r}; expected {task!r}", record.line
             )
-    return predictions
+    parsed = _Parsed(paradigm, tuple(records))
+    parsed.checked = (task, corpus)
+    return parsed
+
+
+def checked_predictions(predictions: ParadigmPredictions, corpus: Corpus, task: str) -> ParadigmPredictions:
+    """`predictions` as `parse_predictions` checks them for `task` against `corpus`: what it returned for both
+    passes unchanged, and any other value is written as its file and parsed, each record on its `line` when
+    that comes after the line before (blank lines fill the gap), else on the next: lines of 0 go on 1, 2, ..."""
+    if type(predictions) is _Parsed and predictions.checked[0] == task and predictions.checked[1] is corpus:
+        return predictions
+    payload_field, text, end = _PAYLOADS[predictions.paradigm][0], [], 0
+    for record in predictions.records:
+        doc_id, anchor, payload, line = record  # spelled as it is: `standardize._decode` alone reads a payload
+        line = line if type(line) is int and line > end else end + 1
+        obj = plain({"doc_id": doc_id, "task": record.task, "anchor": anchor}) | {payload_field: plain(payload)}
+        text += "\n" * (line - end - 1), canonical_line(obj, default=repr), "\n"
+        end = line
+    return parse_predictions("".join(text).encode("utf-8", "surrogatepass"), predictions.paradigm, corpus, task)
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +489,7 @@ def serialize_trigger_context(context: TriggerContext) -> bytes:
     """The predicted-trigger file of a context: one line per document that
     has triggers, in doc_id order."""
     return dump_jsonl(
-        {
-            "doc_id": doc_id,
-            "triggers": [
-                _with_confidence({"span": t.span.as_pair(), "event_type": t.event_type}, t.confidence)
-                for t in triggers
-            ],
-        }
-        for doc_id, triggers in sorted(context.triggers.items())
+        {"doc_id": doc_id, "triggers": plain(triggers)} for doc_id, triggers in sorted(context.triggers.items())
         if triggers
     )
 
@@ -565,10 +557,9 @@ def load_corpus(path) -> Corpus:
 
 
 def load_predictions(path, paradigm: str, corpus: Corpus, task: str | None = None) -> ParadigmPredictions:
-    """`parse_predictions` of a file; with `task`, as `require_task` checks it."""
+    """`parse_predictions` of a file."""
     with open(path, "rb") as f:
-        predictions = parse_predictions(f.read(), paradigm, corpus)
-    return predictions if task is None else require_task(predictions, task)
+        return parse_predictions(f.read(), paradigm, corpus, task)
 
 
 def load_trigger_file(path, corpus: Corpus) -> TriggerContext:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .core import TASK_ARGUMENT, TASK_TRIGGER, Corpus, TriggerContext
 from .errors import ConfigError, ContextError, StoreError, ToolkitError, naming
-from .ingest import ParadigmPredictions, corpus_hash, require_task
+from .ingest import ParadigmPredictions, checked_predictions, corpus_hash
 from .ingest import parse_trigger_file, serialize_trigger_context  # noqa: F401 (bench/traced.py imports them from here)
 from .jsonio import canonical_line, format_report, read_json, write_atomic
 from .metrics import EvalReport, argument_items_from, score_argument_items, score_trigger_items, trigger_items_from
@@ -70,7 +70,8 @@ def evaluate(
     given. A protocol without standardization scores the predictions in
     their native output space (`native_predictions`), which has no
     discard ledger; each file's paradigm is bound into the protocol, which
-    refuses generation output there.
+    refuses generation output there. Predictions are checked for their
+    task against `corpus` as a file of them is (`checked_predictions`).
     """
     protocol = replace(protocol, ed_paradigm=ed_pred and ed_pred.paradigm, eae_paradigm=eae_pred and eae_pred.paradigm)
     mode, convention, standardize = protocol.mode, protocol.convention, protocol.standardize
@@ -79,7 +80,7 @@ def evaluate(
 
     ed_report = ed_std = ed_items = None
     if ed_pred is not None:
-        require_task(ed_pred, TASK_TRIGGER)
+        ed_pred = checked_predictions(ed_pred, corpus, TASK_TRIGGER)
         ed_space = output_space(ed_pred, corpus, policy, options)
         ed_std = ed_space if standardize else None
         ed_items = trigger_items_from(ed_space)
@@ -96,7 +97,7 @@ def evaluate(
 
     eae_report = eae_std = None
     if eae_pred is not None:
-        require_task(eae_pred, TASK_ARGUMENT)
+        eae_pred = checked_predictions(eae_pred, corpus, TASK_ARGUMENT)
         _check_anchors(eae_pred, context)
         eae_space = output_space(eae_pred, corpus, policy, options)
         eae_std = eae_space if standardize else None

@@ -16,8 +16,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .core import TASK_TRIGGER, Anchor, Corpus, Document, Span, task_of
-from .ingest import CgItem, ParadigmPredictions, PredictionRecord, SpanPrediction
+from .core import TASK_TRIGGER, Anchor, Corpus, Document, Span, plain, task_of
+from .ingest import CgItem, ParadigmPredictions, PredictionRecord
 from .jsonio import dump_jsonl
 from .protocol import PARADIGM_CLS, PARADIGM_SL, PARADIGM_SP, STRAY_I_DISCARD, STRAY_I_OPEN
 from .protocol import CandidatePolicy, StandardizeOptions
@@ -51,7 +51,7 @@ class Discard(NamedTuple):
     original: dict  # JSON-ready description of the discarded prediction
 
 
-_Decoded = tuple[Assignment, Callable[[], dict]]  # a decoded prediction, and the rendering of it that a discard keeps
+_Decoded = tuple[Assignment, object]  # a decoded prediction, and what a discard of it renders with `plain`
 
 
 class StandardizedRecord(NamedTuple):
@@ -199,16 +199,16 @@ def _decode(
     """The one place that reads a record's payload, which it reads as its file's paradigm says.
 
     Returns the discards found while decoding, and each positioned prediction in arrival order as an
-    (assignment, render) pair: the assignment's candidate id is None when no candidate has exactly its
-    span, and `render()` gives the JSON description of the prediction, which only a discard needs. The
-    discards are a classification id that names no candidate, a generated mention with no occurrence
-    left and, under `--stray_i discard`, a stray I tag that was dropped.
+    (assignment, prediction) pair: the assignment's candidate id is None when no candidate has exactly its
+    span, and the prediction is what a discard of it renders. The discards are a classification id that
+    names no candidate, a generated mention with no occurrence left and, under `--stray_i discard`, a
+    stray I tag that was dropped.
     """
     if paradigm == PARADIGM_CLS:
         located = [(a, candidates.span_of(a.candidate_id)) for a in record.payload]
-        unknown = [Discard(DISCARD_UNKNOWN_CANDIDATE, a.as_dict()) for a, span in located if span is None]
+        unknown = [Discard(DISCARD_UNKNOWN_CANDIDATE, plain(a)) for a, span in located if span is None]
         return unknown, (
-            (Assignment(a.candidate_id, span, a.label, PROV_NATIVE, a.confidence), a.as_dict)
+            (Assignment(a.candidate_id, span, a.label, PROV_NATIVE, a.confidence), a)
             for a, span in located if span is not None
         )
     if paradigm == PARADIGM_SL:
@@ -222,19 +222,18 @@ def _decode(
                 if tag != "O" and t not in covered
             ]
         return strays, (
-            (Assignment(candidates.id_of(span), span, label, PROV_PROJECTED),
-             lambda span=span, label=label: SpanPrediction(span, label).as_dict())
+            (Assignment(candidates.id_of(span), span, label, PROV_PROJECTED), {"span": span, "label": label})
             for span, label in decoded
         )
     if paradigm == PARADIGM_SP:
         return [], (
-            (Assignment(candidates.id_of(sp.span), sp.span, sp.label, PROV_PROJECTED, sp.confidence), sp.as_dict)
+            (Assignment(candidates.id_of(sp.span), sp.span, sp.label, PROV_PROJECTED, sp.confidence), sp)
             for sp in record.payload
         )
     placed, unplaceable = position_cg(record.payload, doc)
-    return [Discard(DISCARD_UNPLACEABLE, it.as_dict()) for it in unplaceable], (
+    return [Discard(DISCARD_UNPLACEABLE, plain(it)) for it in unplaceable], (
         (Assignment(candidates.id_of(span), span, it.label, PROV_POSITIONED, it.confidence),
-         lambda it=it, span=span: {**it.as_dict(), "span": span.as_pair()})
+         {"mention": it.mention, "label": it.label, "confidence": it.confidence, "span": span})
         for span, it in placed
     )
 
@@ -253,7 +252,7 @@ def _project(record: PredictionRecord, discards: list[Discard], decoded: Iterato
     for pair in decoded:
         cid = pair[0].candidate_id
         if cid is None:
-            discards.append(Discard(DISCARD_OVERLAP, pair[1]()))
+            discards.append(Discard(DISCARD_OVERLAP, plain(pair[1])))
         else:
             groups.setdefault(cid, []).append(pair)
 
@@ -266,7 +265,7 @@ def _project(record: PredictionRecord, discards: list[Discard], decoded: Iterato
             for a, original in group:
                 if a is not best:
                     reason = DISCARD_DUP_CONFIDENCE if a.confidence != best.confidence else DISCARD_DUP_ARRIVAL
-                    discards.append(Discard(reason, original()))
+                    discards.append(Discard(reason, plain(original)))
             best = best._replace(provenance=PROV_RESOLVED_DUPLICATE)
         assignments.append(best)
     assignments.sort(key=lambda a: (a.span, a.candidate_id))  # canonical order: (start, end), then id
@@ -278,7 +277,7 @@ def _each_record(
     options: StandardizeOptions,
 ) -> Iterator[StandardizedRecord]:
     """The one pass over a prediction file: decodes each record once and
-    hands it, with its decoding discards and its (assignment, render)
+    hands it, with its decoding discards and its (assignment, prediction)
     pairs, to `step`, which makes its output record, in input order.
     Candidates are set up once per document and task and shared by its
     records: the argument candidates of a document are the same for every
@@ -325,24 +324,14 @@ def native_predictions(
     return tuple(_each_record(keep, predictions, corpus, policy, options))
 
 
-def _record_to_obj(record: StandardizedRecord) -> dict:
-    obj: dict = {"doc_id": record.doc_id}
-    if record.anchor is not None:
-        obj["anchor"] = record.anchor.as_dict()
-    obj["assignments"] = [
-        {"candidate_id": a.candidate_id, "label": a.label, "provenance": a.provenance}
-        for a in record.assignments
-    ]
-    obj["discarded"] = [{"reason": d.reason, "original": d.original} for d in record.discarded]
-    return obj
-
-
 def serialize_standardized(standardized: Sequence[StandardizedRecord]) -> bytes:
-    return dump_jsonl(_record_to_obj(r) for r in standardized)
+    return dump_jsonl(plain({"doc_id": r.doc_id, "anchor": r.anchor, "discarded": r.discarded, "assignments": [
+        {"candidate_id": a.candidate_id, "label": a.label, "provenance": a.provenance} for a in r.assignments
+    ]}) for r in standardized)
 
 
 def serialize_discards(*standardized: Sequence[StandardizedRecord] | None) -> bytes:
     """The discard ledger: a row per discarded prediction, in record order; a task given as None has none."""
     return dump_jsonl({"doc_id": r.doc_id, "task": r.task, "reason": d.reason, "original": d.original}
-                      | ({} if r.anchor is None else {"anchor": r.anchor.as_dict()})
+                      | ({} if r.anchor is None else {"anchor": plain(r.anchor)})
                       for records in standardized if records is not None for r in records for d in r.discarded)

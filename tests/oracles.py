@@ -298,11 +298,21 @@ def validate_corpus(corpus: Corpus) -> list[str]:
     return out
 
 
+def _payload_obj(p) -> dict:
+    """A payload element as the file format spells it, written here apart from the package's encoder."""
+    if isinstance(p, ClsAssignment):
+        return _json_prediction({"candidate_id": p.candidate_id}, p.label, p.confidence)
+    if isinstance(p, SpanPrediction):
+        return _json_prediction({"span": [p.span.start, p.span.end]}, p.label, p.confidence)
+    return _json_prediction({"mention": list(p.mention)}, p.label, p.confidence)
+
+
 def _prediction_to_obj(record: PredictionRecord, payload_field: str) -> dict:
     obj: dict = {"doc_id": record.doc_id, "task": record.task}
     if record.anchor is not None:
-        obj["anchor"] = record.anchor.as_dict()
-    obj[payload_field] = [p if isinstance(p, str) else p.as_dict() for p in record.payload]
+        trigger = record.anchor.trigger
+        obj["anchor"] = {"trigger": [trigger.start, trigger.end], "event_type": record.anchor.event_type}
+    obj[payload_field] = [p if isinstance(p, str) else _payload_obj(p) for p in record.payload]
     return obj
 
 

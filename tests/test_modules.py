@@ -247,6 +247,21 @@ def test_only_decode_reads_a_prediction_payload():
     assert [where for where, by_decode in reads if not by_decode] == []
 
 
+def test_one_encoder_spells_a_record():
+    """A record is spelled as JSON by `core.plain` alone. `as_dict` is kept
+    only where a record is not spelled field for field: `EvalReport`
+    computes its scores, `ConfusionCounts` (which `bench/traced.py` calls)
+    renders inside it, and `VariantConfig` is a dataclass."""
+    defining = sorted(
+        node.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(m, ast.FunctionDef) and m.name == "as_dict" for m in node.body)
+    )
+    assert defining == ["ConfusionCounts", "EvalReport", "VariantConfig"]
+
+
 def test_every_literal_refusal_is_tested_verbatim():
     """Each message that a module raises as a plain string literal appears
     verbatim in a string of a test or in a golden transcript, so no
