@@ -1,3 +1,4 @@
 from .cli import entry_point
 
-entry_point()
+if __name__ == "__main__":
+    entry_point()

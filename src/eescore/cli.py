@@ -24,7 +24,7 @@ from .errors import ConfigError, ContextError, ToolkitError, naming
 from .ingest import load_corpus, load_predictions, load_trigger_file, parse_trigger_file, serialize_trigger_context
 from .jsonio import canonical_line, format_report, read_json, write_atomic
 from .metrics import EvalReport
-from .pipeline import TriggerStore, corpus_fingerprint, evaluate
+from .pipeline import EvaluationResult, TriggerStore, corpus_fingerprint, evaluate
 from .protocol import (
     MODE_GOLD_TRIGGER, MODE_PIPELINE, PROTOCOL_CHOICES, TRIGGER_POLICY_SPANS_UP_TO_K, Protocol, is_score, protocol_keys,
 )
@@ -208,14 +208,18 @@ def _validate_score_flags(args) -> None:
         )
 
 
-def _pipeline_context(args, corpus, fingerprint: str) -> TriggerContext | None:
+def _pipeline_context(args, corpus, fingerprint: str, ed: EvaluationResult) -> TriggerContext | None:
+    """The trigger context that pipeline mode scores EAE against: the trigger file's, the store entry's, or
+    else the one `evaluate` built from the ED predictions (`ed`)."""
+    if args.mode != MODE_PIPELINE:
+        return None
     if args.triggers:
         return _read(args.triggers, "trigger file", load_trigger_file, corpus)
     if args.store:
         entry, payload = _store_entry(args, fingerprint)
         with naming("trigger store entry", Path(args.store, entry.file)):
             return parse_trigger_file(payload, corpus, source=f"store:{entry.producer}")
-    return None
+    return ed.trigger_context
 
 
 def cmd_score(args) -> int:
@@ -224,33 +228,38 @@ def cmd_score(args) -> int:
     cfg, corpus = _load_inputs(args)
     fingerprint = corpus_fingerprint(corpus, cfg)
     corpus, _ = apply_variant(corpus, cfg)  # the unvaried corpus is not kept alive
-    ed_pred = eae_pred = None
+    # ED is scored before the EAE file is read, and no parsed file has a name here, so `evaluate` lets each
+    # file go once it is standardized: the two files are never held at once
+    ed = EvaluationResult()
     if args.ed_predictions:
-        ed_pred = _read(args.ed_predictions, "ED prediction file", load_predictions, args.ed_paradigm, corpus,
-                        TASK_TRIGGER)
-    if args.eae_predictions:
-        eae_pred = _read(args.eae_predictions, "EAE prediction file", load_predictions, args.eae_paradigm, corpus,
-                         TASK_ARGUMENT)
-    trigger_context = _pipeline_context(args, corpus, fingerprint) if args.mode == MODE_PIPELINE else None
+        ed = evaluate(corpus, protocol, ed_pred=_read(
+            args.ed_predictions, "ED prediction file", load_predictions, args.ed_paradigm, corpus, TASK_TRIGGER))
+        if args.mode != MODE_PIPELINE:  # EAE builds the gold context afresh: ED's would be a second copy
+            ed = ed._replace(trigger_context=None)
     with naming("EAE prediction file", args.eae_predictions, ContextError):  # an anchor outside the context
-        result = evaluate(corpus, protocol, ed_pred=ed_pred, eae_pred=eae_pred, trigger_context=trigger_context)
+        eae = evaluate(
+            corpus, protocol,
+            eae_pred=_read(args.eae_predictions, "EAE prediction file", load_predictions, args.eae_paradigm, corpus,
+                           TASK_ARGUMENT) if args.eae_predictions else None,
+            trigger_context=_pipeline_context(args, corpus, fingerprint, ed),
+        )
 
     payload = {
         "config": _resolved_config(args, cfg, protocol),
         "fingerprint": fingerprint,
-        "ed": result.ed_report.as_dict() if result.ed_report else None,
-        "eae": result.eae_report.as_dict() if result.eae_report else None,
+        "ed": ed.ed_report.as_dict() if ed.ed_report else None,
+        "eae": eae.eae_report.as_dict() if eae.eae_report else None,
     }
     report_text = format_report(payload)
     write_atomic(args.output, report_text.encode("utf-8"))
 
-    table = _format_table(result.ed_report, result.eae_report)
+    table = _format_table(ed.ed_report, eae.eae_report)
     print(table, end="")
     if args.table:
         write_atomic(args.table, table.encode("utf-8"))
 
     if args.dump_discards:
-        write_atomic(args.dump_discards, serialize_discards(result.ed_standardized, result.eae_standardized))
+        write_atomic(args.dump_discards, serialize_discards(ed.ed_with_discards, eae.eae_with_discards))
     return 0
 
 
@@ -262,8 +271,9 @@ def cmd_standardize(args) -> int:
     protocol = _protocol(args)
     cfg, corpus = _load_inputs(args)
     corpus, _ = apply_variant(corpus, cfg)
-    predictions = _read(args.predictions, "prediction file", load_predictions, args.paradigm, corpus)
-    standardized = standardize_predictions(predictions, corpus, protocol.policy, protocol.options)
+    standardized = standardize_predictions(  # the parsed file is unnamed: it goes once standardized
+        _read(args.predictions, "prediction file", load_predictions, args.paradigm, corpus), corpus, protocol.policy,
+        protocol.options)
     write_atomic(args.output, serialize_standardized(standardized))
     return 0
 
@@ -342,8 +352,8 @@ def cmd_store_put(args) -> int:
     cfg, corpus = _load_inputs(args)
     fingerprint = corpus_fingerprint(corpus, cfg)
     corpus, _ = apply_variant(corpus, cfg)  # the unvaried corpus is not kept alive
-    predictions = _read(args.predictions, "ED prediction file", load_predictions, args.paradigm, corpus, TASK_TRIGGER)
-    result = evaluate(corpus, protocol, ed_pred=predictions)
+    result = evaluate(corpus, protocol, ed_pred=_read(  # unnamed: its records go once standardized
+        args.predictions, "ED prediction file", load_predictions, args.paradigm, corpus, TASK_TRIGGER))
     trigger_bytes = serialize_trigger_context(result.trigger_context)
     entry = store.put(
         corpus_id=Path(args.corpus).name,
@@ -471,6 +481,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         _refuse_non_utf8(parser, args)
+        parser = None  # the argparse tree goes before the command runs
         return args.func(args)
     except ConfigError as exc:
         _err(exc)

@@ -19,7 +19,7 @@ import os
 import re
 import sys
 from contextlib import suppress
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -42,11 +42,6 @@ from .core import (
 from .errors import ParseError, ValidationError
 from .jsonio import canonical_line, decode, dump_jsonl, lines, loads, write_atomic
 from .protocol import PARADIGM_CG, PARADIGM_CLS, PARADIGM_SL, PARADIGM_SP, PARADIGMS
-
-try:  # pickle's C core, without the pure-Python pickler that `import pickle` also loads
-    from _pickle import Pickler, Unpickler
-except ImportError:
-    from pickle import Pickler, Unpickler
 
 # the interpreter's built-in SHA-256 gives hashlib's digest without loading OpenSSL
 try:
@@ -498,11 +493,28 @@ def serialize_trigger_context(context: TriggerContext) -> bytes:
 # file helpers
 
 
-class _Entry(Unpickler):
-    # what a cache entry may name: the corpus's record types, and no other class or function
-    types = {(t.__module__, t.__name__): t for t in (Span, EntityMention, Argument, EventAnnotation, Document)}
-    def find_class(self, module, name):
-        return self.types[module, name]  # a KeyError on any other: the entry is read as a miss
+# what a cache entry may name: the corpus's record types, and no other class or function
+_ENTRY_TYPES = {(t.__module__, t.__name__): t for t in (Span, EntityMention, Argument, EventAnnotation, Document)}
+
+
+def _pickle_core():
+    """pickle's C core, without the pure-Python pickler that `import pickle` also loads; imported only where a
+    cache entry is read or written, so a command that reads no corpus does not load it."""
+    try:
+        import _pickle as core
+    except ImportError:
+        import pickle as core
+    return core
+
+
+@cache  # one class: the data path leaves no cycle for a collector that is off
+def _entry_unpickler() -> type:
+    """The unpickler of a cache entry: it finds only `_ENTRY_TYPES`, and any other name is a KeyError, so the
+    entry is read as a miss."""
+    class Entry(_pickle_core().Unpickler):
+        def find_class(self, module, name):
+            return _ENTRY_TYPES[module, name]
+    return Entry
 
 
 def _cache_entry(raw) -> Path:
@@ -517,7 +529,8 @@ def _cache_entry(raw) -> Path:
 
 def _dump(name: str, raw, corpus: Corpus, shared: tuple, f) -> None:
     """A header with the shared values, then 16 documents a pickle, each pickled from the header's memo."""
-    head, body = Pickler(f, 2), Pickler(f, 2)  # protocol 2 names the memo index of each value it keeps
+    pickler = _pickle_core().Pickler
+    head, body = pickler(f, 2), pickler(f, 2)  # protocol 2 names the memo index of each value it keeps
     head.dump((name, corpus.hash_state.digest() == raw.digest(), len(corpus), shared))  # was it canonical?
     for start in range(0, len(corpus), 16):
         body.memo = head.memo
@@ -534,7 +547,8 @@ def load_corpus(path) -> Corpus:
     with suppress(Exception):  # no home, or an unreadable, truncated, foreign or garbage entry
         entry = _cache_entry(raw)
         with open(entry, "rb") as f:
-            head, body, documents = _Entry(f), _Entry(f), []
+            entry_unpickler = _entry_unpickler()
+            head, body, documents = entry_unpickler(f), entry_unpickler(f), []
             name, canonical, count, _ = head.load()
             while name == entry.name and len(documents) < count:
                 body.memo = head.memo  # the shared values, at the indices the writer gave them

@@ -15,7 +15,7 @@ trigger was not predicted, which inflates recall on imperfect triggers.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .core import NIL_LABEL, TASK_ARGUMENT, TASK_TRIGGER, Corpus, Span
 from .errors import ValidationError
@@ -95,9 +95,17 @@ class ArgumentItem(NamedTuple):
     role: str
 
 
-def _match(
-    pred_keys: Iterable[tuple], gold_keys: Iterable[tuple]
-) -> tuple[ConfusionCounts, dict, ConfusionCounts]:
+def _counted(corpus: Corpus, keys: Iterable[tuple]) -> Counter:
+    """How often each predicted key occurs, counted in one pass; a key's
+    first element is its document's id, which `corpus` must hold."""
+    counts = Counter(keys)
+    for doc_id in {key[0] for key in counts}:
+        if doc_id not in corpus:
+            raise ValidationError(f"predictions refer to unknown document {doc_id!r}")
+    return counts
+
+
+def _match(pred: Counter, gold: Counter) -> tuple[ConfusionCounts, dict, ConfusionCounts]:
     """Multiset matching: each gold consumed at most once, no double credit.
 
     A key's label is its last element and the rest is what identification
@@ -106,8 +114,6 @@ def _match(
     and a label-free key min(p, g) to identification, with p and g summed
     over its labels. Returns the total, per-label and identification counts.
     """
-    pred = Counter(pred_keys)
-    gold = Counter(gold_keys)
     rows: dict[str, list[int]] = {}  # label -> [tp, fp, fn]
     unlabeled: dict[tuple, list[int]] = {}  # key without label -> [predicted, gold]
     for key, p in pred.items():
@@ -127,27 +133,20 @@ def _match(
     return total, per_label, identification
 
 
-def _check_docs(corpus: Corpus, doc_ids: Iterable[str]) -> None:
-    for doc_id in doc_ids:
-        if doc_id not in corpus:
-            raise ValidationError(f"predictions refer to unknown document {doc_id!r}")
-
-
 def score_trigger_items(
     corpus: Corpus,
-    items: Sequence[TriggerItem],
+    items: Iterable[TriggerItem],
     mode: str = MODE_GOLD_TRIGGER,
     convention: str = CONVENTION_MODERN,
 ) -> EvalReport:
     """Scores trigger predictions given as bare (doc, span, label) items, each its own match key."""
-    _check_docs(corpus, {it.doc_id for it in items})
-    gold = [(d.id, e.trigger, e.event_type) for d in corpus for e in d.events]
-    return EvalReport(TASK_ED, mode, convention, *_match(items, gold))
+    gold = ((d.id, e.trigger, e.event_type) for d in corpus for e in d.events)
+    return EvalReport(TASK_ED, mode, convention, *_match(_counted(corpus, items), Counter(gold)))
 
 
 def score_argument_items(
     corpus: Corpus,
-    items: Sequence[ArgumentItem],
+    items: Iterable[ArgumentItem],
     trigger_context,
     convention: str = CONVENTION_MODERN,
     mode: str = MODE_GOLD_TRIGGER,
@@ -159,9 +158,10 @@ def score_argument_items(
     event with the anchored type; `by_trigger_span` additionally requires
     the anchoring trigger span to equal the gold event's trigger. Legacy
     convention drops gold arguments of events whose (trigger, type) is
-    absent from the trigger context.
+    absent from the trigger context. The items are read once, so an
+    iterator that holds the only reference to them lets them go once
+    they are counted.
     """
-    _check_docs(corpus, {it.doc_id for it in items})
     scope = trigger_context.keys if convention == CONVENTION_LEGACY else None
     gold = (
         (doc.id, ev.trigger, ev.event_type, doc.entities_by_id[arg.entity_id].span, arg.role)
@@ -171,9 +171,9 @@ def score_argument_items(
         for arg in ev.arguments
     )
     if eae_match != EAE_MATCH_BY_TRIGGER:  # items and gold match without their trigger
-        items = [(d, t, s, r) for d, _, t, s, r in items]
-        gold = [(d, t, s, r) for d, _, t, s, r in gold]
-    return EvalReport(TASK_EAE, mode, convention, *_match(items, gold))
+        items = ((d, t, s, r) for d, _, t, s, r in items)
+        gold = ((d, t, s, r) for d, _, t, s, r in gold)
+    return EvalReport(TASK_EAE, mode, convention, *_match(_counted(corpus, items), Counter(gold)))
 
 
 def trigger_items_from(standardized: Iterable) -> list[TriggerItem]:

@@ -11,7 +11,6 @@ against the same predicted triggers.
 
 from __future__ import annotations
 
-import fcntl
 import os
 import re
 from dataclasses import replace
@@ -34,11 +33,13 @@ from .variants import VariantConfig
 
 
 class EvaluationResult(NamedTuple):
-    ed_report: EvalReport | None
-    eae_report: EvalReport | None
-    ed_standardized: tuple[StandardizedRecord, ...] | None
-    eae_standardized: tuple[StandardizedRecord, ...] | None
-    trigger_context: TriggerContext | None
+    ed_report: EvalReport | None = None
+    eae_report: EvalReport | None = None
+    # of each task, the standardized records that discarded a prediction, in record order: the discard ledger
+    # (`serialize_discards`) is their only reader; none without standardization, None for a task not given
+    ed_with_discards: tuple[StandardizedRecord, ...] | None = None
+    eae_with_discards: tuple[StandardizedRecord, ...] | None = None
+    trigger_context: TriggerContext | None = None
 
 
 def _check_anchors(predictions: ParadigmPredictions, context: TriggerContext) -> None:
@@ -72,18 +73,20 @@ def evaluate(
     discard ledger; each file's paradigm is bound into the protocol, which
     refuses generation output there. Predictions are checked for their
     task against `corpus` as a file of them is (`checked_predictions`).
+    Only the standardized records that discarded something are kept, for
+    the ledger. A prediction file that its caller does not name goes once
+    it is standardized; scoring ED first, then EAE under ED's
+    `trigger_context`, never holds the two files at once.
     """
     protocol = replace(protocol, ed_paradigm=ed_pred and ed_pred.paradigm, eae_paradigm=eae_pred and eae_pred.paradigm)
-    mode, convention, standardize = protocol.mode, protocol.convention, protocol.standardize
-    policy, options = protocol.policy, protocol.options
-    output_space = standardize_predictions if standardize else native_predictions
+    mode, convention, policy, options = protocol.mode, protocol.convention, protocol.policy, protocol.options
+    output_space = standardize_predictions if protocol.standardize else native_predictions
 
-    ed_report = ed_std = ed_items = None
+    ed_report = ed_kept = ed_items = None
     if ed_pred is not None:
-        ed_pred = checked_predictions(ed_pred, corpus, TASK_TRIGGER)
-        ed_space = output_space(ed_pred, corpus, policy, options)
-        ed_std = ed_space if standardize else None
-        ed_items = trigger_items_from(ed_space)
+        ed_space = output_space(checked_predictions(ed_pred, corpus, TASK_TRIGGER), corpus, policy, options)
+        ed_pred = None  # the parsed records go once standardized
+        ed_kept, ed_items, ed_space = tuple(r for r in ed_space if r.discarded), trigger_items_from(ed_space), None
         ed_report = score_trigger_items(corpus, ed_items, mode=mode, convention=convention)
 
     if mode == MODE_GOLD_TRIGGER:
@@ -95,18 +98,20 @@ def evaluate(
     else:
         raise ConfigError("pipeline mode requires ED predictions or a predicted-trigger file/store entry")
 
-    eae_report = eae_std = None
+    eae_report = eae_kept = None
     if eae_pred is not None:
         eae_pred = checked_predictions(eae_pred, corpus, TASK_ARGUMENT)
         _check_anchors(eae_pred, context)
-        eae_space = output_space(eae_pred, corpus, policy, options)
-        eae_std = eae_space if standardize else None
+        eae_space, eae_pred = output_space(eae_pred, corpus, policy, options), None  # as ED's above
+        # the items go once counted: their iterator holds the only reference to them
+        eae_kept, eae_items, eae_space = (
+            tuple(r for r in eae_space if r.discarded), iter(argument_items_from(eae_space)), None
+        )
         eae_report = score_argument_items(
-            corpus, argument_items_from(eae_space), context, convention=convention, mode=mode,
-            eae_match=protocol.eae_match,
+            corpus, eae_items, context, convention=convention, mode=mode, eae_match=protocol.eae_match,
         )
 
-    return EvaluationResult(ed_report, eae_report, ed_std, eae_std, context)
+    return EvaluationResult(ed_report, eae_report, ed_kept, eae_kept, context)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +213,8 @@ class TriggerStore:
             raise ConfigError(
                 f"producer {producer!r} must match {_PRODUCER_RE.pattern} (it names files)"
             )
+        import fcntl  # here, so that a command that puts nothing does not load it
+
         self.root.mkdir(parents=True, exist_ok=True)
         with open(self.root / self.LOCK, "wb") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes

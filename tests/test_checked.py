@@ -152,8 +152,8 @@ def test_a_value_built_in_code_scores_as_its_file(paradigm, mode, standardize):
         by_file = evaluate(corpus, protocol, ed_pred=files[0], eae_pred=files[1], trigger_context=context)
         by_code = evaluate(corpus, protocol, ed_pred=codes[0], eae_pred=codes[1], trigger_context=context)
         assert by_code == by_file
-        assert serialize_discards(by_code.ed_standardized, by_code.eae_standardized) == serialize_discards(
-            by_file.ed_standardized, by_file.eae_standardized)
+        assert serialize_discards(by_code.ed_with_discards, by_code.eae_with_discards) == serialize_discards(
+            by_file.ed_with_discards, by_file.eae_with_discards)
 
 
 def test_score_checks_the_task_of_each_record_once(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import argparse
 import gc
+import importlib
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 
 from dataclasses import asdict
 from pathlib import Path
@@ -407,6 +409,94 @@ def test_score_anchor_outside_context_exits_1(tmp_path, corpus_path):
     code = run(["score", "--corpus", corpus_path, "--eae-predictions", eae,
                 "--eae-paradigm", "CLS", "--output", tmp_path / "r.json"])
     assert code == 1
+
+
+def test_score_finishes_ed_before_it_reads_the_eae_file(tmp_path, corpus_path, monkeypatch):
+    """`score` reads, standardizes and scores ED before it reads the EAE
+    file. Where a call takes over its arguments (Python 3.11 on), no
+    parsed file outlives its standardization: the ED file's records are
+    gone before the EAE file is read, and the EAE file's before its items
+    are scored."""
+    from eescore import pipeline
+
+    events, parsed = [], {}
+
+    class Token:  # a parsed file holds one, so that a weak reference sees the file go
+        pass
+
+    def alive() -> list:
+        return sorted(task for task, token in parsed.items() if token() is not None)
+
+    def spy(name, task_of):
+        fn = getattr(pipeline, name)
+        def call(*args, **kwargs):
+            events.append((name, task_of(*args), alive()))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, call)
+
+    def load(path, paradigm, corpus, task):
+        events.append(("load_predictions", task, alive()))
+        predictions = load_predictions(path, paradigm, corpus, task)
+        predictions.token = Token()
+        parsed[task] = weakref.ref(predictions.token)
+        return predictions
+
+    load_predictions = cli.load_predictions
+    monkeypatch.setattr(cli, "load_predictions", load)
+    spy("standardize_predictions", lambda predictions, *_: predictions.records[0].task)
+    spy("score_trigger_items", lambda *_: "trigger")
+    spy("score_argument_items", lambda *_: "argument")
+    assert run(["score", "--corpus", corpus_path, "--ed-predictions", cls_ed_file(tmp_path, corpus_path),
+                "--ed-paradigm", "CLS", "--eae-predictions", cls_eae_file(tmp_path), "--eae-paradigm", "CLS",
+                "--output", tmp_path / "r.json"]) == 0
+    steps = [(name, task) for name, task, _ in events]
+    assert steps == [
+        ("load_predictions", "trigger"), ("standardize_predictions", "trigger"), ("score_trigger_items", "trigger"),
+        ("load_predictions", "argument"), ("standardize_predictions", "argument"),
+        ("score_argument_items", "argument"),
+    ]
+    if sys.version_info >= (3, 11):
+        assert [held for _, _, held in events] == [[], ["trigger"], [], [], ["argument"], []]
+
+
+@pytest.mark.parametrize("source", ["triggers", "store"])
+def test_score_refuses_faults_in_several_inputs_in_one_order(tmp_path, corpus_path, capsys, source):
+    """With faults in the ED file, the EAE file, the trigger file or store
+    entry and an EAE anchor, `score` names the ED file; once it is mended
+    the EAE file, then the trigger source, then the anchor."""
+    good_ed, store = cls_ed_file(tmp_path, corpus_path), tmp_path / "store"
+    assert run(["trigger-store", "put", "--store", store, "--corpus", corpus_path, "--predictions", good_ed,
+                "--paradigm", "CLS", "--producer", "p"]) == 0
+    triggers = tmp_path / "t.jsonl"
+    if source == "store":
+        triggers = store / json.loads((store / "manifest.json").read_text())[0]["file"]
+    ed, eae = tmp_path / "ed.jsonl", tmp_path / "eae.jsonl"
+    for path in (ed, eae):
+        path.write_bytes(dump_jsonl([{"doc_id": "absent", "task": "trigger", "assignments": []}]))
+    triggers.write_bytes(dump_jsonl([{"doc_id": "absent", "triggers": []}]))
+    argv = ["score", "--corpus", corpus_path, "--ed-predictions", ed, "--ed-paradigm", "CLS",
+            "--eae-predictions", eae, "--eae-paradigm", "CLS", "--mode", "pipeline",
+            f"--{source}", triggers if source == "triggers" else store, "--output", tmp_path / "r.json"]
+    name = "trigger file" if source == "triggers" else "trigger store entry"
+    mends = [
+        (ed, good_ed.read_bytes()),
+        (eae, dump_jsonl([{"doc_id": "doc-resignation", "task": "argument",
+                           "anchor": {"trigger": [0, 1], "event_type": "Ghost"}, "assignments": []}])),
+        (triggers, dump_jsonl([{"doc_id": "doc-resignation",
+                                "triggers": [{"span": [8, 9], "event_type": "End-Position"}]}])),
+    ]
+    refusals = [f"ED prediction file {ed}: line 1: unknown doc_id 'absent'",
+                f"EAE prediction file {eae}: line 1: unknown doc_id 'absent'",
+                f"{name} {triggers}: line 1: unknown doc_id 'absent'"]
+    for (path, mended), refusal in zip(mends, refusals):
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"eescore: error: {refusal}\n"
+        path.write_bytes(mended)
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        f"eescore: error: EAE prediction file {eae}: line 1: record for doc 'doc-resignation' is anchored to "
+        "([0, 1], 'Ghost'), which is not in the trigger context")
 
 
 CG_WITHOUT_STANDARDIZE = (
@@ -832,6 +922,14 @@ def test_console_entry_point_subprocess(tmp_path, corpus_path):
     assert json.loads(result.stdout)["token_count"] == 21
 
 
+def test_importing_the_main_module_returns():
+    """`python -m eescore` runs the CLI, but an import of `eescore.__main__`
+    runs nothing: it returns, where a call of `entry_point` would end this
+    process."""
+    module = importlib.import_module("eescore.__main__")
+    assert module.entry_point is cli.entry_point
+
+
 def _console_env(unbuffered: bool) -> dict:
     """The environment of a console-script run of this checkout, with
     Python's output buffering as `unbuffered` says."""
@@ -1083,6 +1181,32 @@ def test_score_and_put_never_load_hashlib(tmp_path, corpus_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[0, 0] []"
     assert (tmp_path / "report.json").is_file()
+
+
+# runs `trigger-store list` and `compare` in one interpreter; prints which of the
+# parsed-corpus cache's pickle core and the store's lock module they loaded
+UNUSED_MODULES_PROBE = """
+import sys
+from eescore import cli
+store, report = sys.argv[1:]
+codes = [cli.main(["trigger-store", "list", "--store", store]), cli.main(["compare", report, report])]
+print(codes, sorted({"_pickle", "_compat_pickle", "fcntl"} & set(sys.modules)))
+"""
+
+
+def test_list_and_compare_load_no_pickle_and_no_lock(tmp_path, corpus_path):
+    """Only a corpus read loads pickle's core, and only a put the lock's
+    `fcntl`: commands that do neither map neither."""
+    ed, store, report = cls_ed_file(tmp_path, corpus_path), tmp_path / "store", tmp_path / "r.json"
+    assert run(["trigger-store", "put", "--store", store, "--corpus", corpus_path, "--predictions", ed,
+                "--paradigm", "CLS", "--producer", "p"]) == 0
+    assert run(["score", "--corpus", corpus_path, "--ed-predictions", ed, "--ed-paradigm", "CLS",
+                "--output", report]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", UNUSED_MODULES_PROBE, str(store), str(report)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def _tags(**at):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -277,7 +278,7 @@ keys = st.lists(st.tuples(st.sampled_from("de"), st.integers(0, 3), st.sampled_f
 @given(keys, keys)
 @settings(max_examples=300, deadline=None)
 def test_match_equals_per_label_rescan(pred_keys, gold_keys):
-    total, per_label, identification = _match(pred_keys, gold_keys)
+    total, per_label, identification = _match(Counter(pred_keys), Counter(gold_keys))
     expected_total, expected_per_label = per_label_by_rescan(pred_keys, gold_keys, lambda k: k[-1])
     assert (total.tp, total.fp, total.fn) == expected_total
     assert {label: (c.tp, c.fp, c.fn) for label, c in per_label.items()} == expected_per_label

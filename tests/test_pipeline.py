@@ -22,11 +22,12 @@ from eescore.pipeline import (
     parse_trigger_file,
     serialize_trigger_context,
 )
-from eescore.protocol import MODE_GOLD_TRIGGER, MODE_PIPELINE, Protocol
+from eescore.protocol import MODE_GOLD_TRIGGER, MODE_PIPELINE, PARADIGMS, PROTOCOL_CHOICES, Protocol
+from eescore.standardize import serialize_discards, standardize_predictions
 from eescore.variants import VARIANT_CHOICES, VariantConfig, apply_variant
 
 from corpora import predictions_from, resignation_corpus, simple_doc
-from gen import random_corpus
+from gen import gold_anchor_table, random_argument_predictions, random_corpus, random_trigger_predictions
 
 
 def two_event_corpus():
@@ -205,6 +206,23 @@ def test_generation_predictions_have_no_native_output_space():
         assert str(exc.value) == (
             "generation predictions cannot be scored without --standardize (their mentions carry no positions)"
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PARADIGMS), st.sampled_from(PROTOCOL_CHOICES["stray_i"]))
+def test_a_result_keeps_exactly_the_records_of_its_discard_ledger(seed, paradigm, stray_i):
+    """Of each task's standardized records, `evaluate` keeps those that
+    discarded a prediction, in record order, and the ledger written from
+    them is the ledger of every record, byte for byte."""
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, require_event_with_argument=True)
+    ed = random_trigger_predictions(rng, corpus, paradigm)
+    eae = random_argument_predictions(rng, corpus, paradigm, gold_anchor_table(corpus))
+    protocol = Protocol(stray_i=stray_i)
+    result = evaluate(corpus, protocol, ed_pred=ed, eae_pred=eae)
+    every = [standardize_predictions(p, corpus, protocol.policy, protocol.options) for p in (ed, eae)]
+    assert [result.ed_with_discards, result.eae_with_discards] == [tuple(r for r in s if r.discarded) for s in every]
+    assert serialize_discards(result.ed_with_discards, result.eae_with_discards) == serialize_discards(*every)
 
 
 def test_pipeline_without_triggers_is_config_error():

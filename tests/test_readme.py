@@ -18,9 +18,8 @@ def _spans(text: str) -> list[str]:
 
 
 def _modules() -> list:
-    """Every module of the package but `__main__`, which runs the CLI when imported."""
-    return [importlib.import_module(f"eescore.{m.name}") for m in pkgutil.iter_modules(eescore.__path__)
-            if m.name != "__main__"]
+    """Every module of the package."""
+    return [importlib.import_module(f"eescore.{m.name}") for m in pkgutil.iter_modules(eescore.__path__)]
 
 
 def test_every_dotted_eescore_name_in_readme_resolves():
