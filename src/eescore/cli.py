@@ -112,19 +112,6 @@ def _load_inputs(args):
     return cfg, _read(args.corpus, "corpus", load_corpus, refuse=ConfigError)
 
 
-def _store_entry(args, fingerprint: str):
-    """The store's entry and trigger bytes for the corpus under `fingerprint`,
-    by `--producer` when one is given."""
-    found = _store(args).get(Path(args.corpus).name, fingerprint, args.producer)
-    if found is None:
-        by = "" if args.producer is None else f" by producer {args.producer!r}"
-        raise ToolkitError(
-            f"no trigger-store entry{by} for corpus {Path(args.corpus).name!r} and the "
-            f"current variant fingerprint {fingerprint[:12]}... (stale or missing entry)"
-        )
-    return found
-
-
 def _protocol(args, **fixed) -> Protocol:
     """The protocol that the flags in `args` select; `fixed` gives what the
     subcommand does not take as a flag. The --k checks that name flags
@@ -209,14 +196,11 @@ def _validate_score_flags(args) -> None:
 
 
 def _pipeline_context(args, corpus, fingerprint: str, ed: EvaluationResult) -> TriggerContext | None:
-    """The trigger context that pipeline mode scores EAE against: the trigger file's, the store entry's, or
-    else the one `evaluate` built from the ED predictions (`ed`)."""
-    if args.mode != MODE_PIPELINE:
-        return None
+    """The trigger context that `score` hands to EAE's `evaluate`: the trigger file's, the store entry's, or ED's."""
     if args.triggers:
         return _read(args.triggers, "trigger file", load_trigger_file, corpus)
     if args.store:
-        entry, payload = _store_entry(args, fingerprint)
+        entry, payload = _store(args).get(Path(args.corpus).name, fingerprint, args.producer)
         with naming("trigger store entry", Path(args.store, entry.file)):
             return parse_trigger_file(payload, corpus, source=f"store:{entry.producer}")
     return ed.trigger_context
@@ -230,12 +214,9 @@ def cmd_score(args) -> int:
     corpus, _ = apply_variant(corpus, cfg)  # the unvaried corpus is not kept alive
     # ED is scored before the EAE file is read, and no parsed file has a name here, so `evaluate` lets each
     # file go once it is standardized: the two files are never held at once
-    ed = EvaluationResult()
-    if args.ed_predictions:
-        ed = evaluate(corpus, protocol, ed_pred=_read(
-            args.ed_predictions, "ED prediction file", load_predictions, args.ed_paradigm, corpus, TASK_TRIGGER))
-        if args.mode != MODE_PIPELINE:  # EAE builds the gold context afresh: ED's would be a second copy
-            ed = ed._replace(trigger_context=None)
+    ed = evaluate(corpus, protocol, ed_pred=_read(
+        args.ed_predictions, "ED prediction file", load_predictions, args.ed_paradigm, corpus, TASK_TRIGGER,
+    ) if args.ed_predictions else None)
     with naming("EAE prediction file", args.eae_predictions, ContextError):  # an anchor outside the context
         eae = evaluate(
             corpus, protocol,
@@ -368,7 +349,7 @@ def cmd_store_put(args) -> int:
 
 def cmd_store_get(args) -> int:
     cfg, corpus = _load_inputs(args)
-    entry, payload = _store_entry(args, corpus_fingerprint(corpus, cfg))
+    entry, payload = _store(args).get(Path(args.corpus).name, corpus_fingerprint(corpus, cfg), args.producer)
     write_atomic(args.output, payload)
     print(f"{entry.producer}\t{entry.file}\tED F1 {entry.ed_f1 * 100:.1f}")
     return 0

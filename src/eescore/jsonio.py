@@ -16,7 +16,6 @@ import os
 import re
 import sys
 import threading
-from contextlib import suppress
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -102,6 +101,8 @@ _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 _STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 # a string, an integer (its digits in group 1) or another number, which the third choice skips whole
 _NUMBER_RE = re.compile(_STRING_RE.pattern + r'|-?(\d+)(?![\d.eE])|[\d.eE+-]+')
+# a string (group 1), with the colon after it when it is a key (group 2), or a bracket
+_TOKEN_RE = re.compile("(" + _STRING_RE.pattern + r")([ \t\n\r]*:)?|[][{}]")
 
 
 def decode(data: bytes) -> str:
@@ -131,20 +132,20 @@ def lines(text: str) -> Iterator[tuple[int, str]]:
         start, i = end + 1, i + 1
 
 
-def _key_line(text: str) -> int | None:
-    """The line of the `{` of the object that repeats a key in the JSON file `text`, or None if nested too deeply."""
-    refused, decoder = [], json.JSONDecoder(object_pairs_hook=_unique_keys)
-    def parse_object(s_and_end, *args):  # the pure-Python scanner's JSONObject, told where its `{` is
-        try:
-            return json.decoder.JSONObject(s_and_end, *args)
-        except ParseError:  # the innermost object refused comes first
-            refused.append(s_and_end[1] - 1)
-            raise
-    decoder.parse_object = parse_object
-    decoder.scan_once = json.scanner.py_make_scanner(decoder)
-    with suppress(ParseError, RecursionError):
-        decoder.decode(text)
-    return text.count("\n", 0, refused[0]) + 1 if refused else None
+def _key_line(text: str) -> int:
+    """The line of the `{` of the first object to close that repeats a key in the JSON file `text`: the one the
+    decoder refuses, as it builds each object when it closes. A walk over strings and brackets, which finds it at
+    any depth; keys are compared decoded."""
+    objects = []  # of each open bracket: its offset and its keys for `{`, None for `[`
+    for token in _TOKEN_RE.finditer(text):
+        if token[2]:  # a string before a colon: a key
+            objects[-1][1].append(_DECODER.decode(token[1]))
+        elif token[0] in ("{", "["):
+            objects.append((token.start(), []) if token[0] == "{" else None)
+        elif token[0] in ("}", "]"):
+            closed = objects.pop()
+            if closed and len(set(closed[1])) < len(closed[1]):
+                return text.count("\n", 0, closed[0]) + 1
 
 
 def loads(text: str, line: int | None = None) -> Any:

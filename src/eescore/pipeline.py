@@ -62,17 +62,18 @@ def evaluate(
     eae_pred: ParadigmPredictions | None = None,
     trigger_context: TriggerContext | None = None,
 ) -> EvaluationResult:
-    """Runs ED and/or EAE scoring under one trigger context.
+    """Runs ED and/or EAE scoring under one trigger context, which is chosen here alone.
 
-    gold_trigger mode scores EAE against the corpus's own triggers;
-    pipeline mode requires predicted triggers (from ed_pred or an explicit
-    trigger_context). EAE records anchored outside the context are
-    rejected: they indicate the experiment answered triggers it was never
-    given. A protocol without standardization scores the predictions in
-    their native output space (`native_predictions`), which has no
-    discard ledger; each file's paradigm is bound into the protocol, which
-    refuses generation output there. Predictions are checked for their
-    task against `corpus` as a file of them is (`checked_predictions`).
+    gold_trigger mode scores EAE against the corpus's own triggers and
+    refuses a given trigger_context; pipeline mode uses trigger_context,
+    else ED's triggers, and refuses EAE without either. A context is built
+    only when read, so a gold-mode call without EAE returns none. EAE
+    records anchored outside it are rejected: the experiment answered
+    triggers it was never given. Without standardization, predictions are
+    scored in their native output space (`native_predictions`), which has
+    no discard ledger; each file's paradigm is bound into the protocol,
+    which refuses generation output there. Predictions are checked for
+    their task against `corpus` as a file of them is (`checked_predictions`).
     Only the standardized records that discarded something are kept, for
     the ledger. A prediction file that its caller does not name goes once
     it is standardized; scoring ED first, then EAE under ED's
@@ -89,13 +90,15 @@ def evaluate(
         ed_kept, ed_items, ed_space = tuple(r for r in ed_space if r.discarded), trigger_items_from(ed_space), None
         ed_report = score_trigger_items(corpus, ed_items, mode=mode, convention=convention)
 
+    context = trigger_context
     if mode == MODE_GOLD_TRIGGER:
-        context = TriggerContext.from_gold(corpus)
-    elif trigger_context is not None:
-        context = trigger_context
-    elif ed_items is not None:
+        if context is not None:
+            raise ConfigError("a trigger context only applies to pipeline mode: gold_trigger mode scores EAE "
+                              "against the corpus's own triggers")
+        context = TriggerContext.from_gold(corpus) if eae_pred is not None else None
+    elif context is None and ed_items is not None:
         context = TriggerContext.from_items(ed_items, source="ed_predictions")
-    else:
+    elif context is None and eae_pred is not None:
         raise ConfigError("pipeline mode requires ED predictions or a predicted-trigger file/store entry")
 
     eae_report = eae_kept = None
@@ -252,11 +255,9 @@ class TriggerStore:
             write_atomic(self.root / self.MANIFEST, format_report([r._asdict() for r in rows]).encode("utf-8"))
             return entry
 
-    def get(
-        self, corpus_id: str, fingerprint: str, producer: str | None = None
-    ) -> tuple[TriggerStoreEntry, bytes] | None:
-        """Returns (entry, trigger file bytes), or None when no entry matches.
-        Without a producer, entries by more than one producer are a ConfigError."""
+    def get(self, corpus_id: str, fingerprint: str, producer: str | None = None) -> tuple[TriggerStoreEntry, bytes]:
+        """Returns (entry, trigger file bytes). Without a producer, entries by more than one producer are a
+        ConfigError; no entry that matches is a StoreError."""
         rows = [row for row in self.entries() if (row.corpus_id, row.fingerprint) == (corpus_id, fingerprint)
                 and producer in (None, row.producer)]
         producers = list(dict.fromkeys(row.producer for row in rows))
@@ -265,4 +266,8 @@ class TriggerStore:
                 f"producers {', '.join(map(repr, producers))} all hold triggers for corpus {corpus_id!r} "
                 f"and fingerprint {fingerprint[:12]}...; choose one with --producer"
             )
-        return (rows[0], self._read(rows[0])) if rows else None
+        if not rows:
+            by = "" if producer is None else f" by producer {producer!r}"
+            raise StoreError(f"no trigger-store entry{by} for corpus {corpus_id!r} and the current variant "
+                             f"fingerprint {fingerprint[:12]}... (stale or missing entry)")
+        return rows[0], self._read(rows[0])

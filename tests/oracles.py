@@ -12,7 +12,9 @@ orders predictions against that full list. The helpers after them serve
 tests only: the package has no use for them. The reference parsers at the end are the
 field-by-field parsers and document validator as they stood before the
 field checks were made cheap, kept so that the current ones can be
-diffed against them.
+diffed against them; the last is the locator of a repeated JSON key that
+recursed through json's pure-Python scanner, before `jsonio` walked the
+text without recursion.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
+from contextlib import suppress
 from typing import IO, Iterable, Iterator, Union
 
 from eescore.core import (
@@ -792,3 +795,34 @@ def reference_parse_trigger_file(stream: Stream, corpus: Corpus, source: str) ->
             )
         table[doc_id] = tuple(preds)
     return TriggerContext(source=source, triggers=table)
+
+
+class _RepeatedKey(Exception):
+    pass
+
+
+def _refuse_repeats(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise _RepeatedKey
+    return obj
+
+
+def reference_key_line(text: str) -> int | None:
+    """The line of the `{` of the first object to close that repeats a key in the JSON file `text`, as json's
+    pure-Python scanner finds it when told where each object starts; None where the scanner recurses too deeply
+    (about 330 levels)."""
+    refused, decoder = [], json.JSONDecoder(object_pairs_hook=_refuse_repeats)
+
+    def parse_object(s_and_end, *args):
+        try:
+            return json.decoder.JSONObject(s_and_end, *args)
+        except _RepeatedKey:  # the innermost object refused comes first
+            refused.append(s_and_end[1] - 1)
+            raise
+
+    decoder.parse_object = parse_object
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    with suppress(_RepeatedKey, RecursionError):
+        decoder.decode(text)
+    return text.count("\n", 0, refused[0]) + 1 if refused else None

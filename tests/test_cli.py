@@ -459,6 +459,21 @@ def test_score_finishes_ed_before_it_reads_the_eae_file(tmp_path, corpus_path, m
         assert [held for _, _, held in events] == [[], ["trigger"], [], [], ["argument"], []]
 
 
+def test_a_gold_score_builds_the_gold_context_once_and_only_for_eae(tmp_path, corpus_path, monkeypatch):
+    """`evaluate` alone picks the context that EAE is scored under: a gold-mode `score` builds the corpus's
+    triggers once when it scores EAE, and never for ED alone."""
+    from eescore.core import TriggerContext
+
+    built, from_gold = [], TriggerContext.from_gold
+    monkeypatch.setattr(TriggerContext, "from_gold", staticmethod(lambda corpus: built.append(1) or from_gold(corpus)))
+    ed = ["--ed-predictions", cls_ed_file(tmp_path, corpus_path), "--ed-paradigm", "CLS"]
+    eae = ["--eae-predictions", cls_eae_file(tmp_path), "--eae-paradigm", "CLS"]
+    for flags, times in ((ed, 0), (eae, 1), (ed + eae, 1)):
+        built.clear()
+        assert run(["score", "--corpus", corpus_path, *flags, "--output", tmp_path / "r.json"]) == 0
+        assert len(built) == times, flags
+
+
 @pytest.mark.parametrize("source", ["triggers", "store"])
 def test_score_refuses_faults_in_several_inputs_in_one_order(tmp_path, corpus_path, capsys, source):
     """With faults in the ED file, the EAE file, the trigger file or store
@@ -1297,8 +1312,8 @@ _NO_SCORES = "'ed' lacks precision, recall, f1 as numbers in [0, 1]"
          _NO_SCORES),
         (lambda good: json.dumps(dict(good, ed=dict(good["ed"], precision="1.0"))).encode(), _NO_SCORES),
         (lambda good: b'{"fingerprint": "0", ' + json.dumps(good).encode()[1:], "line 1: duplicate key 'fingerprint'"),
-        # deeper than the pure-Python scanner that finds a repeated key's line goes: refused without one
-        (lambda good: b"\n" + b"[" * 600 + b'{"a": 1, "a": 2}' + b"]" * 600, "duplicate key 'a'"),
+        # deeper than a recursive scanner goes: the walk that finds a repeated key's line does not recurse
+        (lambda good: b"\n" + b"[" * 600 + b'{"a": 1, "a": 2}' + b"]" * 600, "line 2: duplicate key 'a'"),
         (lambda good: json.dumps({k: v for k, v in good.items() if k != "config"}).encode(),
          "not a score report (missing config)"),
         (lambda good: json.dumps(dict(good, config=[])).encode(), "not a score report (missing config)"),

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from eescore.core import Span
 from eescore.errors import ParseError, ToolkitError, ValidationError
 from eescore.ingest import parse_corpus, parse_predictions, parse_trigger_file, serialize_corpus
-from eescore.jsonio import dump_jsonl, lines
+from eescore.jsonio import _key_line, dump_jsonl, lines, loads
 from eescore.protocol import PARADIGMS
 
 from corpora import resignation_corpus, resignation_document
 from gen import gold_anchor_table, random_argument_predictions, random_corpus, random_trigger_predictions
-from oracles import serialize_predictions
+from oracles import reference_key_line, serialize_predictions
 
 RESIGNATION_OBJ = {
     "id": "doc-resignation",
@@ -508,6 +508,57 @@ def test_prediction_repeated_key_is_a_parse_error():
     )
     with pytest.raises(ParseError, match=r"^line 1: duplicate key 'label'$"):
         parse_predictions(raw, "SP", corpus)
+
+
+# keys, two of which are one key once decoded, and strings that hold brackets, colons and quotes
+_KEYS = st.sampled_from(['"a"', '"\\u0061"', '"b"', '"ka"', '"k\\u0061"', '"{[:"', '"\\"}"'])
+_SAME_KEY = st.sampled_from([('"a"', '"a"'), ('"a"', '"\\u0061"'), ('"k\\u0061"', '"ka"')])
+_GAPS = st.sampled_from(["", " ", "\n", "\r\n", "\t\n "])
+_SCALARS = st.sampled_from(["1", "-2.5e3", "null", "true", '"a"', '"]}"', '"x\\"{"', '"a:"', "{}", "[]"])
+
+
+def _object(members) -> str:
+    return "{" + ",".join(f"{gap}{key}{colon_gap}:{value}" for gap, key, colon_gap, value in members) + "}"
+
+
+def _containers(children):
+    arrays = st.lists(st.tuples(_GAPS, children), max_size=4).map(lambda xs: "[" + ",".join(g + v for g, v in xs) + "]")
+    return st.lists(st.tuples(_GAPS, _KEYS, _GAPS, children), max_size=4).map(_object) | arrays
+
+
+_VALUES = st.recursive(_SCALARS, _containers, max_leaves=8)
+_MEMBERS = st.lists(st.tuples(_GAPS, _KEYS, _GAPS, _VALUES), max_size=3)
+# an object that repeats a key, among other members whose values may repeat one too
+_REPEATING = st.builds(lambda before, same, first, between, second, after: _object(
+    [*before, ("\n", same[0], "", first), *between, (" ", same[1], "", second), *after]),
+    _MEMBERS, _SAME_KEY, _VALUES, _MEMBERS, _VALUES, _MEMBERS)
+_WRAPPERS = {"[": "]", '{"w":\n': "}", "[1, ": "]", '{"a": 0, "w": ': "}"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(before=st.lists(_VALUES, max_size=2), repeating=_REPEATING, after=st.lists(_VALUES, max_size=2),
+       wrappers=st.lists(st.sampled_from(sorted(_WRAPPERS)), max_size=200))
+def test_a_repeated_key_is_located_as_the_recursive_scanner_locates_it(before, repeating, after, wrappers):
+    """A whole file that repeats a key below 300 levels, where json's recursive pure-Python scanner still
+    reaches, is refused at the line that scanner finds: that of the first object to close with a repeat."""
+    value = "[" + ",\n".join([*before, repeating, *after]) + "]"
+    text = "".join(wrappers) + value + "".join(_WRAPPERS[w] for w in reversed(wrappers))
+    with pytest.raises(ParseError) as exc:
+        loads(text)
+    line = reference_key_line(text)
+    assert line is not None
+    assert _key_line(text) == line
+    assert str(exc.value).startswith(f"line {line}: duplicate key ")
+
+
+@pytest.mark.parametrize("depth", [0, 300, 600, 990, 5000])
+def test_a_repeated_key_is_located_at_any_depth(depth):
+    """The walk that locates a repeated key does not recurse, so it finds its line at any depth, also where
+    json's recursive scanner gives up (about 330 levels of objects)."""
+    text = "\n" + '{"w": ' * depth + '{"x": {"k": 1}, "x": 2}' + "}" * depth
+    assert _key_line(text) == 2
+    if depth >= 600:
+        assert reference_key_line(text) is None
 
 
 def test_integer_too_long_to_convert_is_a_parse_error():

@@ -4,17 +4,21 @@ import json
 import random
 import re
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eescore import cli
 from eescore.core import Argument, Corpus, EntityMention, EventAnnotation, PredictedTrigger, Span
 from eescore.errors import ConfigError, ContextError, StoreError, ValidationError
 from eescore.ingest import parse_corpus, serialize_corpus
-from eescore.jsonio import canonical_line
+from eescore.jsonio import canonical_line, format_report
 from eescore.pipeline import (
+    EvaluationResult,
     TriggerContext,
     TriggerStore,
     corpus_fingerprint,
@@ -28,6 +32,7 @@ from eescore.variants import VARIANT_CHOICES, VariantConfig, apply_variant
 
 from corpora import predictions_from, resignation_corpus, simple_doc
 from gen import gold_anchor_table, random_argument_predictions, random_corpus, random_trigger_predictions
+from oracles import serialize_predictions
 
 
 def two_event_corpus():
@@ -235,6 +240,38 @@ def test_pipeline_without_triggers_is_config_error():
     assert str(exc.value) == "pipeline mode requires ED predictions or a predicted-trigger file/store entry"
 
 
+def test_gold_mode_refuses_a_given_trigger_context():
+    """gold_trigger mode scores EAE against the corpus's own triggers: a
+    context given to it is refused, not silently replaced."""
+    corpus = two_event_corpus()
+    eae = predictions_from(cls_argument_objs([((2, 3, "A"), [("e1", "r1")])]), "CLS", corpus)
+    for given in (TriggerContext("nothing", {}), TriggerContext.from_gold(corpus)):
+        for predictions in ({"eae_pred": eae}, {}):
+            with pytest.raises(ConfigError) as exc:
+                evaluate(corpus, Protocol(), trigger_context=given, **predictions)
+            assert str(exc.value) == (
+                "a trigger context only applies to pipeline mode: gold_trigger mode scores EAE "
+                "against the corpus's own triggers"
+            )
+
+
+def test_a_context_is_built_only_when_read():
+    """A gold-mode call without EAE builds no context; pipeline-mode ED
+    without a given context builds the one that a store keeps and EAE is
+    scored under; a call without predictions scores and refuses nothing."""
+    corpus = two_event_corpus()
+    ed = predictions_from(cls_trigger_objs([{"candidate_id": "t:2:3", "label": "A"}]), "CLS", corpus)
+    gold = evaluate(corpus, Protocol(), ed_pred=ed)
+    assert gold.ed_report.counts.tp == 1 and gold.trigger_context is None
+    pipeline = evaluate(corpus, Protocol(mode=MODE_PIPELINE), ed_pred=ed)
+    assert pipeline.trigger_context == TriggerContext("ed_predictions", {"d": (PredictedTrigger(Span(2, 3), "A"),)})
+    for mode in PROTOCOL_CHOICES["mode"]:
+        assert evaluate(corpus, Protocol(mode=mode)) == EvaluationResult()
+    given = TriggerContext("file", {})
+    assert evaluate(corpus, Protocol(mode=MODE_PIPELINE), trigger_context=given) == EvaluationResult(
+        trigger_context=given)
+
+
 def test_context_monotonicity_removing_correct_trigger():
     corpus = two_event_corpus()
     eae_full = predictions_from(
@@ -267,6 +304,64 @@ def test_mixed_task_prediction_file_rejected():
     )
     with pytest.raises(ValidationError, match="^line 1: record for doc 'd' has task 'trigger'; expected 'argument'$"):
         evaluate(corpus, Protocol(mode=MODE_GOLD_TRIGGER), eae_pred=eae)
+
+
+def _context_anchors(context: TriggerContext) -> dict:
+    return {doc_id: [(t.span, t.event_type) for t in triggers] for doc_id, triggers in context.triggers.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    paradigm=st.sampled_from(PARADIGMS),
+    mode=st.sampled_from(PROTOCOL_CHOICES["mode"]),
+    convention=st.sampled_from(PROTOCOL_CHOICES["convention"]),
+    source=st.sampled_from(["ed", "triggers", "store"]),
+    tasks=st.sampled_from([("ed",), ("eae",), ("ed", "eae")]),
+)
+def test_a_cli_score_is_one_evaluate_call(seed, paradigm, mode, convention, source, tasks):
+    """`score` calls `evaluate` for ED and then for EAE, under the context
+    that `_pipeline_context` picks; its report's `ed` and `eae` blocks are
+    those of one `evaluate` call given both files and the context, in both
+    modes and conventions, whether pipeline mode's triggers come from the
+    ED predictions, a trigger file or a store entry."""
+    source = None if mode == MODE_GOLD_TRIGGER else source
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, require_event_with_argument=True)
+    ed = random_trigger_predictions(rng, corpus, paradigm) if "ed" in tasks or source == "ed" else None
+    put = random_trigger_predictions(rng, corpus, paradigm)  # the triggers of a trigger file or a store entry
+    context = None
+    if source in ("triggers", "store"):
+        context = evaluate(corpus, Protocol(mode=MODE_PIPELINE), ed_pred=put).trigger_context
+    anchors = gold_anchor_table(corpus) if source is None else _context_anchors(
+        context or evaluate(corpus, Protocol(mode=MODE_PIPELINE), ed_pred=ed).trigger_context)
+    eae = random_argument_predictions(rng, corpus, paradigm, anchors) if "eae" in tasks else None
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "corpus.jsonl").write_bytes(serialize_corpus(corpus))
+        common = ["--corpus", tmp / "corpus.jsonl"]
+        argv = ["score", *common, "--mode", mode, "--convention", convention, "--output", tmp / "report.json"]
+        for task, predictions in (("ed", ed), ("eae", eae)):
+            if predictions is not None:
+                (tmp / f"{task}.jsonl").write_bytes(serialize_predictions(predictions))
+                argv += [f"--{task}-predictions", tmp / f"{task}.jsonl", f"--{task}-paradigm", paradigm]
+        if source == "triggers":
+            (tmp / "triggers.jsonl").write_bytes(serialize_trigger_context(context))
+            argv += ["--triggers", tmp / "triggers.jsonl"]
+        elif source == "store":
+            (tmp / "put.jsonl").write_bytes(serialize_predictions(put))
+            put_argv = ["trigger-store", "put", *common, "--store", tmp / "store", "--predictions", tmp / "put.jsonl",
+                        "--paradigm", paradigm, "--producer", "p"]
+            assert cli.main([str(a) for a in put_argv]) == 0
+            argv += ["--store", tmp / "store"]
+        assert cli.main([str(a) for a in argv]) == 0
+        report = json.loads((tmp / "report.json").read_text(encoding="utf-8"))
+
+    result = evaluate(corpus, Protocol(mode=mode, convention=convention), ed_pred=ed, eae_pred=eae,
+                      trigger_context=context)
+    for task, task_report in (("ed", result.ed_report), ("eae", result.eae_report)):
+        assert report[task] == (task_report and json.loads(format_report(task_report.as_dict())))
 
 
 def test_trigger_file_roundtrip():
@@ -377,7 +472,14 @@ def test_store_get_stale_fingerprint_not_found(tmp_path):
     store = TriggerStore(tmp_path / "store")
     store.put("corpus.jsonl", fp, "model-x", serialize_trigger_context(result.trigger_context), result.ed_report)
     stale = corpus_fingerprint(corpus, VariantConfig(include_time=False))
-    assert store.get("corpus.jsonl", stale) is None
+    by_any = (f"no trigger-store entry for corpus 'corpus.jsonl' and the current variant fingerprint {stale[:12]}... "
+              "(stale or missing entry)")
+    with pytest.raises(StoreError, match=f"^{re.escape(by_any)}$"):
+        store.get("corpus.jsonl", stale)
+    by_nobody = (f"no trigger-store entry by producer 'nobody' for corpus 'corpus.jsonl' and the current variant "
+                 f"fingerprint {fp[:12]}... (stale or missing entry)")
+    with pytest.raises(StoreError, match=f"^{re.escape(by_nobody)}$"):
+        store.get("corpus.jsonl", fp, producer="nobody")
 
 
 def test_store_integrity_error_on_conflicting_put(tmp_path):
@@ -424,7 +526,8 @@ def test_store_multiple_producers(tmp_path):
         f"and fingerprint {fp[:12]}...; choose one with --producer"
     )
     # entries of another corpus or fingerprint do not count
-    assert store.get("other.jsonl", fp) is None
+    with pytest.raises(StoreError, match="^no trigger-store entry for corpus 'other.jsonl' and "):
+        store.get("other.jsonl", fp)
 
 
 GOOD_ROW = {"corpus_id": "c.jsonl", "fingerprint": "f" * 64, "producer": "p", "file": "t.jsonl", "ed_f1": 0.5}
